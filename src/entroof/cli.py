@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 malformed input file, 3 invalid parameters,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -22,17 +23,8 @@ import time
 from . import io as fileio
 from .linalg import schmidt
 from .locc import audit_monotonicity, validate_tree
-from .measures import (
-    CONCURRENCE,
-    ENTANGLEMENT_NUMBER,
-    ENTROPY,
-    GEOMETRIC,
-    NEGATIVITY,
-    P_NUMBER,
-    MeasureSpec,
-    measure_value,
-)
-from .roof import RoofProblem, solve_roof
+from .measures import ENTROPY, MEASURES, P_NUMBER, MeasureSpec, measure_value, p_number_pure
+from .roof import RoofProblem, rank_of, solve_roof
 from .states import DensityOperator, InvariantViolation, PureState
 
 EXIT_OK = 0
@@ -42,44 +34,30 @@ EXIT_INTERNAL = 4
 EXIT_BAD_TREE = 5
 
 RECONSTRUCTION_LIMIT = 1e-8
+MAX_GRID_POINTS = 10_000
 
-MEASURE_NAMES = {
-    "e": ENTANGLEMENT_NUMBER,
-    "entanglement-number": ENTANGLEMENT_NUMBER,
-    "p-number": P_NUMBER,
-    "entropy": ENTROPY,
-    "negativity": NEGATIVITY,
-    "concurrence": CONCURRENCE,
-    "geometric": GEOMETRIC,
-}
+MEASURE_NAMES = {name: kind for kind, m in MEASURES.items() for name in (*m.aliases, kind)}
 
 
 class ParamError(ValueError):
     pass
 
 
+def _ranks(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be two integers K1,K2, got {text!r}") from None
+
+
 def _spec_from_args(args) -> MeasureSpec:
-    kind = MEASURE_NAMES.get(args.measure)
-    if kind is None:
-        raise ParamError(
-            f"unknown measure {args.measure!r}; choose from {sorted(MEASURE_NAMES)}")
+    kind = MEASURE_NAMES[args.measure]
+    param = MEASURES[kind].param
     kwargs = {}
-    if kind == P_NUMBER:
-        if args.p is None:
-            raise ParamError("p-number requires --p")
-        kwargs["p"] = args.p
-    if kind == CONCURRENCE:
-        if args.k is None:
-            raise ParamError("concurrence requires --k")
-        kwargs["k"] = args.k
-    if kind == GEOMETRIC:
-        if args.ranks is None:
-            raise ParamError("geometric requires --ranks K1,K2")
-        try:
-            parts = tuple(int(x) for x in args.ranks.split(","))
-        except ValueError:
-            raise ParamError(f"--ranks must be two integers, got {args.ranks!r}") from None
-        kwargs["ranks"] = parts
+    if param is not None:
+        if getattr(args, param) is None:
+            raise ParamError(f"{args.measure} requires --{param}")
+        kwargs[param] = getattr(args, param)
     if kind == ENTROPY:
         kwargs["log_base"] = 2.0 if args.log_base == "2" else math.e
     try:
@@ -98,26 +76,28 @@ def _spec_config(spec: MeasureSpec) -> dict:
     }
 
 
-def _roof_config(args, resolved_m: int) -> dict:
-    # workers is reported with the timings: it changes execution, not results
-    return {
-        "ensemble_size": resolved_m,
-        "restarts": args.restarts,
-        "max_iters": 2000,
-        "tol": args.tol,
-        "seed": args.seed,
-        "direction": args.direction,
-    }
+def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
+    """RoofProblem keywords from the roof flags, and their echo for the
+    report's config (workers is reported with the timings: it changes
+    execution, not results)."""
+    opts = {"ensemble_size": args.m, "restarts": args.restarts, "tol": args.tol,
+            "seed": args.seed}
+    config = {**opts, "max_iters": RoofProblem.max_iters,
+              "ensemble_size": args.m if args.m is not None else rank_of(rho) ** 2}
+    if "direction" in args:  # the LOCC audit always minimizes
+        opts["direction"] = "minimize" if args.direction == "min" else "maximize"
+        config["direction"] = args.direction
+    return opts, config
 
 
-def _roof_kwargs(args) -> dict:
-    return {
-        "ensemble_size": args.m,
-        "restarts": args.restarts,
-        "tol": args.tol,
-        "seed": args.seed,
-        "direction": "minimize" if args.direction == "min" else "maximize",
-    }
+@contextlib.contextmanager
+def _solver_errors():
+    """A ValueError from the solver names a roof flag or measure parameter
+    that the input rejects: report it as invalid parameters."""
+    try:
+        yield
+    except ValueError as e:
+        raise ParamError(str(e)) from None
 
 
 def _ensemble_doc(ensemble) -> dict:
@@ -171,18 +151,16 @@ def cmd_measure(args) -> tuple[int, dict]:
 def cmd_roof(args) -> tuple[int, dict]:
     rho = _require_density(fileio.load_state(args.state))
     spec = _spec_from_args(args)
-    try:
-        problem = RoofProblem(rho=rho, measure=spec, **_roof_kwargs(args))
-        result = solve_roof(problem, workers=args.workers)
-    except ValueError as e:
-        raise ParamError(str(e)) from None
+    opts, roof_config = _roof_options(args, rho)
+    with _solver_errors():
+        result = solve_roof(RoofProblem(rho=rho, measure=spec, **opts), workers=args.workers)
     residual = result.ensemble.reconstruction_error(rho)
     det = {
         "command": "roof",
         "inputs": {"state": _input_doc(args.state)},
         "config": {
             "measure": _spec_config(spec),
-            "roof": _roof_config(args, _resolve_m(args, rho)),
+            "roof": roof_config,
         },
         "results": {
             "value": result.value,
@@ -198,42 +176,37 @@ def cmd_roof(args) -> tuple[int, dict]:
     return code, det
 
 
-def _resolve_m(args, rho: DensityOperator) -> int:
-    from .roof import rank_of
-
-    return args.m if args.m is not None else rank_of(rho) ** 2
-
-
 def _parse_grid(text: str) -> list[float]:
     try:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError:
         raise ParamError(f"--p-grid must be START:STOP:STEP, got {text!r}") from None
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParamError(f"--p-grid values must be finite, got {text!r}")
     if start <= 1.0:
         raise ParamError(f"p-grid must lie inside (1, inf); start = {start}")
     if step <= 0 or stop < start:
         raise ParamError(f"bad grid {text!r}: need step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_GRID_POINTS:
+        raise ParamError(f"--p-grid {text!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(steps) + 1)]
 
 
 def cmd_sweep(args) -> tuple[int, dict]:
     state = fileio.load_state(args.state)
     grid = _parse_grid(args.p_grid)
-    rows = []
     if isinstance(state, PureState):
-        from .measures import p_number_pure
-
-        for p in grid:
-            rows.append({"p": p, "value": p_number_pure(state, p), "gap_estimate": 0.0})
-        mode = "pure"
+        mode, roof_config = "pure", None
+        rows = [{"p": p, "value": p_number_pure(state, p), "gap_estimate": 0.0} for p in grid]
     else:
-        for p in grid:
-            problem = RoofProblem(
-                rho=state, measure=MeasureSpec(P_NUMBER, p=p), **_roof_kwargs(args))
-            result = solve_roof(problem, workers=args.workers)
-            rows.append({"p": p, "value": result.value, "gap_estimate": result.gap_estimate})
-        mode = "roof"
+        mode, rows = "roof", []
+        opts, roof_config = _roof_options(args, state)
+        with _solver_errors():
+            for p in grid:
+                problem = RoofProblem(rho=state, measure=MeasureSpec(P_NUMBER, p=p), **opts)
+                result = solve_roof(problem, workers=args.workers)
+                rows.append({"p": p, "value": result.value, "gap_estimate": result.gap_estimate})
     csv = "p,value\n" + "\n".join(f"{r['p']!r},{r['value']!r}" for r in rows)
     det = {
         "command": "sweep",
@@ -241,7 +214,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
         "config": {
             "p_grid": args.p_grid,
             "mode": mode,
-            "roof": _roof_config(args, _resolve_m(args, state)) if mode == "roof" else None,
+            "roof": roof_config,
         },
         "results": {"rows": rows, "csv": csv},
     }
@@ -256,6 +229,7 @@ def cmd_locc(args) -> tuple[int, dict]:
         raise ParamError(
             f"tree dims {tree_dims.as_tuple()} do not match state dims {rho.dims.as_tuple()}")
     spec = _spec_from_args(args)
+    opts, roof_config = _roof_options(args, rho)
     report = validate_tree(tree, tree_dims)
     validation = [
         {"path": list(i.path), "code": i.code, "message": i.message, "residual": i.residual}
@@ -266,20 +240,15 @@ def cmd_locc(args) -> tuple[int, dict]:
         "inputs": {"tree": _input_doc(args.tree), "state": _input_doc(args.state)},
         "config": {
             "measure": _spec_config(spec),
-            "roof": _roof_config(args, _resolve_m(args, rho)),
+            "roof": roof_config,
         },
         "results": {"validation": validation},
     }
     if not report.ok:
         return EXIT_BAD_TREE, det
 
-    roof_opts = {
-        "ensemble_size": args.m,
-        "restarts": args.restarts,
-        "tol": args.tol,
-        "seed": args.seed,
-    }
-    audit = audit_monotonicity(tree, rho, spec, roof_opts)
+    with _solver_errors():
+        audit = audit_monotonicity(tree, rho, spec, opts)
     det["results"].update({
         "branches": [
             {
@@ -317,24 +286,28 @@ def cmd_locc(args) -> tuple[int, dict]:
 
 
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--measure", required=True,
-                   help="one of: e, p-number, entropy, negativity, concurrence, geometric")
+    names = (f"{name} (--{m.param})" if m.param else name
+             for kind, m in MEASURES.items() for name in (*m.aliases, kind))
+    p.add_argument("--measure", required=True, choices=MEASURE_NAMES, metavar="MEASURE",
+                   help="one of: " + ", ".join(names))
     p.add_argument("--p", type=float, default=None, help="order for p-number (p > 1)")
     p.add_argument("--k", type=int, default=None, help="order for concurrence (1 <= k <= d)")
-    p.add_argument("--ranks", default=None, help="projector ranks K1,K2 for geometric")
+    p.add_argument("--ranks", type=_ranks, default=None,
+                   help="projector ranks K1,K2 for geometric")
     p.add_argument("--log-base", choices=["2", "e"], default="2",
                    help="entropy logarithm base (default 2)")
 
 
-def _add_roof_flags(p: argparse.ArgumentParser) -> None:
+def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
     p.add_argument("--m", type=int, default=None,
                    help="ensemble size (default rank(rho)^2)")
     p.add_argument("--restarts", type=int, default=32, help="random restarts (default 32)")
     p.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="stopping tolerance over a 20-iteration window (default 1e-9)")
-    p.add_argument("--direction", choices=["min", "max"], default="min",
-                   help="convex (min) or concave (max) roof (default min)")
+    if direction:
+        p.add_argument("--direction", choices=["min", "max"], default="min",
+                       help="convex (min) or concave (max) roof (default min)")
     p.add_argument("--workers", type=int, default=1,
                    help="threads for parallel restarts; results are identical (default 1)")
 
@@ -371,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_locc.add_argument("tree", help="tree file (JSON)")
     p_locc.add_argument("state", help="pure or density file (JSON)")
     _add_measure_flags(p_locc)
-    _add_roof_flags(p_locc)
+    _add_roof_flags(p_locc, direction=False)
     p_locc.add_argument("--out", default=None, help="duplicate the report to a file")
     p_locc.set_defaults(func=cmd_locc)
     return parser

@@ -66,6 +66,8 @@ def _load_json(path):
         _fail("file", f"no such file: {path}")
     except json.JSONDecodeError as e:
         _fail("json", f"{path} is not well-formed JSON: {e}")
+    except RecursionError:
+        _fail("json-depth", f"{path} nests too deeply to parse")
 
 
 def _parse_dims(obj) -> BipartiteDims:
@@ -108,7 +110,10 @@ def load_tree(path) -> tuple[LoccNode, BipartiteDims]:
     dims = _parse_dims(doc.get("dims"))
     if "root" not in doc:
         _fail("root", "missing 'root' field")
-    return _parse_node(doc["root"], "root"), dims
+    try:
+        return _parse_node(doc["root"], "root"), dims
+    except RecursionError:
+        _fail("tree-depth", f"the tree in {path} nests too deeply to load")
 
 
 def save_state(path, state: PureState | DensityOperator) -> None:

@@ -94,6 +94,13 @@ def lift(op: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
     return np.kron(np.eye(da), op)
 
 
+def kraus_residual(ops) -> float:
+    """Entrywise max |sum_k K_k^H K_k - I|: how far Kraus operators of a
+    common shape are from trace preservation."""
+    acc = sum(k.conj().T @ k for k in ops)
+    return float(np.max(np.abs(acc - np.eye(ops[0].shape[1]))))
+
+
 def eigh_desc(mat: np.ndarray, herm_atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 

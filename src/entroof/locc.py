@@ -26,14 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import lift
+from .linalg import kraus_residual, lift
 from .measures import MeasureSpec, measure_value
 from .roof import RoofProblem, solve_roof
-from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
+from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation, PureState
 
 Path = tuple[int, ...]
 
-KRAUS_ATOL = 1e-10       # completeness residual tolerance
 PRUNE_TOL = 1e-12        # branches below this probability are skipped in audits
 PURE_RANK_ATOL = 1e-10   # second eigenvalue below this means rank one
 VIOLATION_MARGIN = 1e-6  # violations are flagged only beyond gap budget + this
@@ -163,8 +162,7 @@ def validate_tree(tree: LoccNode, dims: BipartiteDims) -> TreeValidationReport:
                 path, "kraus-dims",
                 f"operators act on dim {d_in}, current {node.party} dim is {acting}"))
             return
-        acc = sum(k.conj().T @ k for k in node.kraus)
-        res = float(np.max(np.abs(acc - np.eye(d_in))))
+        res = kraus_residual(node.kraus)
         if res > KRAUS_ATOL:
             issues.append(TreeIssue(
                 path, "kraus-completeness",

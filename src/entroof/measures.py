@@ -1,15 +1,18 @@
 """Pure-state bipartite entanglement measures.
 
-Every measure is computable by at least two independent routes (coefficient
-matrix vs Schmidt spectrum vs reduced density operator) so tests can
-cross-validate them. The ``*_from_lambdas`` / objective machinery is
-vectorized over leading axes; the convex-roof optimizer evaluates ensembles
-through it.
+Every built-in measure is a spectral function of the Schmidt spectrum,
+defined once by its entry in :data:`MEASURES`. Pure-state evaluation, the
+roof objective and the CLI all read that table, so a new measure is one
+table entry. Independent routes (Gram matrix, reduced density operator,
+partial transpose, alternating maximization) stay so tests can
+cross-validate them. The spectral functions are vectorized over leading
+axes; the convex-roof optimizer evaluates ensembles through them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +24,7 @@ from .linalg import (
     schmidt_lambdas,
     trace_norm,
 )
-from .states import BipartiteDims, InvariantViolation, PureState
+from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
 
 ENTANGLEMENT_NUMBER = "entanglement-number"
 P_NUMBER = "p-number"
@@ -30,17 +33,15 @@ NEGATIVITY = "negativity"
 CONCURRENCE = "concurrence"
 GEOMETRIC = "geometric"
 
-KINDS = (ENTANGLEMENT_NUMBER, P_NUMBER, ENTROPY, NEGATIVITY, CONCURRENCE, GEOMETRIC)
-
 
 @dataclass(frozen=True)
 class MeasureSpec:
     """Selector for a measure and its parameters.
 
-    Parameters must be present exactly when the kind requires them:
-    ``p`` (> 1) for the p-number, ``k`` for the concurrence family,
-    ``ranks`` for the geometric measure, ``log_base`` (2 or e) for the
-    entropy.
+    Parameters must be present exactly when the kind requires them (see the
+    ``param`` of its :data:`MEASURES` entry): ``p`` (> 1) for the p-number,
+    ``k`` for the concurrence family, ``ranks`` for the geometric measure.
+    ``log_base`` (2 or e) is read by the entropy.
     """
 
     kind: str
@@ -50,18 +51,17 @@ class MeasureSpec:
     log_base: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in MEASURES:
             raise ValueError(f"unknown measure kind {self.kind!r}; expected one of {KINDS}")
-        if (self.p is not None) != (self.kind == P_NUMBER):
-            raise ValueError("parameter p is required exactly for the p-number")
+        required = MEASURES[self.kind].param
+        given = [name for name in ("p", "k", "ranks") if getattr(self, name) is not None]
+        if given != ([required] if required else []):
+            raise ValueError(f"measure {self.kind!r} takes parameter {required or 'none'}, "
+                             f"got {', '.join(given) or 'none'}")
         if self.p is not None and not (1.0 < self.p < math.inf):
             raise ValueError(f"p must lie in (1, inf), got {self.p}")
-        if (self.k is not None) != (self.kind == CONCURRENCE):
-            raise ValueError("parameter k is required exactly for the concurrence")
         if self.k is not None and self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if (self.ranks is not None) != (self.kind == GEOMETRIC):
-            raise ValueError("parameter ranks is required exactly for the geometric measure")
         if self.ranks is not None:
             ranks = tuple(int(r) for r in self.ranks)
             if len(ranks) != 2 or min(ranks) < 1:
@@ -71,20 +71,19 @@ class MeasureSpec:
             raise ValueError(f"log_base must be 2 or e, got {self.log_base}")
 
 
+def _unchecked_spec(kind: str, **params) -> MeasureSpec:
+    """A MeasureSpec that skips the field range checks, for the scalar
+    functions whose domain is wider than a roof problem's (p = inf, any
+    logarithm base)."""
+    spec = object.__new__(MeasureSpec)
+    spec.__dict__.update({"kind": kind, "p": None, "k": None, "ranks": None, "log_base": 2.0,
+                          **params})
+    return spec
+
+
 def validate_spec_dims(spec: MeasureSpec, dims: BipartiteDims) -> None:
     """Check parameter ranges that depend on the state's dimensions."""
-    d = dims.d
-    if spec.kind == NEGATIVITY and d < 2:
-        raise InvariantViolation(
-            "degenerate-dimension", d,
-            "negativity is undefined for min(dim_a, dim_b) = 1 (zero normalizer)")
-    if spec.kind == CONCURRENCE and not (1 <= spec.k <= d):
-        raise ValueError(f"concurrence order k={spec.k} outside [1, d={d}]")
-    if spec.kind == GEOMETRIC:
-        k1, k2 = spec.ranks
-        if not (1 <= k1 <= dims.dim_a and 1 <= k2 <= dims.dim_b):
-            raise ValueError(
-                f"projector ranks {spec.ranks} outside ([1,{dims.dim_a}], [1,{dims.dim_b}])")
+    MEASURES[spec.kind].check_dims(spec, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -150,39 +149,97 @@ def elementary_symmetric(lams: np.ndarray, k: int) -> np.ndarray:
     return e[..., k]
 
 
+def _negativity(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    s = np.sum(np.sqrt(np.maximum(lams, 0.0)), axis=-1)
+    return np.maximum(s * s - 1.0, 0.0) / (d - 1)
+
+
+def _concurrence(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    k = spec.k
+    if lams.shape[-1] < d:
+        pad = np.zeros(lams.shape[:-1] + (d - lams.shape[-1],))
+        lams = np.concatenate([lams, pad], axis=-1)
+    norm = math.comb(d, k) / d**k
+    ratio = np.maximum(elementary_symmetric(lams, k), 0.0) / norm
+    return ratio ** (1.0 / k)
+
+
+def _geometric(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    k1, k2 = spec.ranks
+    if k1 != k2:
+        raise ValueError(
+            "the Schmidt-spectrum route applies to equal projector ranks only; "
+            "use geometric_measure_alternating for unequal ranks")
+    return np.sum(lams[..., :min(k1, lams.shape[-1])], axis=-1)
+
+
+def _check_negativity_dims(spec: MeasureSpec, dims: BipartiteDims) -> None:
+    if dims.d < 2:
+        raise InvariantViolation(
+            "degenerate-dimension", dims.d,
+            "negativity is undefined for min(dim_a, dim_b) = 1 (zero normalizer)")
+
+
+def _check_concurrence_dims(spec: MeasureSpec, dims: BipartiteDims) -> None:
+    if not 1 <= spec.k <= dims.d:
+        raise ValueError(f"concurrence order k={spec.k} outside [1, d={dims.d}]")
+
+
+def _check_geometric_dims(spec: MeasureSpec, dims: BipartiteDims) -> None:
+    k1, k2 = spec.ranks
+    if not (1 <= k1 <= dims.dim_a and 1 <= k2 <= dims.dim_b):
+        raise ValueError(
+            f"projector ranks {spec.ranks} outside ([1,{dims.dim_a}], [1,{dims.dim_b}])")
+
+
+@dataclass(frozen=True)
+class Measure:
+    """The definition of one measure kind.
+
+    ``value(spec, lams, d)`` maps normalized descending spectra (..., r) to
+    values, treating rows shorter than d as zero-padded; ``sup(spec, d)`` is
+    the supremum over pure states (default 1); ``param`` names the
+    MeasureSpec field the kind requires; ``check_dims(spec, dims)`` raises on
+    parameters the dimensions rule out; ``aliases`` are extra CLI names.
+    """
+
+    value: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]
+    sup: Callable[[MeasureSpec, int], float] = lambda spec, d: 1.0
+    param: str | None = None
+    check_dims: Callable[[MeasureSpec, BipartiteDims], None] = lambda spec, dims: None
+    aliases: tuple[str, ...] = ()
+
+
+# All suprema are attained by the maximally entangled state (measures in the
+# decreasing family) or by a compatible product state (geometric).
+MEASURES: dict[str, Measure] = {
+    ENTANGLEMENT_NUMBER: Measure(
+        value=lambda spec, lams, d: np.sqrt(np.maximum(1.0 - np.sum(lams * lams, axis=-1), 0.0)),
+        sup=lambda spec, d: math.sqrt(1.0 - 1.0 / d),
+        aliases=("e",)),
+    P_NUMBER: Measure(
+        value=lambda spec, lams, d: (
+            np.maximum(1.0 - np.sum(lams ** spec.p, axis=-1), 0.0) ** (1.0 / spec.p)),
+        sup=lambda spec, d: (1.0 - d ** (1.0 - spec.p)) ** (1.0 / spec.p),
+        param="p"),
+    ENTROPY: Measure(
+        value=lambda spec, lams, d: -np.sum(_xlog(lams, spec.log_base), axis=-1),
+        sup=lambda spec, d: math.log(d) / math.log(spec.log_base)),
+    NEGATIVITY: Measure(_negativity, check_dims=_check_negativity_dims),
+    CONCURRENCE: Measure(_concurrence, param="k", check_dims=_check_concurrence_dims),
+    GEOMETRIC: Measure(_geometric, param="ranks", check_dims=_check_geometric_dims),
+}
+
+KINDS = tuple(MEASURES)
+
+
 def value_from_lambdas(spec: MeasureSpec, lams: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Evaluate a measure on stacks of normalized Schmidt spectra.
 
     ``lams`` has shape (..., r) with rows summing to one, descending. Rows
     shorter than d = min(dim_a, dim_b) are treated as zero-padded.
     """
-    d = dims.d
-    if spec.kind == ENTANGLEMENT_NUMBER:
-        return np.sqrt(np.maximum(1.0 - np.sum(lams * lams, axis=-1), 0.0))
-    if spec.kind == P_NUMBER:
-        return np.maximum(1.0 - np.sum(lams ** spec.p, axis=-1), 0.0) ** (1.0 / spec.p)
-    if spec.kind == ENTROPY:
-        return -np.sum(_xlog(lams, spec.log_base), axis=-1)
-    if spec.kind == NEGATIVITY:
-        s = np.sum(np.sqrt(np.maximum(lams, 0.0)), axis=-1)
-        return np.maximum(s * s - 1.0, 0.0) / (d - 1)
-    if spec.kind == CONCURRENCE:
-        k = spec.k
-        if lams.shape[-1] < d:
-            pad = np.zeros(lams.shape[:-1] + (d - lams.shape[-1],))
-            lams = np.concatenate([lams, pad], axis=-1)
-        norm = math.comb(d, k) / d**k
-        ratio = np.maximum(elementary_symmetric(lams, k), 0.0) / norm
-        return ratio ** (1.0 / k)
-    if spec.kind == GEOMETRIC:
-        k1, k2 = spec.ranks
-        if k1 != k2:
-            raise ValueError(
-                "the Schmidt-spectrum route applies to equal projector ranks only; "
-                "use geometric_measure_alternating for unequal ranks")
-        top = min(k1, lams.shape[-1])
-        return np.sum(lams[..., :top], axis=-1)
-    raise AssertionError(spec.kind)
+    return MEASURES[spec.kind].value(spec, lams, dims.d)
 
 
 def make_objective(spec: MeasureSpec, dims: BipartiteDims):
@@ -240,12 +297,11 @@ def schatten_deficit(rho_mat: np.ndarray, p: float) -> float:
 
 
 def p_number_pure(psi: PureState, p: float) -> float:
-    """(1 - sum_k lambda_k^p)^(1/p) from the Schmidt spectrum; equals the
-    entanglement number at p = 2."""
+    """(1 - sum_k lambda_k^p)^(1/p) from the Schmidt spectrum, for p > 1
+    (p = inf included); equals the entanglement number at p = 2."""
     if p <= 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
-    lams = schmidt_lambdas(psi)
-    return max(1.0 - float(np.sum(lams**p)), 0.0) ** (1.0 / p)
+    return measure_value(_unchecked_spec(P_NUMBER, p=p), psi)
 
 
 def schmidt_power_deficit(psi: PureState, p: float) -> float:
@@ -257,9 +313,9 @@ def schmidt_power_deficit(psi: PureState, p: float) -> float:
 
 
 def entanglement_entropy_pure(psi: PureState, log_base: float = 2.0) -> float:
-    """-sum lambda_i log(lambda_i); symmetric in which factor is traced out."""
-    lams = schmidt_lambdas(psi)
-    return float(-np.sum(_xlog(lams, log_base)))
+    """-sum lambda_i log(lambda_i) in any logarithm base; symmetric in which
+    factor is traced out."""
+    return measure_value(_unchecked_spec(ENTROPY, log_base=log_base), psi)
 
 
 def von_neumann_entropy(rho_mat: np.ndarray, log_base: float = 2.0) -> float:
@@ -270,39 +326,20 @@ def von_neumann_entropy(rho_mat: np.ndarray, log_base: float = 2.0) -> float:
 
 def negativity_pure(psi: PureState) -> float:
     """((sum_i sqrt(lambda_i))^2 - 1) / (d - 1)."""
-    d = psi.dims.d
-    if d < 2:
-        raise InvariantViolation(
-            "degenerate-dimension", d,
-            "negativity is undefined for min(dim_a, dim_b) = 1 (zero normalizer)")
-    s = float(np.sum(np.sqrt(schmidt_lambdas(psi))))
-    return max(s * s - 1.0, 0.0) / (d - 1)
+    return measure_value(MeasureSpec(NEGATIVITY), psi)
 
 
 def negativity_via_partial_transpose(psi: PureState) -> float:
     """(||(|psi><psi|)^T_B||_1 - 1) / (d - 1); trace-norm route."""
-    d = psi.dims.d
-    if d < 2:
-        raise InvariantViolation(
-            "degenerate-dimension", d,
-            "negativity is undefined for min(dim_a, dim_b) = 1 (zero normalizer)")
-    from .states import DensityOperator
-
+    validate_spec_dims(MeasureSpec(NEGATIVITY), psi.dims)
     pt = partial_transpose(DensityOperator.from_pure(psi), "B")
-    return (trace_norm(pt) - 1.0) / (d - 1)
+    return (trace_norm(pt) - 1.0) / (psi.dims.d - 1)
 
 
 def concurrence_pure(psi: PureState, k: int) -> float:
     """k-th concurrence monotone: normalized elementary symmetric polynomial
     of the Schmidt spectrum (zero-padded to length d), to the power 1/k."""
-    d = psi.dims.d
-    if not 1 <= k <= d:
-        raise ValueError(f"concurrence order k={k} outside [1, d={d}]")
-    lams = np.zeros(d)
-    found = schmidt_lambdas(psi)
-    lams[: found.size] = found
-    norm = math.comb(d, k) / d**k
-    return float(max(elementary_symmetric(lams, k), 0.0) / norm) ** (1.0 / k)
+    return measure_value(MeasureSpec(CONCURRENCE, k=k), psi)
 
 
 def geometric_measure_pure(psi: PureState, ranks: tuple[int, int]) -> float:
@@ -313,13 +350,7 @@ def geometric_measure_pure(psi: PureState, ranks: tuple[int, int]) -> float:
     weights; unequal ranks fall back to alternating maximization over
     projector pairs (a certified lower bound).
     """
-    spec = MeasureSpec(GEOMETRIC, ranks=tuple(ranks))
-    validate_spec_dims(spec, psi.dims)
-    k1, k2 = spec.ranks
-    if k1 == k2:
-        lams = schmidt_lambdas(psi)
-        return float(np.sum(lams[: min(k1, lams.size)]))
-    return geometric_measure_alternating(psi, spec.ranks)
+    return measure_value(MeasureSpec(GEOMETRIC, ranks=tuple(ranks)), psi)
 
 
 def geometric_measure_alternating(
@@ -374,22 +405,9 @@ def geometric_measure_alternating(
 
 
 def measure_sup(spec: MeasureSpec, dims: BipartiteDims) -> float:
-    """Analytic supremum of a measure over pure states of the given dims.
-
-    All suprema are attained by the maximally entangled state (measures in
-    the decreasing family) or by a compatible product state (geometric).
-    """
+    """Analytic supremum of a measure over pure states of the given dims."""
     validate_spec_dims(spec, dims)
-    d = dims.d
-    if spec.kind == ENTANGLEMENT_NUMBER:
-        return math.sqrt(1.0 - 1.0 / d)
-    if spec.kind == P_NUMBER:
-        return (1.0 - d ** (1.0 - spec.p)) ** (1.0 / spec.p)
-    if spec.kind == ENTROPY:
-        return math.log(d) / math.log(spec.log_base)
-    if spec.kind in (NEGATIVITY, CONCURRENCE, GEOMETRIC):
-        return 1.0
-    raise AssertionError(spec.kind)
+    return MEASURES[spec.kind].sup(spec, dims.d)
 
 
 def decreasing_counterpart(spec: MeasureSpec, dims: BipartiteDims):
@@ -410,18 +428,13 @@ def decreasing_counterpart(spec: MeasureSpec, dims: BipartiteDims):
 
 
 def measure_value(spec: MeasureSpec, psi: PureState) -> float:
-    """Evaluate a MeasureSpec on a pure state."""
+    """Evaluate a MeasureSpec on a pure state: its spectral function on the
+    SVD Schmidt spectrum.
+
+    Unequal geometric ranks have no spectral form; they fall back to
+    alternating maximization (a certified lower bound).
+    """
     validate_spec_dims(spec, psi.dims)
-    if spec.kind == ENTANGLEMENT_NUMBER:
-        return entanglement_number_pure(psi)
-    if spec.kind == P_NUMBER:
-        return p_number_pure(psi, spec.p)
-    if spec.kind == ENTROPY:
-        return entanglement_entropy_pure(psi, spec.log_base)
-    if spec.kind == NEGATIVITY:
-        return negativity_pure(psi)
-    if spec.kind == CONCURRENCE:
-        return concurrence_pure(psi, spec.k)
-    if spec.kind == GEOMETRIC:
-        return geometric_measure_pure(psi, spec.ranks)
-    raise AssertionError(spec.kind)
+    if spec.kind == GEOMETRIC and spec.ranks[0] != spec.ranks[1]:
+        return geometric_measure_alternating(psi, spec.ranks)
+    return float(value_from_lambdas(spec, schmidt_lambdas(psi), psi.dims))

@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import clip_spectrum, eigh_desc, trace_norm
+from .linalg import clip_spectrum, eigh_desc, kraus_residual, trace_norm
 from .measures import MeasureSpec, make_objective, validate_spec_dims, von_neumann_entropy
-from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
+from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation, PureState
 
 FD_STEP = 1e-6           # central finite-difference step in ambient coordinates
 STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
@@ -114,15 +114,19 @@ class RoofProblem:
     seed: int = 0
 
     def __post_init__(self):
-        if self.direction not in ("minimize", "maximize"):
-            raise ValueError(f"direction must be minimize or maximize, got {self.direction!r}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        _check_solver_args(self.direction, self.restarts, self.max_iters, self.tol)
         validate_spec_dims(self.measure, self.rho.dims)
+
+
+def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float) -> None:
+    if direction not in ("minimize", "maximize"):
+        raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not (tol > 0):
+        raise ValueError(f"tol must be positive, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -365,10 +369,7 @@ def solve_roof_custom(
     ``objective`` maps stacks of normalized state vectors (..., n) to values
     (...,). See :func:`solve_roof` for the MeasureSpec-driven interface.
     """
-    if direction not in ("minimize", "maximize"):
-        raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
-    if restarts < 1 or max_iters < 1 or not (tol > 0):
-        raise ValueError("restarts and max_iters must be >= 1 and tol > 0")
+    _check_solver_args(direction, restarts, max_iters, tol)
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -439,9 +440,8 @@ def _check_kraus(kraus: list[np.ndarray]) -> tuple[np.ndarray, int]:
     dim_in = ops[0].shape[1]
     if any(k.shape != ops[0].shape for k in ops):
         raise InvariantViolation("kraus-shape", 0.0, "all Kraus operators must share a shape")
-    acc = sum(k.conj().T @ k for k in ops)
-    res = float(np.max(np.abs(acc - np.eye(dim_in))))
-    if res > 1e-10:
+    res = kraus_residual(ops)
+    if res > KRAUS_ATOL:
         raise InvariantViolation(
             "kraus-completeness", res,
             f"sum K^H K deviates from identity by {res:.3e}")

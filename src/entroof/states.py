@@ -18,6 +18,7 @@ HERMITIAN_ATOL = 1e-12     # entrywise Hermiticity of density operators
 TRACE_ATOL = 1e-10         # unit trace of density operators
 PSD_ATOL = 1e-10           # eigenvalue floor for density operators
 RANK_RTOL = 1e-12          # relative cutoff below which spectra count as zero
+KRAUS_ATOL = 1e-10         # entrywise completeness residual of Kraus operators
 
 
 class InvariantViolation(ValueError):

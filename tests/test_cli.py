@@ -1,12 +1,15 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import entroof.cli as cli
 import entroof.io as fileio
-from entroof import BipartiteDims, DensityOperator, PureState
+from entroof import BipartiteDims, DensityOperator, PureState, RoofProblem
 from entroof.locc import LoccNode
+from entroof.measures import MEASURES, MeasureSpec
 from entroof.sampling import random_density
 
 from util import DIMS22, bell, leaf
@@ -122,7 +125,28 @@ def test_measure_invalid_params(capsys, files):
 
 def test_argparse_errors_map_to_exit_3(capsys, files):
     assert cli.main(["measure", files["bell"]]) == 3  # missing --measure
+    assert cli.main(["measure", files["bell"], "--measure", "geometric",
+                     "--ranks", "1,x"]) == 3
     capsys.readouterr()
+
+
+PARAM_ARGV = {None: [], "p": ["--p", "2.5"], "k": ["--k", "2"], "ranks": ["--ranks", "1,1"]}
+
+
+def test_every_alias_round_trips_through_spec_config():
+    parser = cli.build_parser()
+    for name, kind in cli.MEASURE_NAMES.items():
+        for base in (["--log-base", "2"], ["--log-base", "e"]):
+            argv = ["measure", "s.json", "--measure", name, *PARAM_ARGV[MEASURES[kind].param]]
+            spec = cli._spec_from_args(parser.parse_args(argv + base))
+            assert spec.kind == kind
+            config = cli._spec_config(spec)
+            rebuilt = MeasureSpec(
+                config["kind"], p=config["p"], k=config["k"],
+                ranks=tuple(config["ranks"]) if config["ranks"] else None,
+                log_base=math.e if config["log_base"] == "e" else 2.0)
+            assert rebuilt == spec
+    assert set(cli.MEASURE_NAMES.values()) == set(MEASURES)
 
 
 # --- roof -----------------------------------------------------------------------
@@ -139,6 +163,8 @@ def test_roof_bell_projector(capsys, files):
     assert res["converged"] is True
     assert det["config"]["roof"]["seed"] == 7
     assert det["config"]["roof"]["ensemble_size"] == 2
+    assert det["config"]["roof"]["max_iters"] == RoofProblem.max_iters
+    assert det["config"]["roof"]["direction"] == "min"
     assert len(res["ensemble"]["weights"]) == len(res["ensemble"]["states"])
 
 
@@ -210,6 +236,46 @@ def test_sweep_rejects_bad_grid(capsys, files):
     assert run(capsys, ["sweep", files["bell"], "--p-grid", "0.5:2:0.5"])[0] == 3
     assert run(capsys, ["sweep", files["bell"], "--p-grid", "1.5:1.0:0.5"])[0] == 3
     assert run(capsys, ["sweep", files["bell"], "--p-grid", "oops"])[0] == 3
+    for text in ("1.5:inf:0.5", "nan:2:0.5", "1.5:2:nan", "1.5:2:inf"):
+        assert run(capsys, ["sweep", files["bell"], "--p-grid", text])[0] == 3, text
+
+
+def test_sweep_grid_cap_checked_before_allocation(capsys, files):
+    last = 1.5 + (cli.MAX_GRID_POINTS - 1) * 0.5
+    assert len(cli._parse_grid(f"1.5:{last}:0.5")) == cli.MAX_GRID_POINTS
+    # checked first, so that without a cap the test fails here rather than
+    # trying to build the grid below
+    with pytest.raises(cli.ParamError):
+        cli._parse_grid(f"1.5:{last + 0.5}:0.5")
+    # 5e299 points: rejected from the arithmetic alone, before any list exists
+    tracemalloc.start()
+    try:
+        code = run(capsys, ["sweep", files["bell"], "--p-grid", "1.5:2:1e-300"])[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize("argv", [
+    ["roof", "{mixed}", "--measure", "e", "--restarts", "0"],
+    ["roof", "{mixed}", "--measure", "e", "--m", "1"],
+    ["sweep", "{mixed}", "--p-grid", "1.5:2:0.5", "--restarts", "0"],
+    ["sweep", "{mixed}", "--p-grid", "1.5:2:0.5", "--tol", "0"],
+    ["sweep", "{mixed}", "--p-grid", "1.5:2:0.5", "--m", "1"],
+    # the measurement's channel output is a rank-2 mixed state
+    ["locc", "{meas}", "{bell}", "--measure", "e", "--restarts", "0"],
+    ["locc", "{meas}", "{bell}", "--measure", "e", "--tol", "0"],
+    ["locc", "{meas}", "{bell}", "--measure", "e", "--m", "1"],
+    ["locc", "{meas}", "{bell}", "--measure", "geometric", "--ranks", "1,2"],
+    ["locc", "{meas}", "{bell}", "--measure", "e", "--direction", "max"],
+])
+def test_roof_flag_errors_exit_3(capsys, files, argv):
+    code, out, err = run(capsys, [a.format(**files) for a in argv])
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
 
 
 # --- locc -----------------------------------------------------------------------
@@ -220,7 +286,10 @@ def test_locc_identity_zero_slack(capsys, files, tmp_path):
     code, out, _ = run(capsys, ["locc", str(tmp_path / "ident.json"), files["bell"],
                                 "--measure", "e", "--restarts", "4"])
     assert code == 0
-    res = report_of(out)["deterministic"]["results"]
+    det = report_of(out)["deterministic"]
+    assert "direction" not in det["config"]["roof"]
+    assert det["config"]["roof"]["max_iters"] == RoofProblem.max_iters
+    res = det["results"]
     assert res["validation"] == []
     assert abs(res["end_to_end"]["slack"]) < 1e-9
     for q in res["inequalities"]:
@@ -245,6 +314,18 @@ def test_locc_invalid_tree_exit_5(capsys, files):
     assert res["validation"][0]["code"] == "kraus-completeness"
     assert abs(res["validation"][0]["residual"] - 0.75) < 1e-12
     assert "branches" not in res
+
+
+def test_locc_deep_tree_file_exit_2(capsys, files, tmp_path):
+    # built as text: json.dumps of a 1200-level tree would itself recurse
+    depth = 1200
+    node = '{"party": "A", "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]], '
+    root = (node + '"children": [') * depth + '{"party": "A"}' + "]}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text('{"dims": [2, 2], "root": ' + root + "}")
+    code, _, err = run(capsys, ["locc", str(path), files["bell"], "--measure", "e"])
+    assert code == 2
+    assert "json-depth" in err
 
 
 def test_python_dash_m_entry(files):

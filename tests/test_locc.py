@@ -56,6 +56,21 @@ def test_incomplete_kraus_reported_with_residual():
     assert abs(issue.residual - 0.75) < 1e-12
 
 
+def test_kraus_tolerance_shared_with_channel_check():
+    from entroof.roof import _check_kraus
+    from entroof.states import KRAUS_ATOL
+
+    for excess, ok in ((0.2 * KRAUS_ATOL, True), (5 * KRAUS_ATOL, False)):
+        k = np.sqrt(1 + excess) * np.eye(2)  # completeness residual = excess
+        tree = LoccNode("A", kraus=(k,), children=(leaf(),))
+        assert validate_tree(tree, DIMS22).ok == ok
+        if ok:
+            _check_kraus([k])
+        else:
+            with pytest.raises(InvariantViolation):
+                _check_kraus([k])
+
+
 def test_random_two_round_tree_valid():
     for _ in range(10):
         tree = two_round_tree(RNG, "A", "B", outcomes=int(RNG.integers(2, 4)))

@@ -26,7 +26,14 @@ from entroof import (
     schmidt_power_deficit,
     von_neumann_entropy,
 )
-from entroof.measures import MeasureSpec, elementary_symmetric, gram_spectra, make_objective
+from entroof.measures import (
+    MEASURES,
+    MeasureSpec,
+    elementary_symmetric,
+    gram_spectra,
+    make_objective,
+    validate_spec_dims,
+)
 from entroof.sampling import random_product_state, random_pure_state, random_unitary
 
 from util import DIMS22, bell, diag_state, product_01
@@ -51,8 +58,7 @@ def test_entanglement_number_three_routes():
         for _ in range(20):
             psi = random_pure_state(dims, RNG)
             via_gram = entanglement_number_pure(psi)
-            lams = schmidt_lambdas(psi)
-            via_schmidt = math.sqrt(max(1 - float(np.sum(lams**2)), 0.0))
+            via_schmidt = measure_value(MeasureSpec("entanglement-number"), psi)
             red = partial_trace(DensityOperator.from_pure(psi), "A")
             via_reduced = purity_deficit(red)
             assert abs(via_gram - via_schmidt) < 1e-10
@@ -82,6 +88,8 @@ def test_p_number_domain():
             p_number_pure(bell(), bad)
         with pytest.raises(ValueError):
             schmidt_power_deficit(bell(), bad)
+    # the scalar function's domain is wider than MeasureSpec's p < inf
+    assert p_number_pure(bell(), math.inf) == 1.0
 
 
 def test_p_ordering_strict():
@@ -122,6 +130,8 @@ def test_entropy_side_symmetric_and_bases():
     assert abs(s - s_a) < 1e-10
     nats = entanglement_entropy_pure(psi, math.e)
     assert abs(nats - s * math.log(2)) < 1e-12
+    # any base, although MeasureSpec accepts only 2 and e
+    assert abs(entanglement_entropy_pure(psi, 10.0) - s * math.log10(2)) < 1e-12
 
 
 def test_entropy_derivative_of_power_deficit():
@@ -230,16 +240,22 @@ def test_geometric_rank_errors():
 
 # --- shared properties -----------------------------------------------------------
 
+# one sample value per MeasureSpec parameter field; a kind that needs a new
+# field fails here until it gets one
+PARAM_SAMPLES = {
+    None: lambda dims: {},
+    "p": lambda dims: {"p": 2.5},
+    "k": lambda dims: {"k": min(2, dims.d)},
+    "ranks": lambda dims: {"ranks": (1, 1)},
+}
+
+
 def _all_specs(dims):
-    specs = [
-        MeasureSpec("entanglement-number"),
-        MeasureSpec("p-number", p=2.5),
-        MeasureSpec("entropy"),
-        MeasureSpec("concurrence", k=min(2, dims.d)),
-        MeasureSpec("geometric", ranks=(1, 1)),
-    ]
-    if dims.d >= 2:
-        specs.append(MeasureSpec("negativity"))
+    """One spec per MEASURES kind, plus the natural-log entropy."""
+    specs = [MeasureSpec(kind, **PARAM_SAMPLES[m.param](dims)) for kind, m in MEASURES.items()]
+    specs.append(MeasureSpec("entropy", log_base=math.e))
+    for spec in specs:
+        validate_spec_dims(spec, dims)
     return specs
 
 
@@ -262,10 +278,7 @@ def test_ranges():
             psi = random_pure_state(dims, RNG)
             for spec in _all_specs(dims):
                 val = measure_value(spec, psi)
-                if spec.kind == "entropy":
-                    assert -1e-12 <= val <= math.log2(dims.d) + 1e-12
-                else:
-                    assert -1e-12 <= val <= 1.0 + 1e-12
+                assert -1e-12 <= val <= measure_sup(spec, dims) + 1e-12, spec
 
 
 def test_measure_sup_attained_by_maximally_entangled():

@@ -280,12 +280,13 @@ def test_channel_entropy_invalid_kraus():
 
 def test_problem_validation():
     rho = random_density(DIMS22, RNG)
-    with pytest.raises(ValueError):
-        RoofProblem(rho=rho, measure=E_SPEC, direction="sideways")
-    with pytest.raises(ValueError):
-        RoofProblem(rho=rho, measure=E_SPEC, restarts=0)
-    with pytest.raises(ValueError):
-        RoofProblem(rho=rho, measure=E_SPEC, tol=0.0)
+    objective = make_objective(E_SPEC, DIMS22)
+    for bad in ({"direction": "sideways"}, {"restarts": 0}, {"max_iters": 0}, {"tol": 0.0}):
+        with pytest.raises(ValueError) as problem_error:
+            RoofProblem(rho=rho, measure=E_SPEC, **bad)
+        with pytest.raises(ValueError) as custom_error:
+            solve_roof_custom(rho, objective, **bad)
+        assert str(custom_error.value) == str(problem_error.value)
     with pytest.raises(ValueError):
         solve_roof(RoofProblem(rho=rho, measure=E_SPEC, ensemble_size=2))
     with pytest.raises(ValueError):
