@@ -1,7 +1,7 @@
 """Dense complex linear algebra for bipartite state manipulation.
 
-Array-level functions (`trace_out`, `transpose_side`, `lift`) take a raw
-matrix plus a ``(dim_a, dim_b)`` tuple so callers with changing local
+Array-level functions (`trace_out`, `transpose_side`, `apply_local`) take
+a raw matrix plus a ``(dim_a, dim_b)`` tuple so callers with changing local
 dimensions (the LOCC simulator) can use them directly; the typed wrappers
 operate on :class:`DensityOperator` / :class:`PureState`.
 """
@@ -74,24 +74,21 @@ def partial_transpose(rho: DensityOperator, side: Side) -> np.ndarray:
     return transpose_side(rho.matrix, rho.dims.as_tuple(), side)
 
 
-def lift(op: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
-    """Embed a one-party operator into the joint space as op x I or I x op.
+def apply_local(op: np.ndarray, mat: np.ndarray, dims: tuple[int, int],
+                side: Side) -> np.ndarray:
+    """(op x I) mat (op x I)^H, or with I x op, acting on one factor only.
 
     ``op`` may be rectangular (it can change the acting party's dimension);
-    ``dims`` are the current joint dimensions before application.
+    ``dims`` are the joint dimensions of ``mat``. The caller guarantees that
+    ``op`` acts on the ``side`` factor's dimension.
     """
-    da, db = int(dims[0]), int(dims[1])
+    da, db = _split_dims(mat, dims)
+    out = op.shape[0]
     if _check_side(side) == "A":
-        if op.shape[1] != da:
-            raise InvariantViolation(
-                "operator-dims", 0.0,
-                f"operator acts on dim {op.shape[1]}, current A dim is {da}")
-        return np.kron(op, np.eye(db))
-    if op.shape[1] != db:
-        raise InvariantViolation(
-            "operator-dims", 0.0,
-            f"operator acts on dim {op.shape[1]}, current B dim is {db}")
-    return np.kron(np.eye(da), op)
+        t = (op @ mat.reshape(da, -1)).reshape(out * db, da, db)
+        return (op.conj() @ t).reshape(out * db, out * db)
+    t = (mat.reshape(-1, db) @ op.conj().T).reshape(da, db, da * out)
+    return (op @ t).reshape(da * out, da * out)
 
 
 def kraus_residual(ops) -> float:

@@ -2,9 +2,10 @@
 
 A protocol is a rooted ordered tree: each internal node holds the Kraus
 operators of the instrument applied by one party at that point, with one
-child per outcome. Kraus operators act on that party's space only and are
-lifted to K x I or I x K at application time, so local dimensions may
-change between rounds.
+child per outcome. Kraus operators act on that party's factor only (as
+K x I or I x K, without forming the lifted matrix), so local dimensions may
+change between rounds. Every walk over a tree is an explicit-stack
+pre-order loop, so tree depth is not bounded by the recursion limit.
 
 Branch states are stored unnormalized with the raw instrument maps composed
 down from the root; the trace of a branch is then the joint probability of
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import kraus_residual, lift
+from .linalg import apply_local, kraus_residual
 from .measures import MeasureSpec, measure_value
 from .roof import RoofProblem, solve_roof
 from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation, PureState
@@ -111,26 +112,6 @@ def iter_nodes(tree: LoccNode):
             stack.append((path + (i,), node.children[i]))
 
 
-def tree_paths(tree: LoccNode) -> list[Path]:
-    return [path for path, _ in iter_nodes(tree)]
-
-
-def path_precedes(x: Path, y: Path) -> bool:
-    """Strict tree order: x is a proper prefix of y."""
-    return len(x) < len(y) and tuple(y[: len(x)]) == tuple(x)
-
-
-def successors_from_paths(paths, x: Path) -> list[Path]:
-    """Immediate successors of x determined purely from the path set."""
-    return sorted(p for p in paths if path_precedes(x, p) and len(p) == len(x) + 1)
-
-
-def final_nodes_from_paths(paths) -> list[Path]:
-    """Paths with no successor in the set."""
-    paths = list(paths)
-    return sorted(p for p in paths if not any(path_precedes(p, q) for q in paths))
-
-
 def _child_dims(node: LoccNode, dims: tuple[int, int]) -> tuple[int, int]:
     out = node.kraus[0].shape[0]
     return (out, dims[1]) if node.party == "A" else (dims[0], out)
@@ -140,38 +121,38 @@ def validate_tree(tree: LoccNode, dims: BipartiteDims) -> TreeValidationReport:
     """Collect every structural and completeness violation; never raises."""
     issues: list[TreeIssue] = []
     leaf_dims: set[tuple[int, int]] = set()
-
-    def walk(node: LoccNode, path: Path, cur: tuple[int, int]):
+    stack = [(tree, (), dims.as_tuple())]
+    while stack:
+        node, path, cur = stack.pop()
         if node.is_leaf:
             leaf_dims.add(cur)
-            return
+            continue
         if len(node.children) != len(node.kraus):
             issues.append(TreeIssue(
                 path, "children-count",
                 f"{len(node.kraus)} Kraus operators vs {len(node.children)} children"))
-            return
+            continue
         shapes = {k.shape for k in node.kraus}
         if len(shapes) != 1 or any(len(s) != 2 for s in shapes):
             issues.append(TreeIssue(
                 path, "kraus-shape", f"inconsistent Kraus shapes {sorted(shapes)}"))
-            return
+            continue
         acting = cur[0] if node.party == "A" else cur[1]
         d_in = node.kraus[0].shape[1]
         if d_in != acting:
             issues.append(TreeIssue(
                 path, "kraus-dims",
                 f"operators act on dim {d_in}, current {node.party} dim is {acting}"))
-            return
+            continue
         res = kraus_residual(node.kraus)
         if res > KRAUS_ATOL:
             issues.append(TreeIssue(
                 path, "kraus-completeness",
                 f"sum K^H K deviates from identity by {res:.3e}", res))
         nxt = _child_dims(node, cur)
-        for i, child in enumerate(node.children):
-            walk(child, path + (i,), nxt)
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], path + (i,), nxt))
 
-    walk(tree, (), dims.as_tuple())
     if len(leaf_dims) > 1:
         issues.append(TreeIssue(
             (), "leaf-dims", f"leaves end on different dimensions {sorted(leaf_dims)}"))
@@ -194,24 +175,20 @@ def run_tree(
 
     levels: list[list[BranchState]] = []
     leaves: list[BranchState] = []
-
-    def emit(level: int, bs: BranchState):
-        while len(levels) <= level:
-            levels.append([])
-        levels[level].append(bs)
-
-    def walk(node: LoccNode, path: Path, mat: np.ndarray, cur: tuple[int, int]):
+    stack = [(tree, (), rho.matrix, rho.dims.as_tuple())]
+    while stack:
+        node, path, mat, cur = stack.pop()
         bs = BranchState(path, mat, float(np.trace(mat).real), cur)
-        emit(len(path), bs)
+        if len(levels) == len(path):
+            levels.append([])
+        levels[len(path)].append(bs)
         if node.is_leaf:
             leaves.append(bs)
-            return
+            continue
         nxt = _child_dims(node, cur)
-        for i, (k, child) in enumerate(zip(node.kraus, node.children)):
-            op = lift(k, cur, node.party)
-            walk(child, path + (i,), op @ mat @ op.conj().T, nxt)
-
-    walk(tree, (), rho.matrix, rho.dims.as_tuple())
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], path + (i,),
+                          apply_local(node.kraus[i], mat, cur, node.party), nxt))
     out = sum(bs.unnormalized for bs in leaves)
     out = (out + out.conj().T) / 2
     out_dims = BipartiteDims(*leaves[0].dims)
@@ -326,9 +303,8 @@ def audit_monotonicity(
 
     inequalities = []
     for path, nv in sorted(values.items()):
-        if nv.is_leaf:
-            continue
-        kids = [values[p] for p in successors_from_paths(values.keys(), path)]
+        kid_paths = (path + (i,) for i in range(len(node_of[path].children)))
+        kids = [values[k] for k in kid_paths if k in values]  # pruned ones are absent
         if not kids:
             continue
         avg = sum(k.probability * k.value for k in kids) / nv.probability

@@ -285,13 +285,18 @@ def purity_deficit(rho_mat: np.ndarray) -> float:
     return math.sqrt(max(1.0 - float(np.trace(rho_mat @ rho_mat).real), 0.0))
 
 
+def _check_p_order(p: float) -> None:
+    """p > 1, p = inf included; written so that NaN fails too."""
+    if not (p > 1.0):
+        raise ValueError(f"p must exceed 1, got {p}")
+
+
 def schatten_deficit(rho_mat: np.ndarray, p: float) -> float:
     """(1 - ||rho||_p^p)^(1/p) of a density matrix, for p > 1.
 
     Reduced-operator route to the p-number.
     """
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
+    _check_p_order(p)
     w = clip_spectrum(np.linalg.eigvalsh(np.asarray(rho_mat, dtype=np.complex128)))
     return max(1.0 - float(np.sum(w**p)), 0.0) ** (1.0 / p)
 
@@ -299,15 +304,13 @@ def schatten_deficit(rho_mat: np.ndarray, p: float) -> float:
 def p_number_pure(psi: PureState, p: float) -> float:
     """(1 - sum_k lambda_k^p)^(1/p) from the Schmidt spectrum, for p > 1
     (p = inf included); equals the entanglement number at p = 2."""
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
+    _check_p_order(p)
     return measure_value(_unchecked_spec(P_NUMBER, p=p), psi)
 
 
 def schmidt_power_deficit(psi: PureState, p: float) -> float:
     """1 - sum_k lambda_k^p for p > 1; the p-th power of the p-number."""
-    if p <= 1.0:
-        raise ValueError(f"p must exceed 1, got {p}")
+    _check_p_order(p)
     lams = schmidt_lambdas(psi)
     return max(1.0 - float(np.sum(lams**p)), 0.0)
 

@@ -58,6 +58,11 @@ POLISH_THRESHOLD = 0.05
 # from the best; even-numbered ones start from a single random draw. The
 # mix keeps start diversity while avoiding the worst basins.
 SCREEN_CANDIDATES = 256
+# Largest complex array one solve may allocate: the screened candidates'
+# member vectors (SCREEN_CANDIDATES * m * n) or the gradient probe
+# (4 * m * r * n). The limit admits the default m = r^2 up to an 8x8
+# full-rank state; larger ensembles are rejected before any allocation.
+MAX_WORK_ENTRIES = 2**27
 
 
 @dataclass(frozen=True)
@@ -208,11 +213,14 @@ class _Engine:
         self.b = _eigen_factor(rho)
         self.n, self.r = self.b.shape
         self.da, self.db = rho.dims.as_tuple()
-        if m is None:
-            m = self.r * self.r
+        m = self.r * self.r if m is None else int(m)
         if m < self.r:
             raise ValueError(f"ensemble size m = {m} below rank(rho) = {self.r}")
-        self.m = int(m)
+        entries = m * self.n * max(SCREEN_CANDIDATES, 4 * self.r)
+        if entries > MAX_WORK_ENTRIES:
+            raise ValueError(f"ensemble size m = {m} needs arrays of {entries} complex "
+                             f"entries, above the limit {MAX_WORK_ENTRIES}")
+        self.m = m
         self.objective = objective
         self.sign = 1.0 if direction == "minimize" else -1.0
         self.restarts = restarts

@@ -258,6 +258,20 @@ def test_sweep_grid_cap_checked_before_allocation(capsys, files):
     assert peak < 10_000_000
 
 
+def test_roof_ensemble_size_bound_exit_3(capsys, files):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, ["roof", files["mixed"], "--measure", "e",
+                                      "--m", str(10**12)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("argv", [
     ["roof", "{mixed}", "--measure", "e", "--restarts", "0"],
     ["roof", "{mixed}", "--measure", "e", "--m", "1"],

@@ -16,6 +16,7 @@ from entroof import (
     trace_out,
     transpose_side,
 )
+from entroof.linalg import apply_local
 from entroof.sampling import ginibre, random_density, random_pure_state
 
 from util import DIMS22, bell, diag_state, product_01
@@ -112,6 +113,21 @@ def test_partial_transpose_trace_and_hermiticity():
         pt = partial_transpose(rho, side)
         assert abs(np.trace(pt) - 1) < 1e-12
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-12
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("d_out", [2, 3])
+def test_apply_local_matches_kron(side, d_out):
+    rng = np.random.default_rng(12)
+    dims = (2, 3) if side == "A" else (3, 2)   # the acting factor has dim 2
+    k = ginibre(rng, d_out, 2)
+    h = ginibre(rng, 6, 6)
+    h = h + h.conj().T
+    lifted = np.kron(k, np.eye(3)) if side == "A" else np.kron(np.eye(3), k)
+    expect = lifted @ h @ lifted.conj().T
+    got = apply_local(k, h, dims, side)
+    assert got.shape == expect.shape == (3 * d_out, 3 * d_out)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
 
 
 def test_schmidt_bell_and_product():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,7 @@ from entroof import (
     run_tree,
     validate_tree,
 )
-from entroof.locc import (
-    LoccNode,
-    final_nodes_from_paths,
-    iter_nodes,
-    path_precedes,
-    successors_from_paths,
-    tree_paths,
-)
+from entroof.locc import LoccNode, iter_nodes
 from entroof.measures import MeasureSpec
 from entroof.sampling import (
     random_density,
@@ -150,6 +145,23 @@ def test_branch_probabilities_sum_to_parent():
             assert abs(sum(k.probability for k in kids) - b.probability) < 1e-10
 
 
+def test_deep_chain_walks_without_recursion():
+    rng = np.random.default_rng(41)
+    depth = sys.getrecursionlimit() + 200
+    tree = leaf()
+    for _ in range(depth):
+        tree = LoccNode("A", kraus=(np.eye(2),), children=(tree,))
+    assert validate_tree(tree, DIMS22).ok
+    rho = DensityOperator.from_pure(random_pure_state(DIMS22, rng))
+    levels, out = run_tree(tree, rho)
+    assert len(levels) == depth + 1
+    np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-14)
+    audit = audit_monotonicity(tree, rho, MeasureSpec("entanglement-number"), end_to_end=False)
+    assert len(audit.nodes) == depth + 1
+    assert len(audit.inequalities) == depth
+    assert all(abs(q.slack) < 1e-9 for q in audit.inequalities)
+
+
 def test_dimension_changing_kraus():
     # Alice compresses her qubit into a qutrit embedding and back
     iso = random_instrument(2, 1, RNG, dim_out=3)[0]
@@ -161,22 +173,6 @@ def test_dimension_changing_kraus():
     _, out = run_tree(tree, rho)
     assert out.dims.as_tuple() == (2, 2)
     assert abs(np.trace(out.matrix).real - 1.0) <= 1e-9
-
-
-# --- tree order helpers ------------------------------------------------------------
-
-def test_path_order_matches_structure():
-    tree = two_round_tree(RNG, "A", "B", outcomes=2)
-    paths = tree_paths(tree)
-    for path, node in iter_nodes(tree):
-        structural = [path + (i,) for i in range(len(node.children))]
-        assert successors_from_paths(paths, path) == structural
-    structural_leaves = sorted(p for p, n in iter_nodes(tree) if n.is_leaf)
-    assert final_nodes_from_paths(paths) == structural_leaves
-    assert path_precedes((), (0,))
-    assert path_precedes((0,), (0, 1))
-    assert not path_precedes((0,), (1, 1))
-    assert not path_precedes((0, 1), (0,))
 
 
 # --- monotonicity audit -------------------------------------------------------------
@@ -223,6 +219,38 @@ def test_audit_prunes_zero_probability_branches():
         computational_measurement(), rho, MeasureSpec("entanglement-number"))
     assert (1,) in audit.pruned
     assert all(n.path != (1,) for n in audit.nodes)
+
+
+def test_audit_reads_children_from_tree():
+    # outcome 2 of the first round and outcome 2 below branch 0 have K = 0,
+    # so those branches (and the subtree under (2,)) have zero probability
+    rng = np.random.default_rng(42)
+    zero = np.zeros((2, 2), dtype=complex)
+    kids = []
+    for j in range(3):
+        sub = random_instrument(2, 2, rng) + [zero] if j == 0 else random_instrument(2, 3, rng)
+        kids.append(LoccNode("B", kraus=tuple(sub), children=tuple(leaf("B") for _ in sub)))
+    tree = LoccNode("A", kraus=tuple(random_instrument(2, 2, rng) + [zero]),
+                    children=tuple(kids))
+    rho = DensityOperator.from_pure(random_pure_state(DIMS22, rng))
+    audit = audit_monotonicity(tree, rho, MeasureSpec("entanglement-number"))
+
+    by_path = {n.path: n for n in audit.nodes}
+    structure = dict(iter_nodes(tree))
+    assert set(audit.pruned) == {(0, 2), (2,), (2, 0), (2, 1), (2, 2)}
+    assert set(by_path) == set(structure) - set(audit.pruned)
+
+    def unpruned_children(path):
+        kid_paths = (path + (i,) for i in range(len(structure[path].children)))
+        return [by_path[k] for k in kid_paths if k in by_path]
+
+    expected = sorted(p for p in by_path if unpruned_children(p))
+    assert [q.path for q in audit.inequalities] == expected
+    for q in audit.inequalities:
+        kids = unpruned_children(q.path)
+        avg = sum(k.probability * k.value for k in kids) / by_path[q.path].probability
+        assert abs(q.children_average - avg) < 1e-14
+        assert abs(q.slack - (by_path[q.path].value - avg)) < 1e-14
 
 
 def test_local_unitary_tree_preserves_measures():

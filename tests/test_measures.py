@@ -92,6 +92,17 @@ def test_p_number_domain():
     assert p_number_pure(bell(), math.inf) == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, 1.0])
+@pytest.mark.parametrize("fn", [
+    lambda p: schatten_deficit(np.eye(2) / 2, p),
+    lambda p: p_number_pure(bell(), p),
+    lambda p: schmidt_power_deficit(bell(), p),
+], ids=["schatten_deficit", "p_number_pure", "schmidt_power_deficit"])
+def test_p_order_rejects_nan_and_one(fn, bad):
+    with pytest.raises(ValueError):
+        fn(bad)
+
+
 def test_p_ordering_strict():
     for _ in range(30):
         psi = random_pure_state(DIMS22, RNG)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from entroof import (
     von_neumann_entropy,
 )
 from entroof.measures import MeasureSpec, decreasing_counterpart, make_objective
-from entroof.roof import rank_of
+from entroof.roof import _Engine, rank_of
 from entroof.sampling import (
     random_density,
     random_isometry,
@@ -293,6 +295,23 @@ def test_problem_validation():
         RoofProblem(
             rho=random_density(BipartiteDims(1, 2), RNG),
             measure=MeasureSpec("negativity"))
+
+
+def test_ensemble_size_bound_checked_before_allocation():
+    rng = np.random.default_rng(43)
+    rho = random_density(DIMS22, rng)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="limit"):
+            solve_roof(RoofProblem(rho=rho, measure=E_SPEC, ensemble_size=10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # the default m = r^2 of a full-rank 8x8 state is still admitted
+    big = random_density(BipartiteDims(8, 8), rng)
+    engine = _Engine(big, make_objective(E_SPEC, big.dims), "minimize", None, 1, 1, 1e-9, 0)
+    assert engine.m == 64 * 64
 
 
 def test_stall_metadata_recorded():
