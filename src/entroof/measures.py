@@ -1,12 +1,13 @@
 """Pure-state bipartite entanglement measures.
 
 Every built-in measure is a spectral function of the Schmidt spectrum,
-defined once by its entry in :data:`MEASURES`. Pure-state evaluation, the
-roof objective and the CLI all read that table, so a new measure is one
-table entry. Independent routes (Gram matrix, reduced density operator,
-partial transpose, alternating maximization) stay so tests can
-cross-validate them. The spectral functions are vectorized over leading
-axes; the convex-roof optimizer evaluates ensembles through them.
+defined once by its entry in :data:`MEASURES` together with its derivative.
+Pure-state evaluation, the roof objective, its exact gradient and the CLI
+all read that table, so a new measure is one table entry. Independent
+routes (Gram matrix, reduced density operator, partial transpose,
+alternating maximization) stay so tests can cross-validate them. The
+spectral functions are vectorized over leading axes; the convex-roof
+optimizer evaluates ensembles through them.
 """
 
 from __future__ import annotations
@@ -149,9 +150,46 @@ def elementary_symmetric(lams: np.ndarray, k: int) -> np.ndarray:
     return e[..., k]
 
 
+# Derivatives F'(spec, lams, d) = dF/dlambda_i. Where F' diverges, at a
+# vanishing Schmidt value or at a zero of F, that quantity is clamped at
+# KINK_FLOOR, so the roof gradient stays finite at product states and at
+# rank-deficient spectra.
+KINK_FLOOR = 1e-12
+
+
+def _entropy(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    return -np.sum(_xlog(lams, spec.log_base), axis=-1)
+
+
+def _entropy_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    return -(np.log(np.maximum(lams, KINK_FLOOR)) + 1.0) / math.log(spec.log_base)
+
+
+def _e(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    return np.sqrt(np.maximum(1.0 - np.sum(lams * lams, axis=-1), 0.0))
+
+
+def _e_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    return -lams / np.maximum(_e(spec, lams, d), KINK_FLOOR)[..., None]
+
+
+def _p_number(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    return np.maximum(1.0 - np.sum(lams ** spec.p, axis=-1), 0.0) ** (1.0 / spec.p)
+
+
+def _p_number_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    f = np.maximum(_p_number(spec, lams, d), KINK_FLOOR)
+    return -lams ** (spec.p - 1.0) * (f ** (1.0 - spec.p))[..., None]
+
+
 def _negativity(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     s = np.sum(np.sqrt(np.maximum(lams, 0.0)), axis=-1)
     return np.maximum(s * s - 1.0, 0.0) / (d - 1)
+
+
+def _negativity_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    s = np.sum(np.sqrt(np.maximum(lams, 0.0)), axis=-1, keepdims=True)
+    return s / np.sqrt(np.maximum(lams, KINK_FLOOR)) / (d - 1)
 
 
 def _concurrence(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
@@ -164,6 +202,16 @@ def _concurrence(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return ratio ** (1.0 / k)
 
 
+def _concurrence_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    # de_k/dlambda_i is e_{k-1} of the spectrum with lambda_i left out
+    k = spec.k
+    r = lams.shape[-1]
+    norm = math.comb(d, k) / d**k
+    without = elementary_symmetric(lams[..., None, :] * (1.0 - np.eye(r)), k - 1)
+    f = np.maximum(_concurrence(spec, lams, d), KINK_FLOOR)
+    return (f ** (1.0 - k))[..., None] * without / (k * norm)
+
+
 def _geometric(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     k1, k2 = spec.ranks
     if k1 != k2:
@@ -171,6 +219,13 @@ def _geometric(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
             "the Schmidt-spectrum route applies to equal projector ranks only; "
             "use geometric_measure_alternating for unequal ranks")
     return np.sum(lams[..., :min(k1, lams.shape[-1])], axis=-1)
+
+
+def _geometric_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+    # top-k sum: ties between the k-th and (k+1)-th value take the order
+    # given, one element of the subdifferential
+    top = np.arange(lams.shape[-1]) < spec.ranks[0]
+    return np.broadcast_to(top.astype(float), lams.shape)
 
 
 def _check_negativity_dims(spec: MeasureSpec, dims: BipartiteDims) -> None:
@@ -197,13 +252,16 @@ class Measure:
     """The definition of one measure kind.
 
     ``value(spec, lams, d)`` maps normalized descending spectra (..., r) to
-    values, treating rows shorter than d as zero-padded; ``sup(spec, d)`` is
-    the supremum over pure states (default 1); ``param`` names the
+    values, treating rows shorter than d as zero-padded; ``deriv(spec, lams,
+    d)`` gives its partial derivatives (..., r), clamped finite (see
+    KINK_FLOOR); ``sup(spec, d)`` is the supremum over pure states
+    (default 1); ``param`` names the
     MeasureSpec field the kind requires; ``check_dims(spec, dims)`` raises on
     parameters the dimensions rule out; ``aliases`` are extra CLI names.
     """
 
     value: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]
+    deriv: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]
     sup: Callable[[MeasureSpec, int], float] = lambda spec, d: 1.0
     param: str | None = None
     check_dims: Callable[[MeasureSpec, BipartiteDims], None] = lambda spec, dims: None
@@ -214,20 +272,21 @@ class Measure:
 # decreasing family) or by a compatible product state (geometric).
 MEASURES: dict[str, Measure] = {
     ENTANGLEMENT_NUMBER: Measure(
-        value=lambda spec, lams, d: np.sqrt(np.maximum(1.0 - np.sum(lams * lams, axis=-1), 0.0)),
+        _e, _e_deriv,
         sup=lambda spec, d: math.sqrt(1.0 - 1.0 / d),
         aliases=("e",)),
     P_NUMBER: Measure(
-        value=lambda spec, lams, d: (
-            np.maximum(1.0 - np.sum(lams ** spec.p, axis=-1), 0.0) ** (1.0 / spec.p)),
+        _p_number, _p_number_deriv,
         sup=lambda spec, d: (1.0 - d ** (1.0 - spec.p)) ** (1.0 / spec.p),
         param="p"),
     ENTROPY: Measure(
-        value=lambda spec, lams, d: -np.sum(_xlog(lams, spec.log_base), axis=-1),
+        _entropy, _entropy_deriv,
         sup=lambda spec, d: math.log(d) / math.log(spec.log_base)),
-    NEGATIVITY: Measure(_negativity, check_dims=_check_negativity_dims),
-    CONCURRENCE: Measure(_concurrence, param="k", check_dims=_check_concurrence_dims),
-    GEOMETRIC: Measure(_geometric, param="ranks", check_dims=_check_geometric_dims),
+    NEGATIVITY: Measure(_negativity, _negativity_deriv, check_dims=_check_negativity_dims),
+    CONCURRENCE: Measure(_concurrence, _concurrence_deriv, param="k",
+                         check_dims=_check_concurrence_dims),
+    GEOMETRIC: Measure(_geometric, _geometric_deriv, param="ranks",
+                       check_dims=_check_geometric_dims),
 }
 
 KINDS = tuple(MEASURES)
@@ -247,7 +306,9 @@ def make_objective(spec: MeasureSpec, dims: BipartiteDims):
 
     The returned function is scale-invariant (spectra are normalized
     internally), so callers may pass unnormalized nonzero vectors. Used by
-    the convex-roof optimizer and handy for batched evaluation.
+    the convex-roof optimizer and handy for batched evaluation. Its ``grad``
+    attribute is :func:`make_gradient` of the same measure, so it is a valid
+    objective for ``solve_roof_custom``.
     """
     validate_spec_dims(spec, dims)
 
@@ -256,7 +317,41 @@ def make_objective(spec: MeasureSpec, dims: BipartiteDims):
         lams = lams / np.maximum(np.sum(lams, axis=-1, keepdims=True), 1e-300)
         return value_from_lambdas(spec, lams, dims)
 
+    objective.grad = make_gradient(spec, dims)
     return objective
+
+
+def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
+    """Exact gradient of the weighted member contribution |chi|^2 F(lambda).
+
+    The returned function maps unnormalized vectors chi (..., n) to
+    ``(values, g)``: F at chi's normalized Schmidt spectrum (...,) and
+    g = d(|chi|^2 F)/d chi^* (..., n). With mu = eig(C C^dagger) for the
+    coefficient matrix C of chi and lambda = mu / sum(mu), the derivative of
+    a spectral function (Lewis, Math. Oper. Res. 21, 1996) gives
+    dg/dmu_i = F + F'_i - sum_j lambda_j F'_j and
+    d/dC^* = U diag(dg/dmu) U^dagger C (C U diag U^dagger when the C^dagger C
+    side is the smaller one).
+    """
+    validate_spec_dims(spec, dims)
+    measure = MEASURES[spec.kind]
+    da, db = dims.as_tuple()
+
+    def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = chi.reshape(chi.shape[:-1] + (da, db))
+        ch = c.conj().swapaxes(-1, -2)
+        mu, u = np.linalg.eigh(c @ ch if da <= db else ch @ c)
+        mu = np.maximum(mu[..., ::-1], 0.0)
+        u = u[..., ::-1]
+        lams = mu / np.maximum(np.sum(mu, axis=-1, keepdims=True), 1e-300)
+        f = measure.value(spec, lams, dims.d)
+        fp = measure.deriv(spec, lams, dims.d)
+        coef = f[..., None] + fp - np.sum(lams * fp, axis=-1, keepdims=True)
+        proj = (u * coef[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        g = proj @ c if da <= db else c @ proj
+        return f, g.reshape(chi.shape)
+
+    return gradient
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +514,7 @@ def decreasing_counterpart(spec: MeasureSpec, dims: BipartiteDims):
     Applied to an increasing monotone this yields a decreasing one (and
     vice versa), so concave-roof problems can be rephrased as convex roofs
     of the counterpart. Returns (sup, objective) with the objective
-    vectorized like :func:`make_objective`.
+    vectorized like :func:`make_objective`, its ``grad`` included.
     """
     sup = measure_sup(spec, dims)
     base = make_objective(spec, dims)
@@ -427,6 +522,11 @@ def decreasing_counterpart(spec: MeasureSpec, dims: BipartiteDims):
     def objective(states: np.ndarray) -> np.ndarray:
         return sup - base(states)
 
+    def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, g = base.grad(chi)
+        return sup - f, sup * chi - g
+
+    objective.grad = gradient
     return sup, objective
 
 

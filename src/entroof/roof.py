@@ -6,19 +6,19 @@ rank r and V is an m x r matrix with V^dagger V = I, the unnormalized
 vectors chi_i = sum_j V[i, j] sqrt(p_j) |e_j> satisfy
 sum_i |chi_i><chi_i| = rho, giving an ensemble with weights ||chi_i||^2.
 The roof value is found by multi-start descent over such isometries: the
-gradient of the ensemble-averaged measure is estimated by central finite
-differences in the ambient coordinates of V, projected onto the tangent
-space of the isometry manifold, stepped with a spectral (Barzilai-Borwein)
-initial step under Armijo backtracking, and re-orthonormalized by a QR
-retraction after every step. Each restart warms up on a slightly smoothed
-objective and periodically tries an alternating-projection product polish
-(see the constants below); both devices address the conic kinks faithful
-measures have at their zeros.
+exact gradient of the ensemble-averaged measure in the ambient coordinates
+of V is projected onto the tangent space of the isometry manifold, stepped
+with a spectral (Barzilai-Borwein) initial step under Armijo backtracking,
+and re-orthonormalized by a QR retraction after every step. Each restart
+warms up on a slightly smoothed objective and periodically tries an
+alternating-projection product polish (see the constants below); both
+devices address the conic kinks faithful measures have at their zeros.
 
-Because perturbing one entry of V changes exactly one ensemble member, the
-finite-difference probe evaluates single members rather than whole
-ensembles; the computed gradient is identical to the naive one at a
-fraction of the cost.
+Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
+the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
+d(|chi|^2 f)/dchi^* (its ``grad``; for built-in measures the derivative of
+a spectral function, :func:`entroof.measures.make_gradient`), and the
+smoothing stage's sqrt(f^2 + eps^2) - eps is applied to it in closed form.
 
 Runs are deterministic: restart k draws from a generator seeded by
 (seed, k), so serial and thread-parallel execution produce bit-identical
@@ -34,10 +34,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .linalg import clip_spectrum, eigh_desc, kraus_residual, trace_norm
-from .measures import MeasureSpec, make_objective, validate_spec_dims, von_neumann_entropy
+from .measures import (
+    KINK_FLOOR,
+    MeasureSpec,
+    make_gradient,
+    make_objective,
+    validate_spec_dims,
+    von_neumann_entropy,
+)
 from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation, PureState
 
-FD_STEP = 1e-6           # central finite-difference step in ambient coordinates
 STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
 WINDOW = 20              # iterations over which the stopping rule measures progress
 MEMBER_DROP = 1e-14      # ensemble members below this weight are dropped
@@ -50,8 +56,8 @@ SMOOTHING_STAGES = (1e-3, 0.0)
 # Product-polish candidates: when the average is small, alternating
 # projections (rank-one-truncate members / refit the nearest isometry by
 # Procrustes) can land exactly on an all-product decomposition, finishing
-# the endgame that finite-difference descent cannot see through the conic
-# kinks. Candidates are only ever accepted when they improve the objective.
+# the endgame that gradient descent cannot see through the conic kinks.
+# Candidates are only ever accepted when they improve the objective.
 POLISH_EVERY = 25
 POLISH_THRESHOLD = 0.05
 # Odd-numbered restarts screen a batch of candidate isometries and descend
@@ -59,9 +65,10 @@ POLISH_THRESHOLD = 0.05
 # mix keeps start diversity while avoiding the worst basins.
 SCREEN_CANDIDATES = 256
 # Largest complex array one solve may allocate: the screened candidates'
-# member vectors (SCREEN_CANDIDATES * m * n) or the gradient probe
-# (4 * m * r * n). The limit admits the default m = r^2 up to an 8x8
-# full-rank state; larger ensembles are rejected before any allocation.
+# member vectors (SCREEN_CANDIDATES * m * n). The gradient's largest arrays,
+# the member vectors and their derivative (m * n), are smaller. The limit
+# admits the default m = r^2 up to an 8x8 full-rank state; larger ensembles
+# are rejected before any allocation.
 MAX_WORK_ENTRIES = 2**27
 
 
@@ -207,35 +214,32 @@ def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
 
 
 class _Engine:
-    """Shared machinery for one roof optimization (all restarts)."""
+    """Shared machinery for one roof optimization (all restarts).
 
-    def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed):
+    ``grad`` is the gradient of ``objective`` as described at
+    :func:`solve_roof_custom`; by default the objective's own ``grad``.
+    """
+
+    def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed,
+                 grad=None):
         self.b = _eigen_factor(rho)
         self.n, self.r = self.b.shape
         self.da, self.db = rho.dims.as_tuple()
         m = self.r * self.r if m is None else int(m)
         if m < self.r:
             raise ValueError(f"ensemble size m = {m} below rank(rho) = {self.r}")
-        entries = m * self.n * max(SCREEN_CANDIDATES, 4 * self.r)
+        entries = SCREEN_CANDIDATES * m * self.n
         if entries > MAX_WORK_ENTRIES:
             raise ValueError(f"ensemble size m = {m} needs arrays of {entries} complex "
                              f"entries, above the limit {MAX_WORK_ENTRIES}")
         self.m = m
         self.objective = objective
+        self.grad = objective.grad if grad is None else grad
         self.sign = 1.0 if direction == "minimize" else -1.0
         self.restarts = restarts
         self.max_iters = max_iters
         self.tol = tol
         self.seed = int(seed) & (2**64 - 1)
-        # FD displacements: coordinate (j, part, sign) shifts member i by
-        # +-h B[:, j] (real part) or +-ih B[:, j] (imaginary part).
-        h = FD_STEP
-        delta = np.empty((self.r, 2, 2, self.n), dtype=np.complex128)
-        delta[:, 0, 0] = h * self.b.T
-        delta[:, 0, 1] = -h * self.b.T
-        delta[:, 1, 0] = 1j * h * self.b.T
-        delta[:, 1, 1] = -1j * h * self.b.T
-        self.delta = delta
 
     def member_contrib(self, chi: np.ndarray, eps: float = 0.0) -> np.ndarray:
         """Weight-times-measure of unnormalized member vectors (..., n)."""
@@ -249,10 +253,15 @@ class _Engine:
         return float(np.sum(self.member_contrib(v @ self.b.T, eps)))
 
     def _gradient(self, chi: np.ndarray, eps: float) -> np.ndarray:
-        pert = chi[:, None, None, None, :] + self.delta[None, :, :, :, :]
-        c = self.member_contrib(pert, eps)            # (m, r, part, sign)
-        g = (c[..., 0] - c[..., 1]) / (2.0 * FD_STEP)  # (m, r, part)
-        return g[..., 0] + 1j * g[..., 1]
+        """d total / d Re V + i d total / d Im V at the members chi = V B^T."""
+        f, g = self.grad(chi)
+        if eps:
+            # d/dchi^* of |chi|^2 s(f), s(f) = sqrt(f^2 + eps^2) - eps:
+            # s(f) chi + s'(f) (g - f chi)
+            root = np.sqrt(f * f + eps * eps)
+            slope = f / root
+            g = (root - eps - slope * f)[:, None] * chi + slope[:, None] * g
+        return 2.0 * self.sign * (g @ self.b.conj())
 
     def product_polish(self, v: np.ndarray, iters: int = 60) -> np.ndarray:
         """Alternate rank-one member truncation with a Procrustes refit.
@@ -375,10 +384,26 @@ def solve_roof_custom(
     """Roof optimization of an arbitrary vectorized pure-state objective.
 
     ``objective`` maps stacks of normalized state vectors (..., n) to values
-    (...,). See :func:`solve_roof` for the MeasureSpec-driven interface.
+    (...,) and carries its gradient as ``objective.grad``: a function of
+    unnormalized vectors chi (..., n) returning ``(values, g)``, the
+    objective at chi/|chi| and g = d(|chi|^2 objective(chi/|chi|))/d chi^*.
+    Objectives from :func:`entroof.measures.make_objective` and
+    :func:`entroof.measures.decreasing_counterpart` carry one. See
+    :func:`solve_roof` for the MeasureSpec-driven interface.
     """
     _check_solver_args(direction, restarts, max_iters, tol)
-    eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed)
+    grad = getattr(objective, "grad", None)
+    if not callable(grad):
+        raise ValueError("objective needs a gradient: set objective.grad to a function "
+                         "chi -> (values, d(|chi|^2 values)/d conj(chi))")
+    return _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters,
+                  tol, seed, workers)
+
+
+def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, tol,
+           seed, workers) -> RoofResult:
+    eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
+                  grad)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(eng.run_restart, range(restarts)))
@@ -416,17 +441,18 @@ def solve_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
     result value is an upper bound on the infimum when minimizing (lower
     bound on the supremum when maximizing).
     """
-    objective = make_objective(problem.measure, problem.rho.dims)
-    return solve_roof_custom(
+    spec, dims = problem.measure, problem.rho.dims
+    return _solve(
         problem.rho,
-        objective,
-        direction=problem.direction,
-        ensemble_size=problem.ensemble_size,
-        restarts=problem.restarts,
-        max_iters=problem.max_iters,
-        tol=problem.tol,
-        seed=problem.seed,
-        workers=workers,
+        make_objective(spec, dims),
+        make_gradient(spec, dims),
+        problem.direction,
+        problem.ensemble_size,
+        problem.restarts,
+        problem.max_iters,
+        problem.tol,
+        problem.seed,
+        workers,
     )
 
 
@@ -456,6 +482,37 @@ def _check_kraus(kraus: list[np.ndarray]) -> tuple[np.ndarray, int]:
     return np.stack(ops), dim_in
 
 
+def _channel_output_entropy(ops: np.ndarray, log_base: float):
+    """Objective psi -> S(Phi(|psi><psi|)) of the channel with Kraus stack
+    ``ops``, with its gradient for :func:`solve_roof_custom`."""
+
+    def objective(states: np.ndarray) -> np.ndarray:
+        y = np.einsum("koi,...i->...ko", ops, states)
+        out = np.einsum("...ko,...kp->...op", y, y.conj())
+        w = np.maximum(np.linalg.eigvalsh(out), 0.0)
+        w = w / np.maximum(np.sum(w, axis=-1, keepdims=True), 1e-300)
+        mask = w > 1e-15
+        logs = np.zeros_like(w)
+        np.log(w, where=mask, out=logs)
+        return -np.sum(w * logs, axis=-1) / math.log(log_base)
+
+    def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # |chi|^2 S(omega) = -Tr(Phi(chi chi^H) log Phi(chi chi^H)) + |chi|^2 log|chi|^2
+        # for the normalized output omega; its derivative is -Phi^H(log omega) chi
+        y = np.einsum("koi,...i->...ko", ops, chi)
+        w, u = np.linalg.eigh(np.einsum("...ko,...kp->...op", y, y.conj()))
+        w = np.maximum(w, 0.0)
+        w = w / np.maximum(np.sum(w, axis=-1, keepdims=True), 1e-300)
+        logs = np.log(np.maximum(w, KINK_FLOOR)) / math.log(log_base)
+        log_out = (u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        g = -np.einsum("koi,...ko->...i", ops.conj(),
+                       np.einsum("...op,...kp->...ko", log_out, y))
+        return -np.sum(w * logs, axis=-1), g
+
+    objective.grad = gradient
+    return objective
+
+
 def channel_entropy(
     rho: DensityOperator,
     kraus: list[np.ndarray],
@@ -469,18 +526,8 @@ def channel_entropy(
         raise InvariantViolation(
             "kraus-dims", 0.0,
             f"channel acts on dim {dim_in}, state lives in dim {rho.dims.total}")
-
-    def channel_output_entropy(states: np.ndarray) -> np.ndarray:
-        y = np.einsum("koi,...i->...ko", ops, states)
-        out = np.einsum("...ko,...kp->...op", y, y.conj())
-        w = np.maximum(np.linalg.eigvalsh(out), 0.0)
-        w = w / np.maximum(np.sum(w, axis=-1, keepdims=True), 1e-300)
-        mask = w > 1e-15
-        logs = np.zeros_like(w)
-        np.log(w, where=mask, out=logs)
-        return -np.sum(w * logs, axis=-1) / math.log(log_base)
-
     output = sum(k @ rho.matrix @ k.conj().T for k in ops)
     total = von_neumann_entropy(output, log_base)
-    inner = solve_roof_custom(rho, channel_output_entropy, direction="minimize", **opts)
+    inner = solve_roof_custom(rho, _channel_output_entropy(ops, log_base),
+                              direction="minimize", **opts)
     return total - inner.value

@@ -19,17 +19,27 @@ from entroof import (
     solve_roof_custom,
     von_neumann_entropy,
 )
-from entroof.measures import MeasureSpec, decreasing_counterpart, make_objective
-from entroof.roof import _Engine, rank_of
+from entroof.linalg import schmidt_lambdas
+from entroof.measures import (
+    MEASURES,
+    MeasureSpec,
+    decreasing_counterpart,
+    make_gradient,
+    make_objective,
+)
+from entroof.roof import _channel_output_entropy, _eigen_factor, _Engine, rank_of
 from entroof.sampling import (
     random_density,
+    random_instrument,
     random_isometry,
     random_npt_density,
+    random_product_state,
     random_pure_state,
     random_separable_density,
 )
+from entroof.states import PureState
 
-from util import DIMS22, bell, sampling_oracle_roof, svd_member_e
+from util import DIMS22, bell, fd_gradient, sampling_oracle_roof, svd_member_e
 
 RNG = np.random.default_rng(31337)
 
@@ -318,8 +328,132 @@ def test_stall_metadata_recorded():
     # constant measures have zero gradient everywhere: every iteration
     # stalls, the nudge fires, and the run still terminates cleanly
     rho = random_density(DIMS22, RNG)
-    res = solve_roof_custom(
-        rho, lambda s: np.full(s.shape[:-1], 0.25), restarts=1, seed=0)
+
+    def constant(s):
+        return np.full(s.shape[:-1], 0.25)
+
+    # d(|chi|^2 * 0.25)/d chi^* = 0.25 chi, whose tangent component is zero
+    constant.grad = lambda chi: (constant(chi), 0.25 * chi)
+    res = solve_roof_custom(rho, constant, restarts=1, seed=0)
     assert res.converged
     assert len(res.stall_iterations) > 0
     assert abs(res.value - 0.25) < 1e-12
+
+
+def test_custom_objective_needs_gradient():
+    rho = random_density(DIMS22, RNG)
+    with pytest.raises(ValueError, match="objective.grad"):
+        solve_roof_custom(rho, lambda s: np.full(s.shape[:-1], 0.25))
+
+
+def test_solve_roof_reads_gradient_from_spec(monkeypatch):
+    # wrapping make_objective in a plain function (as an external tracer
+    # does) drops its grad attribute; solve_roof must not depend on it
+    import entroof.roof as roof_module
+
+    rho = random_density(DIMS22, RNG)
+    problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=2, max_iters=50, seed=3)
+    want = solve_roof(problem)
+    original = roof_module.make_objective
+
+    def plain(spec, dims):
+        objective = original(spec, dims)
+        return lambda states: objective(states)
+
+    monkeypatch.setattr(roof_module, "make_objective", plain)
+    got = solve_roof(problem)
+    assert got.value == want.value
+    assert got.restart_values == want.restart_values
+
+
+def test_restart_depends_only_on_seed_and_index():
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(47))
+    base = dict(rho=rho, measure=S_SPEC, max_iters=60, seed=19)
+    four = solve_roof(RoofProblem(restarts=4, **base))
+    for workers in (1, 2):
+        two = solve_roof(RoofProblem(restarts=2, **base), workers=workers)
+        assert two.restart_values == four.restart_values[:2]
+
+
+# --- exact gradient --------------------------------------------------------------
+
+GRAD_DIMS = [DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 2), BipartiteDims(3, 3)]
+
+
+def _gradient_specs(d):
+    """Every MEASURES kind, at every parameter the checks below cover."""
+    specs = [S_SPEC, MeasureSpec("entropy", log_base=np.e), E_SPEC, MeasureSpec("negativity")]
+    specs += [MeasureSpec("p-number", p=p) for p in (1.5, 2.0, 3.0)]
+    specs += [MeasureSpec("concurrence", k=k) for k in range(1, d + 1)]
+    specs += [MeasureSpec("geometric", ranks=(k, k)) for k in range(1, d + 1)]
+    assert {s.kind for s in specs} == set(MEASURES)
+    return specs
+
+
+def _separated_members(rho, m, rng):
+    """Members chi = V B^T of a random isometry V whose normalized Schmidt
+    values are all at least 1e-3 and pairwise at least 1e-3 apart."""
+    b = _eigen_factor(rho)
+    while True:
+        chi = random_isometry(m, b.shape[1], rng) @ b.T
+        lams = np.array([schmidt_lambdas(PureState(c / np.linalg.norm(c), rho.dims))
+                         for c in chi])
+        gaps = -np.diff(lams, axis=-1)
+        if lams.min() >= 1e-3 and (gaps.size == 0 or gaps.min() >= 1e-3):
+            return chi
+
+
+def _check_against_fd(rho, objective, chi):
+    for direction in ("minimize", "maximize"):
+        engine = _Engine(rho, objective, direction, chi.shape[0], 1, 1, 1e-9, 0)
+        for eps in (1e-3, 0.0):
+            exact = engine._gradient(chi, eps)
+            probe = fd_gradient(lambda x: engine.member_contrib(x, eps), chi, engine.b)
+            err = np.linalg.norm(exact - probe) / np.linalg.norm(probe)
+            assert err <= 1e-6, (direction, eps, err)
+
+
+def _dims_id(dims):
+    return f"{dims.dim_a}x{dims.dim_b}"
+
+
+@pytest.mark.parametrize("dims", GRAD_DIMS, ids=_dims_id)
+def test_gradient_matches_finite_differences(dims):
+    rng = np.random.default_rng(61)
+    rho = random_density(dims, rng, 3)
+    chi = _separated_members(rho, 6, rng)
+    for spec in _gradient_specs(dims.d):
+        _check_against_fd(rho, make_objective(spec, dims), chi)
+        # C_1 and the (d, d) geometric measure are constant, so their
+        # counterparts vanish identically and have no relative error
+        if spec.k != 1 and spec.ranks != (dims.d, dims.d):
+            _check_against_fd(rho, decreasing_counterpart(spec, dims)[1], chi)
+    kraus = np.stack(random_instrument(dims.total, 3, rng))
+    for base in (2.0, np.e):
+        _check_against_fd(rho, _channel_output_entropy(kraus, base), chi)
+
+
+@pytest.mark.parametrize("dims", GRAD_DIMS, ids=_dims_id)
+def test_gradient_finite_at_kinks(dims):
+    # exact products, maximally entangled members (tied Schmidt values),
+    # rank-deficient spectra and the zero vector: F' is unbounded or
+    # undefined there, and the clamped gradient must stay finite
+    rng = np.random.default_rng(67)
+    d = dims.d
+    maximal = np.zeros((dims.dim_a, dims.dim_b), dtype=complex)
+    maximal[range(d), range(d)] = 1.0 / np.sqrt(d)
+    deficient = np.zeros((dims.dim_a, dims.dim_b), dtype=complex)
+    deficient[range(d - 1), range(d - 1)] = np.sqrt(np.arange(1, d) / (d * (d - 1) / 2))
+    chi = np.stack([random_product_state(dims, rng).amplitudes,
+                    np.eye(dims.total)[0],
+                    maximal.ravel(),
+                    deficient.ravel(),
+                    0.5 * random_product_state(dims, rng).amplitudes,
+                    np.zeros(dims.total)])
+    for spec in _gradient_specs(d):
+        f, g = make_gradient(spec, dims)(chi)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(g)), spec
+        engine = _Engine(DensityOperator.from_pure(random_pure_state(dims, rng)),
+                         make_objective(spec, dims), "minimize", len(chi), 1, 1, 1e-9, 0)
+        for eps in (1e-3, 0.0):
+            assert np.all(np.isfinite(engine._gradient(chi, eps))), (spec, eps)

@@ -102,3 +102,26 @@ def svd_member_e(psi: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(c, compute_uv=False)
     lams = s * s
     return np.sqrt(np.maximum(1.0 - np.sum(lams * lams, axis=-1), 0.0))
+
+
+FD_STEP = 1e-6
+
+
+def fd_gradient(member_contrib, chi: np.ndarray, b: np.ndarray,
+                step: float = FD_STEP) -> np.ndarray:
+    """Central finite-difference gradient d/dRe V + i d/dIm V of
+    sum_i member_contrib(chi_i), at the members chi = V B^T.
+
+    V[i, j] enters member i only, as V[i, j] B[:, j], so each coordinate is
+    probed by shifting that one member by +-step B[:, j] (real part) or
+    +-i step B[:, j] (imaginary part). ``member_contrib`` maps member stacks
+    (..., n) to contributions (...,).
+    """
+    delta = np.empty((b.shape[1], 2, 2, b.shape[0]), dtype=np.complex128)
+    delta[:, 0, 0] = step * b.T
+    delta[:, 0, 1] = -step * b.T
+    delta[:, 1, 0] = 1j * step * b.T
+    delta[:, 1, 1] = -1j * step * b.T
+    c = member_contrib(chi[:, None, None, None, :] + delta[None])  # (m, r, part, sign)
+    g = (c[..., 0] - c[..., 1]) / (2.0 * step)
+    return g[..., 0] + 1j * g[..., 1]
