@@ -20,7 +20,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--states", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=1,
+                    help="passed to solve_roof, which accepts it without effect")
     args = ap.parse_args()
 
     dims = BipartiteDims(2, 2)

@@ -24,7 +24,7 @@ from . import io as fileio
 from .linalg import schmidt
 from .locc import audit_monotonicity, validate_tree
 from .measures import ENTROPY, MEASURES, P_NUMBER, MeasureSpec, measure_value, p_number_pure
-from .roof import RoofProblem, rank_of, solve_roof
+from .roof import RoofProblem, _check_solver_args, rank_of, solve_roof
 from .states import DensityOperator, InvariantViolation, PureState
 
 EXIT_OK = 0
@@ -79,7 +79,8 @@ def _spec_config(spec: MeasureSpec) -> dict:
 def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
     """RoofProblem keywords from the roof flags, and their echo for the
     report's config (workers is reported with the timings: it changes
-    execution, not results)."""
+    neither execution nor results). The flags are checked here, so that
+    ``locc`` rejects bad values even when its audit solves no roof."""
     opts = {"ensemble_size": args.m, "restarts": args.restarts, "tol": args.tol,
             "seed": args.seed}
     config = {**opts, "max_iters": RoofProblem.max_iters,
@@ -87,6 +88,9 @@ def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
     if "direction" in args:  # the LOCC audit always minimizes
         opts["direction"] = "minimize" if args.direction == "min" else "maximize"
         config["direction"] = args.direction
+    with _solver_errors():
+        _check_solver_args(opts.get("direction", "minimize"), args.restarts,
+                           RoofProblem.max_iters, args.tol, args.workers)
     return opts, config
 
 
@@ -309,7 +313,8 @@ def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
         p.add_argument("--direction", choices=["min", "max"], default="min",
                        help="convex (min) or concave (max) roof (default min)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads for parallel restarts; results are identical (default 1)")
+                   help="kept for compatibility: restarts run as one lockstep batch, "
+                        "so it has no effect; must be >= 1 (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

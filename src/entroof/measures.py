@@ -106,14 +106,15 @@ def gram_spectra(states: np.ndarray, dims: BipartiteDims) -> np.ndarray:
         w = np.sum(np.abs(states) ** 2, axis=-1)
         return w[..., None]
     if d == 2:
-        if da <= db:
-            g00 = np.sum(np.abs(c[..., 0, :]) ** 2, axis=-1)
-            g11 = np.sum(np.abs(c[..., 1, :]) ** 2, axis=-1)
-            g01 = np.sum(c[..., 0, :] * c[..., 1, :].conj(), axis=-1)
-        else:
-            g00 = np.sum(np.abs(c[..., :, 0]) ** 2, axis=-1)
-            g11 = np.sum(np.abs(c[..., :, 1]) ** 2, axis=-1)
-            g01 = np.sum(c[..., :, 0] * c[..., :, 1].conj(), axis=-1)
+        x, y = (c[..., 0, :], c[..., 1, :]) if da <= db else (c[..., :, 0], c[..., :, 1])
+        g00 = np.sum(np.abs(x) ** 2, axis=-1)
+        g11 = np.sum(np.abs(y) ** 2, axis=-1)
+        # a named conjugate fixes the operand order: numpy may evaluate
+        # x * <large temporary> in place as temporary * x, and complex
+        # products are not bitwise commutative, so results would depend on
+        # the stack size
+        y_conj = y.conj()
+        g01 = np.sum(x * y_conj, axis=-1)
         tr = g00 + g11
         det = g00 * g11 - np.abs(g01) ** 2
         disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))

@@ -20,15 +20,20 @@ d(|chi|^2 f)/dchi^* (its ``grad``; for built-in measures the derivative of
 a spectral function, :func:`entroof.measures.make_gradient`), and the
 smoothing stage's sqrt(f^2 + eps^2) - eps is applied to it in closed form.
 
-Runs are deterministic: restart k draws from a generator seeded by
-(seed, k), so serial and thread-parallel execution produce bit-identical
-results, merged by best value with ties broken by restart index.
+All restarts of a solve descend in lockstep as one stack of isometries
+(R, m, r): each step makes one gradient call, one tangent projection and a
+few stacked line-search calls for the whole batch, and a restart leaves the
+batch when it converges or spends its budget. Runs are deterministic:
+restart k draws from a generator seeded by (seed, k), and stacked numpy
+calls act on each isometry as single calls do, so a restart's outcome does
+not depend on the other restarts in its batch. Results are merged by best
+value with ties broken by restart index.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,11 +69,13 @@ POLISH_THRESHOLD = 0.05
 # from the best; even-numbered ones start from a single random draw. The
 # mix keeps start diversity while avoiding the worst basins.
 SCREEN_CANDIDATES = 256
+# Backtracking ladder of the line search: steps t, t/2, ..., t/2^39.
+LINE_SEARCH_RUNGS = 40
 # Largest complex array one solve may allocate: the screened candidates'
-# member vectors (SCREEN_CANDIDATES * m * n). The gradient's largest arrays,
-# the member vectors and their derivative (m * n), are smaller. The limit
-# admits the default m = r^2 up to an 8x8 full-rank state; larger ensembles
-# are rejected before any allocation.
+# member vectors (SCREEN_CANDIDATES * m * n), or the line search's member
+# vectors for a chunk of restarts, at most LINE_SEARCH_RUNGS * chunk * m * n;
+# the chunk is sized to fit. The limit admits the default m = r^2 up to an
+# 8x8 full-rank state; larger ensembles are rejected before any allocation.
 MAX_WORK_ENTRIES = 2**27
 
 
@@ -130,7 +137,8 @@ class RoofProblem:
         validate_spec_dims(self.measure, self.rho.dims)
 
 
-def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float) -> None:
+def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float,
+                       workers: int = 1) -> None:
     if direction not in ("minimize", "maximize"):
         raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
     if restarts < 1:
@@ -139,6 +147,8 @@ def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +160,8 @@ class RoofResult:
     ``objective_trace`` is the best restart's best-so-far objective per
     iteration; ``gap_estimate`` is the spread between the two best restarts,
     a heuristic optimality indicator, never a rigorous bound.
+    ``restart_values`` and ``restart_iterations`` hold each restart's best
+    objective and its number of iterations, in restart order.
     """
 
     value: float
@@ -160,6 +172,7 @@ class RoofResult:
     restart_values: tuple[float, ...] = field(default=(), compare=False)
     best_restart: int = field(default=0, compare=False)
     stall_iterations: tuple[int, ...] = field(default=(), compare=False)
+    restart_iterations: tuple[int, ...] = field(default=(), compare=False)
 
 
 def _eigen_factor(rho: DensityOperator) -> np.ndarray:
@@ -218,6 +231,9 @@ class _Engine:
 
     ``grad`` is the gradient of ``objective`` as described at
     :func:`solve_roof_custom`; by default the objective's own ``grad``.
+    Restarts run in lockstep, ``chunk`` of them at a time, as one stack of
+    isometries (R, m, r); ``chunk`` keeps the line search's stacked member
+    vectors (LINE_SEARCH_RUNGS * chunk * m * n) within MAX_WORK_ENTRIES.
     """
 
     def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed,
@@ -240,49 +256,65 @@ class _Engine:
         self.max_iters = max_iters
         self.tol = tol
         self.seed = int(seed) & (2**64 - 1)
+        # at least 6: SCREEN_CANDIDATES * m * n fits the limit (checked
+        # above) and SCREEN_CANDIDATES > 6 * LINE_SEARCH_RUNGS
+        self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * m * self.n))
 
-    def member_contrib(self, chi: np.ndarray, eps: float = 0.0) -> np.ndarray:
-        """Weight-times-measure of unnormalized member vectors (..., n)."""
+    def member_contrib(self, chi: np.ndarray, eps=0.0) -> np.ndarray:
+        """Weight-times-measure of unnormalized member vectors (..., n).
+
+        ``eps`` is the smoothing stage: a float, or an array over the stack
+        axes of members (..., m, n), one stage per isometry.
+        """
         w = np.sum(np.abs(chi) ** 2, axis=-1)
         vals = self.objective(chi)
-        if eps:
-            vals = np.sqrt(vals * vals + eps * eps) - eps
+        e = np.asarray(eps)[..., None]
+        if np.any(e):
+            vals = np.where(e > 0, np.sqrt(vals * vals + e * e) - e, vals)
         return self.sign * (w * vals)
 
-    def total(self, v: np.ndarray, eps: float = 0.0) -> float:
-        return float(np.sum(self.member_contrib(v @ self.b.T, eps)))
+    def totals(self, v: np.ndarray, eps=0.0) -> np.ndarray:
+        """Objective of each isometry in a stack (..., m, r)."""
+        return np.sum(self.member_contrib(v @ self.b.T, eps), axis=-1)
 
-    def _gradient(self, chi: np.ndarray, eps: float) -> np.ndarray:
-        """d total / d Re V + i d total / d Im V at the members chi = V B^T."""
+    def _gradient(self, chi: np.ndarray, eps) -> np.ndarray:
+        """d total / d Re V + i d total / d Im V at the members chi = V B^T,
+        for members (..., m, n) and ``eps`` as in :meth:`member_contrib`."""
         f, g = self.grad(chi)
-        if eps:
+        e = np.asarray(eps)[..., None]
+        if np.any(e):
             # d/dchi^* of |chi|^2 s(f), s(f) = sqrt(f^2 + eps^2) - eps:
-            # s(f) chi + s'(f) (g - f chi)
-            root = np.sqrt(f * f + eps * eps)
-            slope = f / root
-            g = (root - eps - slope * f)[:, None] * chi + slope[:, None] * g
+            # s(f) chi + s'(f) (g - f chi); rows at eps = 0 keep g
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = np.sqrt(f * f + e * e)
+                slope = f / root
+                smooth = (root - e - slope * f)[..., None] * chi + slope[..., None] * g
+            g = np.where(e[..., None] > 0, smooth, g)
         return 2.0 * self.sign * (g @ self.b.conj())
 
     def product_polish(self, v: np.ndarray, iters: int = 60) -> np.ndarray:
         """Alternate rank-one member truncation with a Procrustes refit.
 
-        Seeks an isometry whose ensemble members are all product states; a
+        Seeks isometries whose ensemble members are all product states; a
         fixed point with zero truncation error is a decomposition the
-        faithful measures vanish on.
+        faithful measures vanish on. ``v`` is a stack (R, m, r); each
+        isometry stops at its own fixed point.
         """
-        a = self.b.T
+        out = v.copy()
+        live = np.arange(len(v))
         for _ in range(iters):
-            chi = v @ a
-            c = chi.reshape(-1, self.da, self.db)
+            c = (v @ self.b.T).reshape(-1, self.da, self.db)
             u, s, vh = np.linalg.svd(c)
-            tau = (s[:, 0, None, None] * u[:, :, :1] @ vh[:, :1, :]).reshape(-1, self.n)
-            m = tau @ self.b.conj()
-            u2, _, w2 = np.linalg.svd(m, full_matrices=False)
+            tau = (s[:, 0, None, None] * u[:, :, :1] @ vh[:, :1, :]).reshape(-1, self.m, self.n)
+            u2, _, w2 = np.linalg.svd(tau @ self.b.conj(), full_matrices=False)
             v_new = u2 @ w2
-            if float(np.max(np.abs(v_new - v))) < 1e-14:
-                return v_new
-            v = v_new
-        return v
+            fixed = np.max(np.abs(v_new - v), axis=(-2, -1)) < 1e-14
+            out[live[fixed]] = v_new[fixed]
+            live, v = live[~fixed], v_new[~fixed]
+            if not live.size:
+                return out
+        out[live] = v
+        return out
 
     def _initial_point(self, k: int, rng: np.random.Generator) -> np.ndarray:
         if k % 2 == 0:
@@ -292,82 +324,169 @@ class _Engine:
         vs = _qr_fix(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         totals = np.sum(self.member_contrib(
             np.einsum("smr,nr->smn", vs, self.b)), axis=-1)
-        return vs[int(np.argmin(totals))]
+        return vs[int(np.argmin(totals))].copy()  # a view would keep all of vs alive
 
-    def run_restart(self, k: int):
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, k]))
-        v = self._initial_point(k, rng)
-        best_f, best_v = self.total(v), v
-        trace: list[float] = []
-        stalls: list[int] = []
+    def _line_search(self, v, xi, f, t, gnorm2, eps):
+        """Armijo backtracking for a stack of iterates: each row takes the
+        first of t, t/2, ... (LINE_SEARCH_RUNGS rungs) with
+        f_new <= f - 1e-4 t gnorm2, the choice sequential backtracking makes.
+        Rungs are tried in blocks of 1, 2, 4, ... for every row still
+        searching, so a row that passes early costs about what it would
+        alone, and each block is one stacked call.
+        Returns (ok, v_new, f_new); rows with ok False found no rung."""
+        ok = np.zeros(len(v), dtype=bool)
+        v_new, f_new = np.empty_like(v), np.empty_like(f)
+        rows = np.arange(len(v))
+        ladder = t[:, None]  # rungs of the current block, one row per iterate
+        lo = 0
+        while True:
+            vs = _qr_fix(v[rows, None] - ladder[..., None, None] * xi[rows, None])
+            fs = self.totals(vs, eps[rows, None])
+            armijo = fs <= f[rows, None] - 1e-4 * ladder * gnorm2[rows, None]
+            rung = np.argmax(armijo, axis=1)
+            hit = armijo[np.arange(rows.size), rung]
+            ok[rows[hit]] = True
+            v_new[rows[hit]] = vs[hit, rung[hit]]
+            f_new[rows[hit]] = fs[hit, rung[hit]]
+            rows = rows[~hit]
+            lo += ladder.shape[1]
+            if not rows.size or lo == LINE_SEARCH_RUNGS:
+                return ok, v_new, f_new
+            # halve step by step from each row's last rung, as a sequential
+            # search would; a block stacks at most as many isometries as
+            # start screening, which sets the solve's peak memory
+            size = min(2 * ladder.shape[1], LINE_SEARCH_RUNGS - lo,
+                       max(1, SCREEN_CANDIDATES // rows.size))
+            halves = np.full((rows.size, size + 1), 0.5)
+            halves[:, 0] = ladder[~hit, -1]
+            ladder = np.multiply.accumulate(halves, axis=1)[:, 1:]
+
+    def run(self) -> list:
+        """Every restart, in chunks of ``chunk``: one outcome
+        (best_f, best_v, trace, converged, stalls, iterations) per restart."""
+        outcomes = []
+        for lo in range(0, self.restarts, self.chunk):
+            outcomes += self._descend(range(lo, min(lo + self.chunk, self.restarts)))
+        return outcomes
+
+    def _descend(self, ks: range) -> list:
+        """Descend restarts ``ks`` in lockstep.
+
+        Restart k draws from a generator seeded by (seed, k) and every step
+        treats each row of the stack as a descent of that restart alone
+        would treat its iterate (``tests/util.py::sequential_restart``), so
+        a restart's outcome does not depend on which restarts share its
+        batch. Row state: the iterate v, its stage
+        objective f, the smoothing stage and the iteration it began, the
+        step memory (prev_v, prev_xi) and the best raw objective so far.
+        A row leaves the batch when its last stage converges or its
+        iteration budget is spent.
+        """
+        rngs = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
+        v = np.stack([self._initial_point(k, rng) for k, rng in zip(ks, rngs)])
+        best_f, best_v = self.totals(v), v.copy()
+        stages = np.array(SMOOTHING_STAGES)
+        stage = np.zeros(len(ks), dtype=int)
+        eps = stages[stage]
+        f = self.totals(v, eps)
+        start = np.zeros(len(ks), dtype=int)
+        memory = np.zeros(len(ks), dtype=bool)
+        prev_v, prev_xi = np.zeros_like(v), np.zeros_like(v)
+        pos = np.arange(len(ks))  # chunk position of each row
+        stalls: list[list[int]] = [[] for _ in ks]
+        best_rows: list[np.ndarray] = []
+        f_rows: deque[np.ndarray] = deque(maxlen=WINDOW + 1)  # stage objectives
+        ends: list = [None] * len(ks)
         it = 0
-        converged = False
-        for eps in SMOOTHING_STAGES:
-            f = self.total(v, eps)
-            stage_tol = max(self.tol, eps * 1e-3)
-            prev_v = prev_xi = None
-            step = None
-            stage_trace: list[float] = []
-            stage_converged = False
-            while it < self.max_iters:
-                chi = v @ self.b.T
-                grad = self._gradient(chi, eps)
-                xi = grad - v @ ((v.conj().T @ grad + grad.conj().T @ v) / 2.0)
-                gnorm2 = float(np.sum(np.abs(xi) ** 2))
-                # spectral (Barzilai-Borwein) initial step from the last move
-                if prev_v is not None:
-                    s = v - prev_v
-                    y = xi - prev_xi
-                    num = float(np.sum((s.conj() * s).real))
-                    den = float(np.sum((s.conj() * y).real))
-                    step = num / den if den > 1e-300 and math.isfinite(den) else None
-                accepted = False
-                if gnorm2 > 0.0:
-                    t = step if step and 0.0 < step < 1e6 else 1.0 / math.sqrt(gnorm2)
-                    for _ in range(40):
-                        v_new = _qr_fix(v - t * xi)
-                        f_new = self.total(v_new, eps)
-                        if f_new <= f - 1e-4 * t * gnorm2:
-                            prev_v, prev_xi = v, xi
-                            v, f = v_new, f_new
-                            accepted = True
-                            break
-                        t *= 0.5
-                if not accepted:
-                    # likely a non-smooth point (degenerate Schmidt values):
-                    # nudge the iterate and reset the step memory
-                    stalls.append(it)
-                    v = _qr_fix(v + STALL_NUDGE * (
-                        rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)))
-                    f = self.total(v, eps)
-                    prev_v = prev_xi = None
-                    step = None
-                if (self.sign > 0 and f < POLISH_THRESHOLD
-                        and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
-                    cand = self.product_polish(v)
-                    f_cand = self.total(cand, eps)
-                    if f_cand < f:
-                        v, f = cand, f_cand
-                        prev_v = prev_xi = None
-                        step = None
-                if eps == 0.0:
-                    if f < best_f:
-                        best_f, best_v = f, v
-                else:
-                    true_f = self.total(v)
-                    if true_f < best_f:
-                        best_f, best_v = true_f, v
-                trace.append(best_f)
-                stage_trace.append(f)
-                it += 1
-                j = len(stage_trace) - 1
-                if j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j] < stage_tol:
-                    stage_converged = True
-                    break
-            converged = stage_converged
-            if not stage_converged:
-                break  # iteration budget exhausted mid-stage
-        return best_f, best_v, trace, converged, stalls
+        while pos.size:
+            grad = self._gradient(v @ self.b.T, eps)
+            vh = v.conj().swapaxes(-1, -2)
+            xi = grad - v @ ((vh @ grad + grad.conj().swapaxes(-1, -2) @ v) / 2.0)
+            gnorm2 = np.sum(np.abs(xi) ** 2, axis=(-2, -1))
+            # spectral (Barzilai-Borwein) initial step from the last move
+            step = np.full(len(pos), np.nan)
+            if memory.any():
+                s = v - prev_v
+                y = xi - prev_xi
+                num = np.sum((s.conj() * s).real, axis=(-2, -1))
+                den = np.sum((s.conj() * y).real, axis=(-2, -1))
+                np.divide(num, den, out=step,
+                          where=memory & (den > 1e-300) & np.isfinite(den))
+            accepted = np.zeros(len(pos), dtype=bool)
+            search = np.flatnonzero(gnorm2 > 0.0)
+            if search.size:
+                st, g2 = step[search], gnorm2[search]
+                t = np.where((st > 0.0) & (st < 1e6), st, 1.0 / np.sqrt(g2))
+                ok, v_new, f_new = self._line_search(v[search], xi[search], f[search], t,
+                                                     g2, eps[search])
+                rows = search[ok]
+                prev_v[rows], prev_xi[rows] = v[rows], xi[rows]
+                v[rows], f[rows] = v_new[ok], f_new[ok]
+                memory[rows] = True
+                accepted[rows] = True
+            stalled = np.flatnonzero(~accepted)
+            if stalled.size:
+                # likely a non-smooth point (degenerate Schmidt values):
+                # nudge the iterate and reset the step memory
+                noise = []
+                for i in stalled:
+                    stalls[pos[i]].append(it)
+                    rng = rngs[i]
+                    noise.append(rng.normal(size=v.shape[1:])
+                                 + 1j * rng.normal(size=v.shape[1:]))
+                v[stalled] = _qr_fix(v[stalled] + STALL_NUDGE * np.stack(noise))
+                f[stalled] = self.totals(v[stalled], eps[stalled])
+                memory[stalled] = False
+            if self.sign > 0:
+                due = np.flatnonzero((f < POLISH_THRESHOLD)
+                                     & ((it - start) % POLISH_EVERY == POLISH_EVERY - 1))
+                if due.size:
+                    cand = self.product_polish(v[due])
+                    f_cand = self.totals(cand, eps[due])
+                    better = f_cand < f[due]
+                    rows = due[better]
+                    v[rows], f[rows] = cand[better], f_cand[better]
+                    memory[rows] = False
+            raw = f.copy()
+            smoothed = np.flatnonzero(eps > 0.0)
+            if smoothed.size:
+                raw[smoothed] = self.totals(v[smoothed])
+            better = raw < best_f
+            best_f[better], best_v[better] = raw[better], v[better]
+            best_rows.append(np.full(len(ks), np.nan))
+            best_rows[-1][pos] = best_f
+            f_rows.append(np.full(len(ks), np.nan))
+            f_rows[-1][pos] = f
+            it += 1
+            # stopping rule: progress over the last WINDOW iterations of the stage
+            converged = np.zeros(len(pos), dtype=bool)
+            window = it - 1 - start >= WINDOW
+            if window.any():
+                converged = window & (f_rows[0][pos] - f
+                                      < np.maximum(self.tol, eps * 1e-3))
+            last = stage == len(SMOOTHING_STAGES) - 1
+            spent = it >= self.max_iters
+            advance = np.flatnonzero(converged & ~last & (not spent))
+            if advance.size:
+                stage[advance] += 1
+                eps = stages[stage]
+                f[advance] = self.totals(v[advance], eps[advance])
+                start[advance] = it
+                memory[advance] = False
+            done = (converged & last) | spent
+            for i in np.flatnonzero(done):
+                ends[pos[i]] = (float(best_f[i]), best_v[i].copy(),
+                                bool(converged[i] and last[i]), it)
+            if done.any():
+                keep = ~done
+                v, f, eps, stage, start, memory = (
+                    a[keep] for a in (v, f, eps, stage, start, memory))
+                prev_v, prev_xi, best_f, best_v, pos = (
+                    a[keep] for a in (prev_v, prev_xi, best_f, best_v, pos))
+                rngs = [rng for rng, k in zip(rngs, keep) if k]
+        trace_table = np.array(best_rows)
+        return [(bf, bv, trace_table[:iters, i].tolist(), conv, stalls[i], iters)
+                for i, (bf, bv, conv, iters) in enumerate(ends)]
 
 
 def solve_roof_custom(
@@ -388,31 +507,30 @@ def solve_roof_custom(
     unnormalized vectors chi (..., n) returning ``(values, g)``, the
     objective at chi/|chi| and g = d(|chi|^2 objective(chi/|chi|))/d chi^*.
     Objectives from :func:`entroof.measures.make_objective` and
-    :func:`entroof.measures.decreasing_counterpart` carry one. See
-    :func:`solve_roof` for the MeasureSpec-driven interface.
+    :func:`entroof.measures.decreasing_counterpart` carry one. Both are
+    called on stacks over restarts and line-search steps; a restart's
+    result is independent of the others when each entry of a stack comes
+    out as it would from a call on that entry alone. ``workers`` is as in
+    :func:`solve_roof`. See :func:`solve_roof` for the MeasureSpec-driven
+    interface.
     """
-    _check_solver_args(direction, restarts, max_iters, tol)
+    _check_solver_args(direction, restarts, max_iters, tol, workers)
     grad = getattr(objective, "grad", None)
     if not callable(grad):
         raise ValueError("objective needs a gradient: set objective.grad to a function "
                          "chi -> (values, d(|chi|^2 values)/d conj(chi))")
     return _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters,
-                  tol, seed, workers)
+                  tol, seed)
 
 
 def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, tol,
-           seed, workers) -> RoofResult:
+           seed) -> RoofResult:
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
                   grad)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(eng.run_restart, range(restarts)))
-    else:
-        outcomes = [eng.run_restart(k) for k in range(restarts)]
-
+    outcomes = eng.run()
     finals = np.array([o[0] for o in outcomes])
     best = int(np.argmin(finals))
-    best_f, best_v, trace, converged, stalls = outcomes[best]
+    best_f, best_v, trace, converged, stalls, _ = outcomes[best]
     if restarts > 1:
         second = float(np.min(np.delete(finals, best)))
         gap = abs(second - best_f)
@@ -431,6 +549,7 @@ def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, 
         restart_values=tuple(eng.sign * f for f in finals),
         best_restart=best,
         stall_iterations=tuple(stalls),
+        restart_iterations=tuple(o[5] for o in outcomes),
     )
 
 
@@ -439,8 +558,12 @@ def solve_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
 
     Runs ``restarts`` independent seeded descents and returns the best. The
     result value is an upper bound on the infimum when minimizing (lower
-    bound on the supremum when maximizing).
+    bound on the supremum when maximizing). ``workers`` is accepted for
+    compatibility and must be at least 1; restarts always run in one
+    lockstep batch, so it has no effect.
     """
+    _check_solver_args(problem.direction, problem.restarts, problem.max_iters, problem.tol,
+                       workers)
     spec, dims = problem.measure, problem.rho.dims
     return _solve(
         problem.rho,
@@ -452,7 +575,6 @@ def solve_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
         problem.max_iters,
         problem.tol,
         problem.seed,
-        workers,
     )
 
 

@@ -292,6 +292,19 @@ def test_roof_flag_errors_exit_3(capsys, files, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["roof", "{mixed}", "--measure", "e"],
+    ["sweep", "{mixed}", "--p-grid", "1.5:2:0.5"],
+    ["locc", "{meas}", "{bell}", "--measure", "e"],
+])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_exit_3(capsys, files, argv, workers):
+    code, out, err = run(capsys, [a.format(**files) for a in argv] + ["--workers", workers])
+    assert code == 3
+    assert out == ""
+    assert "workers must be >= 1" in err
+
+
 # --- locc -----------------------------------------------------------------------
 
 def test_locc_identity_zero_slack(capsys, files, tmp_path):

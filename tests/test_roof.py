@@ -27,7 +27,14 @@ from entroof.measures import (
     make_gradient,
     make_objective,
 )
-from entroof.roof import _channel_output_entropy, _eigen_factor, _Engine, rank_of
+from entroof.roof import (
+    LINE_SEARCH_RUNGS,
+    MAX_WORK_ENTRIES,
+    _channel_output_entropy,
+    _eigen_factor,
+    _Engine,
+    rank_of,
+)
 from entroof.sampling import (
     random_density,
     random_instrument,
@@ -39,7 +46,14 @@ from entroof.sampling import (
 )
 from entroof.states import PureState
 
-from util import DIMS22, bell, fd_gradient, sampling_oracle_roof, svd_member_e
+from util import (
+    DIMS22,
+    bell,
+    fd_gradient,
+    sampling_oracle_roof,
+    sequential_restart,
+    svd_member_e,
+)
 
 RNG = np.random.default_rng(31337)
 
@@ -373,6 +387,106 @@ def test_restart_depends_only_on_seed_and_index():
     for workers in (1, 2):
         two = solve_roof(RoofProblem(restarts=2, **base), workers=workers)
         assert two.restart_values == four.restart_values[:2]
+
+
+def test_workers_validated_without_effect():
+    rho = random_density(DIMS22, np.random.default_rng(59))
+    problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=3, max_iters=40, seed=2)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            solve_roof(problem, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            concave_roof(problem, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            solve_roof_custom(rho, make_objective(E_SPEC, DIMS22), workers=workers)
+    assert solve_roof(problem, workers=3).restart_values == solve_roof(problem).restart_values
+
+
+def test_batch_composition_cannot_change_a_restart(monkeypatch):
+    # a separable input, where the product polish fires and restarts
+    # finish at different iterations, and an entangled 2x3 input with
+    # line-search stalls: restart k must come out the same whichever
+    # restarts share its lockstep batch
+    polished = []
+    polish = _Engine.product_polish
+
+    def counting_polish(self, v, iters=60):
+        polished.append(len(v))
+        return polish(self, v, iters)
+
+    monkeypatch.setattr(_Engine, "product_polish", counting_polish)
+    separable = random_separable_density(DIMS22, np.random.default_rng(107))
+    entangled = random_density(BipartiteDims(2, 3), np.random.default_rng(1), 3)
+    cases = [
+        dict(rho=separable, measure=E_SPEC, ensemble_size=rank_of(separable), seed=0),
+        dict(rho=entangled, measure=S_SPEC, max_iters=200, seed=1),
+    ]
+    for base in cases:
+        five = solve_roof(RoofProblem(restarts=5, **base))
+        assert len(set(five.restart_iterations)) > 1
+        for k in range(5):
+            fewer = solve_roof(RoofProblem(restarts=k + 1, **base))
+            assert fewer.restart_values[k] == five.restart_values[k]
+            assert fewer.restart_iterations[k] == five.restart_iterations[k]
+            assert 0 < five.restart_iterations[k] <= RoofProblem(**base).max_iters
+        # restarts split over chunks of two come out as in one batch
+        problem = RoofProblem(restarts=5, **base)
+        engine = _Engine(problem.rho, make_objective(problem.measure, problem.rho.dims),
+                         "minimize", problem.ensemble_size, 5, problem.max_iters,
+                         problem.tol, problem.seed)
+        engine.chunk = 2
+        chunked = engine.run()
+        assert tuple(o[0] for o in chunked) == five.restart_values
+        assert tuple(o[5] for o in chunked) == five.restart_iterations
+    assert polished
+    stalled = solve_roof(RoofProblem(restarts=5, **cases[1]))
+    assert stalled.stall_iterations
+
+
+def test_lockstep_batch_matches_sequential_restarts():
+    # every restart of the lockstep batch equals, bit for bit, the same
+    # restart descended alone one iterate at a time: smoothing stages,
+    # Barzilai-Borwein steps, backtracking, stalls, polish, budgets
+    def constant(s):
+        return np.full(s.shape[:-1], 0.25)
+
+    constant.grad = lambda chi: (constant(chi), 0.25 * chi)
+    rng = np.random.default_rng(71)
+    separable = random_separable_density(DIMS22, np.random.default_rng(107))
+    mixed = random_density(DIMS22, rng, 3)
+    entangled = random_density(BipartiteDims(2, 3), rng, 3)
+    cases = [
+        (mixed, make_objective(S_SPEC, DIMS22), "minimize", None, 6, 2000),
+        (mixed, make_objective(E_SPEC, DIMS22), "maximize", None, 3, 2000),
+        (separable, make_objective(E_SPEC, DIMS22), "minimize", rank_of(separable), 4, 2000),
+        (entangled, make_objective(S_SPEC, entangled.dims), "minimize", None, 3, 60),
+        (mixed, constant, "minimize", None, 2, 2000),
+    ]
+    for rho, objective, direction, m, restarts, max_iters in cases:
+        engine = _Engine(rho, objective, direction, m, restarts, max_iters, 1e-9, 5)
+        for k, got in enumerate(engine.run()):
+            want = sequential_restart(engine, k)
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2:] == want[2:]
+
+
+def test_restart_chunk_bounded_before_allocation():
+    # the default m = r^2 of a full-rank 8x8 state with 32 restarts: the
+    # engine picks its chunk of lockstep restarts without allocating, and
+    # the line search's stacked member vectors fit the work limit
+    big = random_density(BipartiteDims(8, 8), np.random.default_rng(53))
+    objective = make_objective(E_SPEC, big.dims)
+    tracemalloc.start()
+    try:
+        engine = _Engine(big, objective, "minimize", None, 32, 2000, 1e-9, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert engine.m == 64 * 64
+    assert 1 <= engine.chunk < 32
+    assert LINE_SEARCH_RUNGS * engine.chunk * engine.m * engine.n <= MAX_WORK_ENTRIES
+    assert peak < 1_000_000
 
 
 # --- exact gradient --------------------------------------------------------------

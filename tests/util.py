@@ -125,3 +125,103 @@ def fd_gradient(member_contrib, chi: np.ndarray, b: np.ndarray,
     c = member_contrib(chi[:, None, None, None, :] + delta[None])  # (m, r, part, sign)
     g = (c[..., 0] - c[..., 1]) / (2.0 * step)
     return g[..., 0] + 1j * g[..., 1]
+
+
+def sequential_restart(engine, k: int):
+    """Restart k of a roof ``engine`` (``entroof.roof._Engine``), run alone
+    with one iterate at a time: the reference for the lockstep batch.
+
+    Returns (best_f, best_v, trace, converged, stalls, iterations), the
+    outcome the engine's ``run`` gives for restart k.
+    """
+    from entroof.roof import (LINE_SEARCH_RUNGS, POLISH_EVERY, POLISH_THRESHOLD,
+                              SMOOTHING_STAGES, STALL_NUDGE, WINDOW, _qr_fix)
+
+    b = engine.b
+
+    def total(v, eps=0.0):
+        chi = v @ b.T
+        vals = engine.objective(chi)
+        if eps:
+            vals = np.sqrt(vals * vals + eps * eps) - eps
+        return float(np.sum(engine.sign * (np.sum(np.abs(chi) ** 2, axis=-1) * vals)))
+
+    def gradient(v, eps):
+        chi = v @ b.T
+        f, g = engine.grad(chi)
+        if eps:
+            root = np.sqrt(f * f + eps * eps)
+            slope = f / root
+            g = (root - eps - slope * f)[:, None] * chi + slope[:, None] * g
+        return 2.0 * engine.sign * (g @ b.conj())
+
+    def polish(v, iters=60):
+        for _ in range(iters):
+            c = (v @ b.T).reshape(-1, engine.da, engine.db)
+            u, s, vh = np.linalg.svd(c)
+            tau = (s[:, 0, None, None] * u[:, :, :1] @ vh[:, :1, :]).reshape(-1, engine.n)
+            u2, _, w2 = np.linalg.svd(tau @ b.conj(), full_matrices=False)
+            v_new = u2 @ w2
+            if float(np.max(np.abs(v_new - v))) < 1e-14:
+                return v_new
+            v = v_new
+        return v
+
+    rng = np.random.default_rng(np.random.SeedSequence([engine.seed, k]))
+    v = engine._initial_point(k, rng)
+    best_f, best_v = total(v), v
+    trace, stalls = [], []
+    it = 0
+    converged = False
+    for eps in SMOOTHING_STAGES:
+        f = total(v, eps)
+        prev_v = prev_xi = step = None
+        stage_trace = []
+        converged = False
+        while it < engine.max_iters:
+            grad = gradient(v, eps)
+            xi = grad - v @ ((v.conj().T @ grad + grad.conj().T @ v) / 2.0)
+            gnorm2 = float(np.sum(np.abs(xi) ** 2))
+            if prev_v is not None:
+                s, y = v - prev_v, xi - prev_xi
+                num = float(np.sum((s.conj() * s).real))
+                den = float(np.sum((s.conj() * y).real))
+                step = num / den if den > 1e-300 and np.isfinite(den) else None
+            accepted = False
+            if gnorm2 > 0.0:
+                t = step if step and 0.0 < step < 1e6 else 1.0 / np.sqrt(gnorm2)
+                for _ in range(LINE_SEARCH_RUNGS):
+                    v_new = _qr_fix(v - t * xi)
+                    f_new = total(v_new, eps)
+                    if f_new <= f - 1e-4 * t * gnorm2:
+                        prev_v, prev_xi, v, f = v, xi, v_new, f_new
+                        accepted = True
+                        break
+                    t *= 0.5
+            if not accepted:
+                stalls.append(it)
+                v = _qr_fix(v + STALL_NUDGE * (
+                    rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)))
+                f = total(v, eps)
+                prev_v = prev_xi = step = None
+            if (engine.sign > 0 and f < POLISH_THRESHOLD
+                    and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
+                cand = polish(v)
+                f_cand = total(cand, eps)
+                if f_cand < f:
+                    v, f = cand, f_cand
+                    prev_v = prev_xi = step = None
+            raw = f if eps == 0.0 else total(v)
+            if raw < best_f:
+                best_f, best_v = raw, v
+            trace.append(best_f)
+            stage_trace.append(f)
+            it += 1
+            j = len(stage_trace) - 1
+            if j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j] < max(engine.tol,
+                                                                              eps * 1e-3):
+                converged = True
+                break
+        if not converged:
+            break
+    return best_f, best_v, trace, converged, stalls, it
