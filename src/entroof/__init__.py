@@ -45,7 +45,6 @@ from .roof import (
     channel_entropy,
     concave_roof,
     ensemble_from_isometry,
-    entanglement_number_mixed,
     solve_roof,
     solve_roof_custom,
 )

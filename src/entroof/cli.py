@@ -76,11 +76,18 @@ def _spec_config(spec: MeasureSpec) -> dict:
     }
 
 
+def _check_roof_flags(args) -> None:
+    """Reject out-of-range roof flags, also where no roof is solved."""
+    with _solver_errors():
+        _check_solver_args("minimize", args.restarts, RoofProblem.max_iters, args.tol,
+                           args.workers)
+
+
 def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
-    """RoofProblem keywords from the roof flags, and their echo for the
-    report's config (workers is reported with the timings: it changes
-    neither execution nor results). The flags are checked here, so that
-    ``locc`` rejects bad values even when its audit solves no roof."""
+    """RoofProblem keywords from the checked roof flags, and their echo for
+    the report's config (workers is reported with the timings: it changes
+    neither execution nor results)."""
+    _check_roof_flags(args)
     opts = {"ensemble_size": args.m, "restarts": args.restarts, "tol": args.tol,
             "seed": args.seed}
     config = {**opts, "max_iters": RoofProblem.max_iters,
@@ -88,9 +95,6 @@ def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
     if "direction" in args:  # the LOCC audit always minimizes
         opts["direction"] = "minimize" if args.direction == "min" else "maximize"
         config["direction"] = args.direction
-    with _solver_errors():
-        _check_solver_args(opts.get("direction", "minimize"), args.restarts,
-                           RoofProblem.max_iters, args.tol, args.workers)
     return opts, config
 
 
@@ -201,6 +205,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
     state = fileio.load_state(args.state)
     grid = _parse_grid(args.p_grid)
     if isinstance(state, PureState):
+        _check_roof_flags(args)
         mode, roof_config = "pure", None
         rows = [{"p": p, "value": p_number_pure(state, p), "gap_estimate": 0.0} for p in grid]
     else:

@@ -91,13 +91,33 @@ def validate_spec_dims(spec: MeasureSpec, dims: BipartiteDims) -> None:
 # spectra of coefficient matrices, vectorized over leading axes
 
 
+def _gram2(c: np.ndarray, da: int, db: int):
+    """d = 2 Gram matrix of c (..., da, db): the rows x, y of C (columns if da > db),
+    g00 = |x|^2, g11 = |y|^2, g01 = <y, x>, and eigenvalues hi >= lo >= 0."""
+    x, y = (c[..., 0, :], c[..., 1, :]) if da <= db else (c[..., :, 0], c[..., :, 1])
+    g00 = np.sum(np.abs(x) ** 2, axis=-1)
+    g11 = np.sum(np.abs(y) ** 2, axis=-1)
+    # a named conjugate fixes the operand order: numpy may evaluate
+    # x * <large temporary> in place as temporary * x, and complex
+    # products are not bitwise commutative, so results would depend on
+    # the stack size
+    y_conj = y.conj()
+    g01 = np.sum(x * y_conj, axis=-1)
+    tr = g00 + g11
+    det = g00 * g11 - np.abs(g01) ** 2
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    hi = np.maximum((tr + disc) / 2.0, 0.0)
+    lo = np.maximum((tr - disc) / 2.0, 0.0)
+    return x, y, g00, g11, g01, hi, lo
+
+
 def gram_spectra(states: np.ndarray, dims: BipartiteDims) -> np.ndarray:
     """Descending eigenvalues of C C^dagger for a stack of state vectors.
 
     ``states`` has shape (..., dim_a*dim_b); the result has shape (..., d)
     with d = min(dim_a, dim_b). For normalized inputs the rows sum to one
-    (these are the squared Schmidt coefficients). Dimension-2 spectra use
-    the closed-form 2x2 eigenvalues, avoiding per-matrix LAPACK calls.
+    (these are the squared Schmidt coefficients). Dimension-2 spectra come
+    in closed form from :func:`_gram2`, as in the d = 2 gradient.
     """
     da, db = dims.dim_a, dims.dim_b
     c = states.reshape(states.shape[:-1] + (da, db))
@@ -106,21 +126,7 @@ def gram_spectra(states: np.ndarray, dims: BipartiteDims) -> np.ndarray:
         w = np.sum(np.abs(states) ** 2, axis=-1)
         return w[..., None]
     if d == 2:
-        x, y = (c[..., 0, :], c[..., 1, :]) if da <= db else (c[..., :, 0], c[..., :, 1])
-        g00 = np.sum(np.abs(x) ** 2, axis=-1)
-        g11 = np.sum(np.abs(y) ** 2, axis=-1)
-        # a named conjugate fixes the operand order: numpy may evaluate
-        # x * <large temporary> in place as temporary * x, and complex
-        # products are not bitwise commutative, so results would depend on
-        # the stack size
-        y_conj = y.conj()
-        g01 = np.sum(x * y_conj, axis=-1)
-        tr = g00 + g11
-        det = g00 * g11 - np.abs(g01) ** 2
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        hi = np.maximum((tr + disc) / 2.0, 0.0)
-        lo = np.maximum((tr - disc) / 2.0, 0.0)
-        return np.stack([hi, lo], axis=-1)
+        return np.stack(_gram2(c, da, db)[5:], axis=-1)
     if da <= db:
         g = np.einsum("...ik,...jk->...ij", c, c.conj())
     else:
@@ -333,6 +339,10 @@ def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
     dg/dmu_i = F + F'_i - sum_j lambda_j F'_j and
     d/dC^* = U diag(dg/dmu) U^dagger C (C U diag U^dagger when the C^dagger C
     side is the smaller one).
+
+    For d = 2, G and its spectrum come from :func:`_gram2` (``values`` is
+    :func:`make_objective`'s, bitwise) and P = c_lo I + (c_hi - c_lo) (G - lo I)
+    / (hi - lo) needs no LAPACK call; a tie hi = lo takes P = mean(c) I.
     """
     validate_spec_dims(spec, dims)
     measure = MEASURES[spec.kind]
@@ -340,16 +350,31 @@ def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
 
     def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = chi.reshape(chi.shape[:-1] + (da, db))
-        ch = c.conj().swapaxes(-1, -2)
-        mu, u = np.linalg.eigh(c @ ch if da <= db else ch @ c)
-        mu = np.maximum(mu[..., ::-1], 0.0)
-        u = u[..., ::-1]
+        if dims.d == 2:
+            x, y, g00, g11, g01, hi, lo = _gram2(c, da, db)
+            mu = np.stack([hi, lo], axis=-1)
+        else:
+            ch = c.conj().swapaxes(-1, -2)
+            mu, u = np.linalg.eigh(c @ ch if da <= db else ch @ c)
+            mu = np.maximum(mu[..., ::-1], 0.0)
+            u = u[..., ::-1]
         lams = mu / np.maximum(np.sum(mu, axis=-1, keepdims=True), 1e-300)
         f = measure.value(spec, lams, dims.d)
         fp = measure.deriv(spec, lams, dims.d)
         coef = f[..., None] + fp - np.sum(lams * fp, axis=-1, keepdims=True)
-        proj = (u * coef[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        g = proj @ c if da <= db else c @ proj
+        if dims.d == 2:
+            tie = hi == lo
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = np.where(tie, 0.0, (coef[..., 0] - coef[..., 1]) / (hi - lo))
+            base = np.where(tie, 0.5 * (coef[..., 0] + coef[..., 1]), coef[..., 1])
+            p00, p11 = base + slope * (g00 - lo), base + slope * (g11 - lo)
+            p01 = slope * g01
+            g = np.stack([p00[..., None] * x + p01[..., None] * y,
+                          p01.conj()[..., None] * x + p11[..., None] * y],
+                         axis=-2 if da <= db else -1)
+        else:
+            proj = (u * coef[..., None, :]) @ u.conj().swapaxes(-1, -2)
+            g = proj @ c if da <= db else c @ proj
         return f, g.reshape(chi.shape)
 
     return gradient

@@ -19,6 +19,7 @@ the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
 d(|chi|^2 f)/dchi^* (its ``grad``; for built-in measures the derivative of
 a spectral function, :func:`entroof.measures.make_gradient`), and the
 smoothing stage's sqrt(f^2 + eps^2) - eps is applied to it in closed form.
+An iterate's raw (eps = 0) objective comes from its stage evaluation.
 
 All restarts of a solve descend in lockstep as one stack of isometries
 (R, m, r): each step makes one gradient call, one tangent projection and a
@@ -260,22 +261,26 @@ class _Engine:
         # above) and SCREEN_CANDIDATES > 6 * LINE_SEARCH_RUNGS
         self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * m * self.n))
 
-    def member_contrib(self, chi: np.ndarray, eps=0.0) -> np.ndarray:
-        """Weight-times-measure of unnormalized member vectors (..., n).
+    def member_contrib(self, chi: np.ndarray, eps=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Weight-times-measure of unnormalized member vectors (..., n), at
+        the smoothing stage and raw (eps = 0), from one objective call.
 
         ``eps`` is the smoothing stage: a float, or an array over the stack
         axes of members (..., m, n), one stage per isometry.
         """
         w = np.sum(np.abs(chi) ** 2, axis=-1)
         vals = self.objective(chi)
+        raw = self.sign * (w * vals)
         e = np.asarray(eps)[..., None]
-        if np.any(e):
-            vals = np.where(e > 0, np.sqrt(vals * vals + e * e) - e, vals)
-        return self.sign * (w * vals)
+        if not np.any(e):
+            return raw, raw
+        vals = np.where(e > 0, np.sqrt(vals * vals + e * e) - e, vals)
+        return self.sign * (w * vals), raw
 
-    def totals(self, v: np.ndarray, eps=0.0) -> np.ndarray:
-        """Objective of each isometry in a stack (..., m, r)."""
-        return np.sum(self.member_contrib(v @ self.b.T, eps), axis=-1)
+    def totals(self, v: np.ndarray, eps=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Stage and raw objective of each isometry in a stack (..., m, r)."""
+        stage, raw = self.member_contrib(v @ self.b.T, eps)
+        return np.sum(stage, axis=-1), np.sum(raw, axis=-1)
 
     def _gradient(self, chi: np.ndarray, eps) -> np.ndarray:
         """d total / d Re V + i d total / d Im V at the members chi = V B^T,
@@ -323,7 +328,7 @@ class _Engine:
         shape = (SCREEN_CANDIDATES, self.m, self.r)
         vs = _qr_fix(rng.normal(size=shape) + 1j * rng.normal(size=shape))
         totals = np.sum(self.member_contrib(
-            np.einsum("smr,nr->smn", vs, self.b)), axis=-1)
+            np.einsum("smr,nr->smn", vs, self.b))[0], axis=-1)
         return vs[int(np.argmin(totals))].copy()  # a view would keep all of vs alive
 
     def _line_search(self, v, xi, f, t, gnorm2, eps):
@@ -333,25 +338,26 @@ class _Engine:
         Rungs are tried in blocks of 1, 2, 4, ... for every row still
         searching, so a row that passes early costs about what it would
         alone, and each block is one stacked call.
-        Returns (ok, v_new, f_new); rows with ok False found no rung."""
+        Returns (ok, v_new, f_new, raw_new); rows with ok False found no rung."""
         ok = np.zeros(len(v), dtype=bool)
-        v_new, f_new = np.empty_like(v), np.empty_like(f)
+        v_new, f_new, raw_new = np.empty_like(v), np.empty_like(f), np.empty_like(f)
         rows = np.arange(len(v))
         ladder = t[:, None]  # rungs of the current block, one row per iterate
         lo = 0
         while True:
             vs = _qr_fix(v[rows, None] - ladder[..., None, None] * xi[rows, None])
-            fs = self.totals(vs, eps[rows, None])
+            fs, raws = self.totals(vs, eps[rows, None])
             armijo = fs <= f[rows, None] - 1e-4 * ladder * gnorm2[rows, None]
             rung = np.argmax(armijo, axis=1)
             hit = armijo[np.arange(rows.size), rung]
             ok[rows[hit]] = True
             v_new[rows[hit]] = vs[hit, rung[hit]]
             f_new[rows[hit]] = fs[hit, rung[hit]]
+            raw_new[rows[hit]] = raws[hit, rung[hit]]
             rows = rows[~hit]
             lo += ladder.shape[1]
             if not rows.size or lo == LINE_SEARCH_RUNGS:
-                return ok, v_new, f_new
+                return ok, v_new, f_new, raw_new
             # halve step by step from each row's last rung, as a sequential
             # search would; a block stacks at most as many isometries as
             # start screening, which sets the solve's peak memory
@@ -384,11 +390,11 @@ class _Engine:
         """
         rngs = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
         v = np.stack([self._initial_point(k, rng) for k, rng in zip(ks, rngs)])
-        best_f, best_v = self.totals(v), v.copy()
         stages = np.array(SMOOTHING_STAGES)
         stage = np.zeros(len(ks), dtype=int)
         eps = stages[stage]
-        f = self.totals(v, eps)
+        f, best_f = self.totals(v, eps)
+        best_v, raw = v.copy(), best_f.copy()
         start = np.zeros(len(ks), dtype=int)
         memory = np.zeros(len(ks), dtype=bool)
         prev_v, prev_xi = np.zeros_like(v), np.zeros_like(v)
@@ -417,11 +423,11 @@ class _Engine:
             if search.size:
                 st, g2 = step[search], gnorm2[search]
                 t = np.where((st > 0.0) & (st < 1e6), st, 1.0 / np.sqrt(g2))
-                ok, v_new, f_new = self._line_search(v[search], xi[search], f[search], t,
-                                                     g2, eps[search])
+                ok, v_new, f_new, raw_new = self._line_search(v[search], xi[search],
+                                                              f[search], t, g2, eps[search])
                 rows = search[ok]
                 prev_v[rows], prev_xi[rows] = v[rows], xi[rows]
-                v[rows], f[rows] = v_new[ok], f_new[ok]
+                v[rows], f[rows], raw[rows] = v_new[ok], f_new[ok], raw_new[ok]
                 memory[rows] = True
                 accepted[rows] = True
             stalled = np.flatnonzero(~accepted)
@@ -435,22 +441,18 @@ class _Engine:
                     noise.append(rng.normal(size=v.shape[1:])
                                  + 1j * rng.normal(size=v.shape[1:]))
                 v[stalled] = _qr_fix(v[stalled] + STALL_NUDGE * np.stack(noise))
-                f[stalled] = self.totals(v[stalled], eps[stalled])
+                f[stalled], raw[stalled] = self.totals(v[stalled], eps[stalled])
                 memory[stalled] = False
             if self.sign > 0:
                 due = np.flatnonzero((f < POLISH_THRESHOLD)
                                      & ((it - start) % POLISH_EVERY == POLISH_EVERY - 1))
                 if due.size:
                     cand = self.product_polish(v[due])
-                    f_cand = self.totals(cand, eps[due])
+                    f_cand, raw_cand = self.totals(cand, eps[due])
                     better = f_cand < f[due]
                     rows = due[better]
-                    v[rows], f[rows] = cand[better], f_cand[better]
+                    v[rows], f[rows], raw[rows] = cand[better], f_cand[better], raw_cand[better]
                     memory[rows] = False
-            raw = f.copy()
-            smoothed = np.flatnonzero(eps > 0.0)
-            if smoothed.size:
-                raw[smoothed] = self.totals(v[smoothed])
             better = raw < best_f
             best_f[better], best_v[better] = raw[better], v[better]
             best_rows.append(np.full(len(ks), np.nan))
@@ -470,7 +472,7 @@ class _Engine:
             if advance.size:
                 stage[advance] += 1
                 eps = stages[stage]
-                f[advance] = self.totals(v[advance], eps[advance])
+                f[advance] = self.totals(v[advance], eps[advance])[0]
                 start[advance] = it
                 memory[advance] = False
             done = (converged & last) | spent
@@ -479,8 +481,8 @@ class _Engine:
                                 bool(converged[i] and last[i]), it)
             if done.any():
                 keep = ~done
-                v, f, eps, stage, start, memory = (
-                    a[keep] for a in (v, f, eps, stage, start, memory))
+                v, f, raw, eps, stage, start, memory = (
+                    a[keep] for a in (v, f, raw, eps, stage, start, memory))
                 prev_v, prev_xi, best_f, best_v, pos = (
                     a[keep] for a in (prev_v, prev_xi, best_f, best_v, pos))
                 rngs = [rng for rng, k in zip(rngs, keep) if k]
@@ -581,12 +583,6 @@ def solve_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
 def concave_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
     """Maximizing counterpart of :func:`solve_roof` (for increasing monotones)."""
     return solve_roof(replace(problem, direction="maximize"), workers=workers)
-
-
-def entanglement_number_mixed(rho: DensityOperator, **opts) -> RoofResult:
-    """Convex-roof extension of the entanglement number to mixed states."""
-    problem = RoofProblem(rho=rho, measure=MeasureSpec("entanglement-number"), **opts)
-    return solve_roof(problem)
 
 
 def _check_kraus(kraus: list[np.ndarray]) -> tuple[np.ndarray, int]:

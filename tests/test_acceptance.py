@@ -21,7 +21,6 @@ from entroof import (
     concave_roof,
     concurrence_pure,
     entanglement_entropy_pure,
-    entanglement_number_mixed,
     entanglement_number_pure,
     entanglement_of_formation,
     geometric_measure_alternating,
@@ -176,15 +175,16 @@ def test_criterion_07_faithfulness():
     worst_sep = 0.0
     for i in range(30):
         rho = random_separable_density(DIMS22, rng)
-        res = entanglement_number_mixed(
-            rho, ensemble_size=rank_of(rho), restarts=16, seed=i)
+        res = solve_roof(RoofProblem(rho=rho, measure=MeasureSpec("entanglement-number"),
+                                     ensemble_size=rank_of(rho), restarts=16, seed=i))
         worst_sep = max(worst_sep, res.value)
     # NPT side: the roof value is an upper bound, so clearing 1e-3 is the
     # informative direction; restarts=8 suffices
     worst_npt = math.inf
     for i in range(30):
         rho = random_npt_density(DIMS22, rng, min_negativity=1e-2)
-        res = entanglement_number_mixed(rho, restarts=8, seed=i)
+        res = solve_roof(RoofProblem(rho=rho, measure=MeasureSpec("entanglement-number"),
+                                     restarts=8, seed=i))
         worst_npt = min(worst_npt, res.value)
     dt = time.perf_counter() - t0
     ok = worst_sep <= 1e-6 and worst_npt >= 1e-3 and dt < 300.0

@@ -284,6 +284,9 @@ def test_roof_ensemble_size_bound_exit_3(capsys, files):
     ["locc", "{meas}", "{bell}", "--measure", "e", "--m", "1"],
     ["locc", "{meas}", "{bell}", "--measure", "geometric", "--ranks", "1,2"],
     ["locc", "{meas}", "{bell}", "--measure", "e", "--direction", "max"],
+    # a pure-state sweep solves no roof but checks the roof flags all the same
+    ["sweep", "{bell}", "--p-grid", "1.5:2:0.5", "--restarts", "0"],
+    ["sweep", "{bell}", "--p-grid", "1.5:2:0.5", "--tol", "0"],
 ])
 def test_roof_flag_errors_exit_3(capsys, files, argv):
     code, out, err = run(capsys, [a.format(**files) for a in argv])
@@ -296,6 +299,7 @@ def test_roof_flag_errors_exit_3(capsys, files, argv):
     ["roof", "{mixed}", "--measure", "e"],
     ["sweep", "{mixed}", "--p-grid", "1.5:2:0.5"],
     ["locc", "{meas}", "{bell}", "--measure", "e"],
+    ["sweep", "{bell}", "--p-grid", "1.5:2:0.5"],
 ])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_exit_3(capsys, files, argv, workers):

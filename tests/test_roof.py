@@ -12,7 +12,6 @@ from entroof import (
     channel_entropy,
     concave_roof,
     ensemble_from_isometry,
-    entanglement_number_mixed,
     entanglement_number_pure,
     measure_value,
     solve_roof,
@@ -30,6 +29,7 @@ from entroof.measures import (
 from entroof.roof import (
     LINE_SEARCH_RUNGS,
     MAX_WORK_ENTRIES,
+    WINDOW,
     _channel_output_entropy,
     _eigen_factor,
     _Engine,
@@ -49,6 +49,7 @@ from entroof.states import PureState
 from util import (
     DIMS22,
     bell,
+    eigh_gradient,
     fd_gradient,
     sampling_oracle_roof,
     sequential_restart,
@@ -125,13 +126,13 @@ def test_pure_state_any_ensemble_size():
 
 def test_bell_projector_roof():
     rho = DensityOperator.from_pure(bell())
-    res = entanglement_number_mixed(rho, ensemble_size=2, restarts=4)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, ensemble_size=2, restarts=4))
     assert abs(res.value - 0.7071067811865475) < 1e-9
 
 
 def test_maximally_mixed_is_separable():
     rho = DensityOperator(np.eye(4) / 4, DIMS22)
-    res = entanglement_number_mixed(rho, restarts=8, seed=3)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=8, seed=3))
     assert res.value <= 1e-6
 
 
@@ -150,7 +151,7 @@ def test_mixed_bell_plus_01_matches_independent_oracle():
     m = 0.5 * bell().projector()
     m[1, 1] += 0.5
     rho = DensityOperator(m, DIMS22)
-    res = entanglement_number_mixed(rho, restarts=8, seed=7)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=8, seed=7))
     oracle = sampling_oracle_roof(rho, svd_member_e, samples=100_000, seed=11)
     assert abs(res.value - oracle) < 1e-4
     assert abs(res.value - 0.35355339059327373) < 1e-4
@@ -158,11 +159,11 @@ def test_mixed_bell_plus_01_matches_independent_oracle():
 
 def test_faithfulness_two_sided():
     sep = random_separable_density(DIMS22, RNG)
-    res = entanglement_number_mixed(
-        sep, ensemble_size=rank_of(sep), restarts=16, seed=2)
+    res = solve_roof(RoofProblem(
+        rho=sep, measure=E_SPEC, ensemble_size=rank_of(sep), restarts=16, seed=2))
     assert res.value <= 1e-6
     npt = random_npt_density(DIMS22, RNG)
-    assert entanglement_number_mixed(npt, restarts=8, seed=2).value >= 1e-3
+    assert solve_roof(RoofProblem(rho=npt, measure=E_SPEC, restarts=8, seed=2)).value >= 1e-3
 
 
 # --- optimizer contract --------------------------------------------------------
@@ -223,9 +224,9 @@ def test_roof_convexity():
     t = 0.35
     mix = DensityOperator(t * r1.matrix + (1 - t) * r2.matrix, DIMS22)
     opts = dict(restarts=8, seed=4)
-    vm = entanglement_number_mixed(mix, **opts)
-    v1 = entanglement_number_mixed(r1, **opts)
-    v2 = entanglement_number_mixed(r2, **opts)
+    vm = solve_roof(RoofProblem(rho=mix, measure=E_SPEC, **opts))
+    v1 = solve_roof(RoofProblem(rho=r1, measure=E_SPEC, **opts))
+    v2 = solve_roof(RoofProblem(rho=r2, measure=E_SPEC, **opts))
     budget = 2 * max(vm.gap_estimate, v1.gap_estimate, v2.gap_estimate) + 1e-6
     assert vm.value <= t * v1.value + (1 - t) * v2.value + budget
 
@@ -491,7 +492,9 @@ def test_restart_chunk_bounded_before_allocation():
 
 # --- exact gradient --------------------------------------------------------------
 
-GRAD_DIMS = [DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 2), BipartiteDims(3, 3)]
+GRAD_DIMS = [DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 2), BipartiteDims(3, 3),
+             BipartiteDims(2, 4), BipartiteDims(4, 2)]
+QUBIT_DIMS = [d for d in GRAD_DIMS if d.d == 2]
 
 
 def _gradient_specs(d):
@@ -522,7 +525,7 @@ def _check_against_fd(rho, objective, chi):
         engine = _Engine(rho, objective, direction, chi.shape[0], 1, 1, 1e-9, 0)
         for eps in (1e-3, 0.0):
             exact = engine._gradient(chi, eps)
-            probe = fd_gradient(lambda x: engine.member_contrib(x, eps), chi, engine.b)
+            probe = fd_gradient(lambda x: engine.member_contrib(x, eps)[0], chi, engine.b)
             err = np.linalg.norm(exact - probe) / np.linalg.norm(probe)
             assert err <= 1e-6, (direction, eps, err)
 
@@ -571,3 +574,73 @@ def test_gradient_finite_at_kinks(dims):
                          make_objective(spec, dims), "minimize", len(chi), 1, 1, 1e-9, 0)
         for eps in (1e-3, 0.0):
             assert np.all(np.isfinite(engine._gradient(chi, eps))), (spec, eps)
+
+
+@pytest.mark.parametrize("dims", QUBIT_DIMS, ids=_dims_id)
+def test_closed_form_d2_gradient_matches_eigh(dims):
+    # the d = 2 kernel against the eigh route on random members (every
+    # kind, both orientations), and its values against make_objective
+    rng = np.random.default_rng(79)
+    chi = rng.normal(size=(3, 4, dims.total)) + 1j * rng.normal(size=(3, 4, dims.total))
+    chi = np.concatenate([chi, np.eye(dims.total)[None, :4]])  # exact products
+    for spec in _gradient_specs(2):
+        f, g = make_gradient(spec, dims)(chi)
+        f_ref, g_ref = eigh_gradient(spec, dims)(chi)
+        np.testing.assert_array_equal(f, make_objective(spec, dims)(chi))
+        np.testing.assert_allclose(f, f_ref, rtol=1e-12, atol=1e-14)
+        err = np.max(np.abs(g - g_ref)) / np.max(np.abs(g_ref))
+        assert err <= 1e-12, (spec, err)
+
+
+@pytest.mark.parametrize("dims", QUBIT_DIMS, ids=_dims_id)
+def test_closed_form_d2_gradient_at_ties(dims):
+    # tied Schmidt values (maximally entangled members, the zero vector)
+    # take the mean coefficient times the identity, which for the top-one
+    # geometric measure is the subgradient C / 2 of lambda_max(C C^dagger);
+    # exact products have no tie and match the eigh route
+    c = np.zeros((dims.dim_a, dims.dim_b), dtype=complex)
+    c[[0, 1], [0, 1]] = [0.6, 0.6j]
+    tied = np.stack([c.ravel(), np.zeros(dims.total)])
+    products = np.eye(dims.total)[:3] * np.array([[1.0], [0.5j], [2.0]])
+    for spec in _gradient_specs(2):
+        f, g = make_gradient(spec, dims)(tied)
+        assert np.all(np.isfinite(f)) and np.all(np.isfinite(g)), spec
+        np.testing.assert_array_equal(f, make_objective(spec, dims)(tied))
+        np.testing.assert_array_equal(g[1], 0.0)
+        f_ref, g_ref = eigh_gradient(spec, dims)(products)
+        f, g = make_gradient(spec, dims)(products)
+        np.testing.assert_allclose(f, f_ref, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(g, g_ref, rtol=1e-12, atol=1e-15)
+    f, g = make_gradient(MeasureSpec("geometric", ranks=(1, 1)), dims)(tied[:1])
+    assert f[0] == pytest.approx(0.5, abs=1e-15)
+    np.testing.assert_allclose(g[0], 0.5 * tied[0], rtol=0, atol=1e-15)
+
+
+def test_smoothing_stage_evaluates_each_iterate_once():
+    # an iteration (from one gradient call to the next) passes each
+    # isometry's members to the objective at most once: the raw value of
+    # an accepted iterate comes from the line-search call that accepted
+    # it, not from a second evaluation
+    rho = random_density(DIMS22, np.random.default_rng(73), 3)
+    base = make_objective(S_SPEC, DIMS22)
+    calls: list[list[bytes]] = []
+    iterations = []
+
+    def objective(states):
+        if states.ndim >= 3 and iterations:  # isometry stacks, after start-up
+            calls[-1] += [b.tobytes() for b in states.reshape(-1, *states.shape[-2:])]
+        return base(states)
+
+    def gradient(chi):
+        iterations.append(len(chi))
+        calls.append([])
+        return base.grad(chi)
+
+    objective.grad = gradient
+    # within WINDOW iterations no restart leaves the smoothing stage
+    res = solve_roof_custom(rho, objective, restarts=3, max_iters=WINDOW, seed=5)
+    assert res.restart_iterations == (WINDOW,) * 3
+    assert len(calls) == WINDOW
+    for evaluated in calls:
+        assert evaluated
+        assert len(set(evaluated)) == len(evaluated)

@@ -127,6 +127,31 @@ def fd_gradient(member_contrib, chi: np.ndarray, b: np.ndarray,
     return g[..., 0] + 1j * g[..., 1]
 
 
+def eigh_gradient(spec, dims):
+    """Reference for ``entroof.measures.make_gradient``: the spectral
+    gradient U diag(dg/dmu) U^dagger C from a batched ``eigh`` of the
+    smaller Gram matrix, at every d (the library takes a closed form at
+    d = 2)."""
+    from entroof.measures import MEASURES
+
+    measure = MEASURES[spec.kind]
+    da, db = dims.as_tuple()
+
+    def gradient(chi):
+        c = chi.reshape(chi.shape[:-1] + (da, db))
+        ch = c.conj().swapaxes(-1, -2)
+        mu, u = np.linalg.eigh(c @ ch if da <= db else ch @ c)
+        mu, u = np.maximum(mu[..., ::-1], 0.0), u[..., ::-1]
+        lams = mu / np.maximum(np.sum(mu, axis=-1, keepdims=True), 1e-300)
+        f = measure.value(spec, lams, dims.d)
+        fp = measure.deriv(spec, lams, dims.d)
+        coef = f[..., None] + fp - np.sum(lams * fp, axis=-1, keepdims=True)
+        proj = (u * coef[..., None, :]) @ u.conj().swapaxes(-1, -2)
+        return f, (proj @ c if da <= db else c @ proj).reshape(chi.shape)
+
+    return gradient
+
+
 def sequential_restart(engine, k: int):
     """Restart k of a roof ``engine`` (``entroof.roof._Engine``), run alone
     with one iterate at a time: the reference for the lockstep batch.
