@@ -313,7 +313,9 @@ def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
     p.add_argument("--restarts", type=int, default=32, help="random restarts (default 32)")
     p.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="stopping tolerance over a 20-iteration window (default 1e-9)")
+                   help="a restart stops when its objective falls by less than this "
+                        "over 20 iterations, or sooner when its next step would gain "
+                        "only rounding error (default 1e-9)")
     if direction:
         p.add_argument("--direction", choices=["min", "max"], default="min",
                        help="convex (min) or concave (max) roof (default min)")

@@ -37,15 +37,22 @@ def _fail(invariant: str, message: str, residual: float = 0.0):
     raise InvariantViolation(invariant, residual, message)
 
 
+def _pairs_array(data) -> np.ndarray:
+    try:
+        return np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as e:  # non-numbers, ragged nesting
+        _fail("complex-pairs", f"expected numeric [re, im] pairs: {e}")
+
+
 def pairs_to_vector(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _pairs_array(data)
     if arr.ndim != 2 or arr.shape[1] != 2:
         _fail("complex-pairs", f"expected a list of [re, im] pairs, got shape {arr.shape}")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
 def pairs_to_matrix(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    arr = _pairs_array(data)
     if arr.ndim != 3 or arr.shape[2] != 2:
         _fail("complex-pairs", f"expected rows of [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -72,7 +79,7 @@ def _load_json(path):
 
 def _parse_dims(obj) -> BipartiteDims:
     if (not isinstance(obj, (list, tuple)) or len(obj) != 2
-            or not all(isinstance(x, int) for x in obj)):
+            or not all(isinstance(x, int) and not isinstance(x, bool) for x in obj)):
         _fail("dims", f"dims must be [dim_a, dim_b] integers, got {obj!r}")
     return BipartiteDims(int(obj[0]), int(obj[1]))
 
@@ -95,12 +102,18 @@ def load_state(path) -> PureState | DensityOperator:
 def _parse_node(obj, where: str) -> LoccNode:
     if not isinstance(obj, dict):
         _fail("tree-node", f"node at {where} must be an object")
+    for key in ("kraus", "children"):
+        if not isinstance(obj.get(key, []), list):
+            _fail("tree-node", f"'{key}' of the node at {where} must be a list")
     kraus = [pairs_to_matrix(k) for k in obj.get("kraus", [])]
     children = [
         _parse_node(c, f"{where}.{i}") for i, c in enumerate(obj.get("children", []))
     ]
-    party = obj.get("party", "A")
-    return LoccNode(party=party, kraus=tuple(kraus), children=tuple(children))
+    try:
+        return LoccNode(party=obj.get("party", "A"), kraus=tuple(kraus),
+                        children=tuple(children))
+    except ValueError as e:  # the party label
+        _fail("party", f"node at {where}: {e}")
 
 
 def load_tree(path) -> tuple[LoccNode, BipartiteDims]:

@@ -14,6 +14,15 @@ warms up on a slightly smoothed objective and periodically tries an
 alternating-projection product polish (see the constants below); both
 devices address the conic kinks faithful measures have at their zeros.
 
+A smoothing stage ends by one of two stopping rules. The rounding floor:
+once the spectral step t and the tangent gradient xi predict a decrease
+t |xi|^2 of at most FLOOR_ULPS ulps of the stage objective, the restart
+has converged to machine precision and stops at once, without a line
+search. The window: the stage objective fell by less than ``tol`` (or
+1e-3 times the smoothing parameter) over the last WINDOW iterations. A
+restart that spends ``max_iters`` before its last stage ends stops on its
+budget; ``RoofResult.restart_stops`` records which rule ended each one.
+
 Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
 the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
 d(|chi|^2 f)/dchi^* (its ``grad``; for built-in measures the derivative of
@@ -52,6 +61,12 @@ from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolati
 
 STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
 WINDOW = 20              # iterations over which the stopping rule measures progress
+# Rounding-floor stop: a row whose spectral step t and tangent gradient
+# |xi|^2 predict a decrease t |xi|^2 of at most FLOOR_ULPS ulps of its stage
+# objective f has converged to machine precision. Backtracking could only
+# trade rounding noise there, so the row ends its stage at once instead of
+# waiting out the WINDOW.
+FLOOR_ULPS = 16
 MEMBER_DROP = 1e-14      # ensemble members below this weight are dropped
 ISOMETRY_ATOL = 1e-10
 # Smoothing homotopy: the warmup stage descends sqrt(mu^2 + eps^2) - eps,
@@ -161,8 +176,12 @@ class RoofResult:
     ``objective_trace`` is the best restart's best-so-far objective per
     iteration; ``gap_estimate`` is the spread between the two best restarts,
     a heuristic optimality indicator, never a rigorous bound.
-    ``restart_values`` and ``restart_iterations`` hold each restart's best
-    objective and its number of iterations, in restart order.
+    ``restart_values``, ``restart_iterations`` and ``restart_stops`` hold
+    each restart's best objective, its number of iterations and why it
+    stopped, in restart order: "floor" (its last stage reached the rounding
+    floor), "window" (its last stage made less than ``tol`` progress over
+    WINDOW iterations) or "budget" (it spent ``max_iters`` without
+    converging).
     """
 
     value: float
@@ -174,6 +193,7 @@ class RoofResult:
     best_restart: int = field(default=0, compare=False)
     stall_iterations: tuple[int, ...] = field(default=(), compare=False)
     restart_iterations: tuple[int, ...] = field(default=(), compare=False)
+    restart_stops: tuple[str, ...] = field(default=(), compare=False)
 
 
 def _eigen_factor(rho: DensityOperator) -> np.ndarray:
@@ -369,7 +389,8 @@ class _Engine:
 
     def run(self) -> list:
         """Every restart, in chunks of ``chunk``: one outcome
-        (best_f, best_v, trace, converged, stalls, iterations) per restart."""
+        (best_f, best_v, trace, converged, stalls, iterations, stop) per
+        restart, where stop is "floor", "window" or "budget"."""
         outcomes = []
         for lo in range(0, self.restarts, self.chunk):
             outcomes += self._descend(range(lo, min(lo + self.chunk, self.restarts)))
@@ -385,7 +406,9 @@ class _Engine:
         batch. Row state: the iterate v, its stage
         objective f, the smoothing stage and the iteration it began, the
         step memory (prev_v, prev_xi) and the best raw objective so far.
-        A row leaves the batch when its last stage converges or its
+        A stage converges at the rounding floor (FLOOR_ULPS), where the row
+        skips its line search, stall nudge and polish, or by the WINDOW
+        rule. A row leaves the batch when its last stage converges or its
         iteration budget is spent.
         """
         rngs = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
@@ -418,8 +441,9 @@ class _Engine:
                 den = np.sum((s.conj() * y).real, axis=(-2, -1))
                 np.divide(num, den, out=step,
                           where=memory & (den > 1e-300) & np.isfinite(den))
+            floor = memory & (step * gnorm2 <= FLOOR_ULPS * np.finfo(float).eps * np.abs(f))
             accepted = np.zeros(len(pos), dtype=bool)
-            search = np.flatnonzero(gnorm2 > 0.0)
+            search = np.flatnonzero((gnorm2 > 0.0) & ~floor)
             if search.size:
                 st, g2 = step[search], gnorm2[search]
                 t = np.where((st > 0.0) & (st < 1e6), st, 1.0 / np.sqrt(g2))
@@ -430,7 +454,7 @@ class _Engine:
                 v[rows], f[rows], raw[rows] = v_new[ok], f_new[ok], raw_new[ok]
                 memory[rows] = True
                 accepted[rows] = True
-            stalled = np.flatnonzero(~accepted)
+            stalled = np.flatnonzero(~(accepted | floor))
             if stalled.size:
                 # likely a non-smooth point (degenerate Schmidt values):
                 # nudge the iterate and reset the step memory
@@ -444,7 +468,7 @@ class _Engine:
                 f[stalled], raw[stalled] = self.totals(v[stalled], eps[stalled])
                 memory[stalled] = False
             if self.sign > 0:
-                due = np.flatnonzero((f < POLISH_THRESHOLD)
+                due = np.flatnonzero((f < POLISH_THRESHOLD) & ~floor
                                      & ((it - start) % POLISH_EVERY == POLISH_EVERY - 1))
                 if due.size:
                     cand = self.product_polish(v[due])
@@ -460,12 +484,13 @@ class _Engine:
             f_rows.append(np.full(len(ks), np.nan))
             f_rows[-1][pos] = f
             it += 1
-            # stopping rule: progress over the last WINDOW iterations of the stage
-            converged = np.zeros(len(pos), dtype=bool)
+            # stopping rules: the rounding floor, or progress over the last
+            # WINDOW iterations of the stage
+            converged = floor.copy()
             window = it - 1 - start >= WINDOW
             if window.any():
-                converged = window & (f_rows[0][pos] - f
-                                      < np.maximum(self.tol, eps * 1e-3))
+                converged |= window & (f_rows[0][pos] - f
+                                       < np.maximum(self.tol, eps * 1e-3))
             last = stage == len(SMOOTHING_STAGES) - 1
             spent = it >= self.max_iters
             advance = np.flatnonzero(converged & ~last & (not spent))
@@ -477,8 +502,9 @@ class _Engine:
                 memory[advance] = False
             done = (converged & last) | spent
             for i in np.flatnonzero(done):
-                ends[pos[i]] = (float(best_f[i]), best_v[i].copy(),
-                                bool(converged[i] and last[i]), it)
+                conv = bool(converged[i] and last[i])
+                stop = "budget" if not conv else "floor" if floor[i] else "window"
+                ends[pos[i]] = (float(best_f[i]), best_v[i].copy(), conv, it, stop)
             if done.any():
                 keep = ~done
                 v, f, raw, eps, stage, start, memory = (
@@ -487,8 +513,8 @@ class _Engine:
                     a[keep] for a in (prev_v, prev_xi, best_f, best_v, pos))
                 rngs = [rng for rng, k in zip(rngs, keep) if k]
         trace_table = np.array(best_rows)
-        return [(bf, bv, trace_table[:iters, i].tolist(), conv, stalls[i], iters)
-                for i, (bf, bv, conv, iters) in enumerate(ends)]
+        return [(bf, bv, trace_table[:iters, i].tolist(), conv, stalls[i], iters, stop)
+                for i, (bf, bv, conv, iters, stop) in enumerate(ends)]
 
 
 def solve_roof_custom(
@@ -532,7 +558,7 @@ def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, 
     outcomes = eng.run()
     finals = np.array([o[0] for o in outcomes])
     best = int(np.argmin(finals))
-    best_f, best_v, trace, converged, stalls, _ = outcomes[best]
+    best_f, best_v, trace, converged, stalls = outcomes[best][:5]
     if restarts > 1:
         second = float(np.min(np.delete(finals, best)))
         gap = abs(second - best_f)
@@ -552,6 +578,7 @@ def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, 
         best_restart=best,
         stall_iterations=tuple(stalls),
         restart_iterations=tuple(o[5] for o in outcomes),
+        restart_stops=tuple(o[6] for o in outcomes),
     )
 
 

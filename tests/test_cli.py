@@ -359,6 +359,37 @@ def test_locc_deep_tree_file_exit_2(capsys, files, tmp_path):
     assert "json-depth" in err
 
 
+MEAS_KRAUS = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+              [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+
+
+@pytest.mark.parametrize("command,doc,invariant", [
+    ("locc", {"dims": [2, 2], "root": {"party": "A", "kraus": MEAS_KRAUS, "children": 5}},
+     "tree-node"),
+    ("locc", {"dims": [2, 2], "root": {"party": "A", "kraus": 7}}, "tree-node"),
+    ("locc", {"dims": [2, 2], "root": {"party": ["A"]}}, "party"),
+    ("measure", {"kind": "pure", "dims": [2, 2], "data": [["a", "b"]]}, "complex-pairs"),
+    ("measure", {"kind": "pure", "dims": [2, 2], "data": [[1.0, 0.0], [0.0]]},
+     "complex-pairs"),
+    ("roof", {"kind": "density", "dims": [1, 2], "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0]]]},
+     "complex-pairs"),
+    ("measure", {"kind": "pure", "dims": [True, 2], "data": [[1.0, 0.0], [0.0, 0.0]]},
+     "dims"),
+], ids=["children-int", "kraus-int", "party-list", "data-strings", "ragged-vector",
+        "ragged-matrix", "dims-bool"])
+def test_malformed_file_exit_2(capsys, files, tmp_path, command, doc, invariant):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    if command == "locc":
+        argv = ["locc", str(path), files["bell"], "--measure", "e", "--restarts", "1"]
+    else:
+        argv = [command, str(path), "--measure", "e"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert f"invariant '{invariant}'" in err
+    assert out == ""
+
+
 def test_python_dash_m_entry(files):
     import subprocess
     import sys

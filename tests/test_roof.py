@@ -340,19 +340,51 @@ def test_ensemble_size_bound_checked_before_allocation():
 
 
 def test_stall_metadata_recorded():
-    # constant measures have zero gradient everywhere: every iteration
-    # stalls, the nudge fires, and the run still terminates cleanly
+    # a constant objective with a gradient whose tangent part is large and
+    # no descent direction: every line search stalls, the nudge fires, and
+    # the run still terminates cleanly
     rho = random_density(DIMS22, RNG)
 
     def constant(s):
         return np.full(s.shape[:-1], 0.25)
 
-    # d(|chi|^2 * 0.25)/d chi^* = 0.25 chi, whose tangent component is zero
-    constant.grad = lambda chi: (constant(chi), 0.25 * chi)
+    # the 1e3j chi term adds 2e3j V diag(p) to the gradient at every V: a
+    # tangent direction (it rotates the phases of V's columns)
+    constant.grad = lambda chi: (constant(chi), 0.25 * chi + 1e3j * chi)
     res = solve_roof_custom(rho, constant, restarts=1, seed=0)
     assert res.converged
     assert len(res.stall_iterations) > 0
     assert abs(res.value - 0.25) < 1e-12
+
+
+def test_restart_stop_reasons():
+    # d(|chi|^2 * 0.25)/d chi^* = 0.25 chi, whose tangent component is
+    # rounding noise: both stages stop at the rounding floor, long before
+    # a WINDOW of iterations could pass
+    rho = random_density(DIMS22, RNG)
+
+    def constant(s):
+        return np.full(s.shape[:-1], 0.25)
+
+    constant.grad = lambda chi: (constant(chi), 0.25 * chi)
+    res = solve_roof_custom(rho, constant, restarts=3, seed=0)
+    assert res.restart_stops == ("floor",) * 3
+    assert max(res.restart_iterations) < WINDOW
+    assert res.converged
+    assert abs(res.value - 0.25) < 1e-12
+    # "budget" exactly when a restart spends max_iters without converging
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(2), 4)
+    problem = RoofProblem(rho=rho, measure=S_SPEC, restarts=5, max_iters=200, seed=1)
+    res = solve_roof(problem)
+    engine = _Engine(rho, make_objective(S_SPEC, rho.dims), "minimize", None, 5, 200,
+                     problem.tol, 1)
+    outcomes = engine.run()
+    assert tuple(o[6] for o in outcomes) == res.restart_stops
+    assert {"budget", "window"} <= set(res.restart_stops)
+    for _, _, _, converged, _, iterations, stop in outcomes:
+        assert (stop == "budget") == (not converged)
+        assert stop != "budget" or iterations == problem.max_iters
+    assert res.converged == (res.restart_stops[res.best_restart] != "budget")
 
 
 def test_custom_objective_needs_gradient():
@@ -405,9 +437,10 @@ def test_workers_validated_without_effect():
 
 def test_batch_composition_cannot_change_a_restart(monkeypatch):
     # a separable input, where the product polish fires and restarts
-    # finish at different iterations, and an entangled 2x3 input with
-    # line-search stalls: restart k must come out the same whichever
-    # restarts share its lockstep batch
+    # finish at different iterations, and an entangled 2x3 input whose
+    # line searches stall at the top-1 ties of the geometric measure:
+    # restart k must come out the same whichever restarts share its
+    # lockstep batch
     polished = []
     polish = _Engine.product_polish
 
@@ -417,10 +450,11 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
 
     monkeypatch.setattr(_Engine, "product_polish", counting_polish)
     separable = random_separable_density(DIMS22, np.random.default_rng(107))
-    entangled = random_density(BipartiteDims(2, 3), np.random.default_rng(1), 3)
+    entangled = random_density(BipartiteDims(2, 3), np.random.default_rng(3), 3)
     cases = [
         dict(rho=separable, measure=E_SPEC, ensemble_size=rank_of(separable), seed=0),
-        dict(rho=entangled, measure=S_SPEC, max_iters=200, seed=1),
+        dict(rho=entangled, measure=MeasureSpec("geometric", ranks=(1, 1)), max_iters=200,
+             seed=1),
     ]
     for base in cases:
         five = solve_roof(RoofProblem(restarts=5, **base))
@@ -447,7 +481,8 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
 def test_lockstep_batch_matches_sequential_restarts():
     # every restart of the lockstep batch equals, bit for bit, the same
     # restart descended alone one iterate at a time: smoothing stages,
-    # Barzilai-Borwein steps, backtracking, stalls, polish, budgets
+    # Barzilai-Borwein steps, backtracking, stalls, polish, budgets and
+    # both stopping rules
     def constant(s):
         return np.full(s.shape[:-1], 0.25)
 
@@ -463,6 +498,7 @@ def test_lockstep_batch_matches_sequential_restarts():
         (entangled, make_objective(S_SPEC, entangled.dims), "minimize", None, 3, 60),
         (mixed, constant, "minimize", None, 2, 2000),
     ]
+    stops, stalled = set(), False
     for rho, objective, direction, m, restarts, max_iters in cases:
         engine = _Engine(rho, objective, direction, m, restarts, max_iters, 1e-9, 5)
         for k, got in enumerate(engine.run()):
@@ -470,6 +506,10 @@ def test_lockstep_batch_matches_sequential_restarts():
             assert got[0] == want[0]
             np.testing.assert_array_equal(got[1], want[1])
             assert got[2:] == want[2:]
+            stops.add(got[6])
+            stalled |= bool(got[4])
+    assert stops == {"floor", "window", "budget"}
+    assert stalled
 
 
 def test_restart_chunk_bounded_before_allocation():

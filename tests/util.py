@@ -156,11 +156,12 @@ def sequential_restart(engine, k: int):
     """Restart k of a roof ``engine`` (``entroof.roof._Engine``), run alone
     with one iterate at a time: the reference for the lockstep batch.
 
-    Returns (best_f, best_v, trace, converged, stalls, iterations), the
-    outcome the engine's ``run`` gives for restart k.
+    Returns (best_f, best_v, trace, converged, stalls, iterations, stop),
+    the outcome the engine's ``run`` gives for restart k.
     """
-    from entroof.roof import (LINE_SEARCH_RUNGS, POLISH_EVERY, POLISH_THRESHOLD,
-                              SMOOTHING_STAGES, STALL_NUDGE, WINDOW, _qr_fix)
+    from entroof.roof import (FLOOR_ULPS, LINE_SEARCH_RUNGS, POLISH_EVERY,
+                              POLISH_THRESHOLD, SMOOTHING_STAGES, STALL_NUDGE, WINDOW,
+                              _qr_fix)
 
     b = engine.b
 
@@ -212,8 +213,11 @@ def sequential_restart(engine, k: int):
                 num = float(np.sum((s.conj() * s).real))
                 den = float(np.sum((s.conj() * y).real))
                 step = num / den if den > 1e-300 and np.isfinite(den) else None
+            # rounding floor: the step predicts a decrease of a few ulps of f
+            floor = (step is not None
+                     and step * gnorm2 <= FLOOR_ULPS * np.finfo(float).eps * abs(f))
             accepted = False
-            if gnorm2 > 0.0:
+            if gnorm2 > 0.0 and not floor:
                 t = step if step and 0.0 < step < 1e6 else 1.0 / np.sqrt(gnorm2)
                 for _ in range(LINE_SEARCH_RUNGS):
                     v_new = _qr_fix(v - t * xi)
@@ -223,13 +227,13 @@ def sequential_restart(engine, k: int):
                         accepted = True
                         break
                     t *= 0.5
-            if not accepted:
+            if not accepted and not floor:
                 stalls.append(it)
                 v = _qr_fix(v + STALL_NUDGE * (
                     rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)))
                 f = total(v, eps)
                 prev_v = prev_xi = step = None
-            if (engine.sign > 0 and f < POLISH_THRESHOLD
+            if (engine.sign > 0 and f < POLISH_THRESHOLD and not floor
                     and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
                 cand = polish(v)
                 f_cand = total(cand, eps)
@@ -243,10 +247,11 @@ def sequential_restart(engine, k: int):
             stage_trace.append(f)
             it += 1
             j = len(stage_trace) - 1
-            if j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j] < max(engine.tol,
-                                                                              eps * 1e-3):
+            if floor or (j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j]
+                         < max(engine.tol, eps * 1e-3)):
                 converged = True
                 break
         if not converged:
             break
-    return best_f, best_v, trace, converged, stalls, it
+    stop = "budget" if not converged else "floor" if floor else "window"
+    return best_f, best_v, trace, converged, stalls, it, stop
