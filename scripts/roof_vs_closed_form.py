@@ -3,8 +3,9 @@
 
 Draws random two-qubit density operators, solves the convex roof with
 default optimizer settings, and reports the deviation from the spin-flip
-closed form together with the solve's cost: its time, its iterations
-summed over restarts, and how many restarts stopped at the rounding floor.
+closed form together with the solve's cost: its time, its iterations and
+line-search rungs summed over restarts, and how many restarts stopped at the
+rounding floor.
 The closed form is the entanglement of formation for ``--measure
 entropy``, C / sqrt(2) from the Wootters concurrence C for ``--measure e``
 (the entanglement number). Exits 1 when the largest deviation exceeds
@@ -34,8 +35,6 @@ def main() -> int:
     ap.add_argument("--measure", choices=sorted(ORACLES), default="entropy")
     ap.add_argument("--states", type=int, default=20)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1,
-                    help="passed to solve_roof, which accepts it without effect")
     args = ap.parse_args()
     if args.states < 1:
         ap.error("--states must be >= 1")
@@ -45,19 +44,19 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     errs, times = [], []
     print(f"{'#':>3}  {'roof':>14}  {'closed form':>14}  {'diff':>10}  {'secs':>6}"
-          f"  {'iters':>6}  {'floor':>5}")
+          f"  {'iters':>6}  {'rungs':>6}  {'floor':>5}")
     for i in range(args.states):
         rho = random_density(dims, rng)
         t0 = time.perf_counter()
-        res = solve_roof(RoofProblem(rho=rho, measure=spec, seed=i), workers=args.workers)
+        res = solve_roof(RoofProblem(rho=rho, measure=spec, seed=i))
         dt = time.perf_counter() - t0
         want = oracle(rho)
         errs.append(abs(res.value - want))
         times.append(dt)
-        iters = sum(res.restart_iterations)
+        iters, rungs = sum(res.restart_iterations), sum(res.restart_rungs)
         floors = res.restart_stops.count("floor")
         print(f"{i:>3}  {res.value:14.10f}  {want:14.10f}  {errs[-1]:10.2e}  {dt:6.2f}"
-              f"  {iters:>6}  {floors:>5}")
+              f"  {iters:>6}  {rungs:>6}  {floors:>5}")
     print(f"\nmax |diff| {max(errs):.2e}   mean time {np.mean(times):.2f}s")
     return 0 if max(errs) <= LIMIT else 1
 

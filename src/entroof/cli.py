@@ -79,14 +79,12 @@ def _spec_config(spec: MeasureSpec) -> dict:
 def _check_roof_flags(args) -> None:
     """Reject out-of-range roof flags, also where no roof is solved."""
     with _solver_errors():
-        _check_solver_args("minimize", args.restarts, RoofProblem.max_iters, args.tol,
-                           args.workers)
+        _check_solver_args("minimize", args.restarts, RoofProblem.max_iters, args.tol)
 
 
 def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
     """RoofProblem keywords from the checked roof flags, and their echo for
-    the report's config (workers is reported with the timings: it changes
-    neither execution nor results)."""
+    the report's config."""
     _check_roof_flags(args)
     opts = {"ensemble_size": args.m, "restarts": args.restarts, "tol": args.tol,
             "seed": args.seed}
@@ -161,7 +159,7 @@ def cmd_roof(args) -> tuple[int, dict]:
     spec = _spec_from_args(args)
     opts, roof_config = _roof_options(args, rho)
     with _solver_errors():
-        result = solve_roof(RoofProblem(rho=rho, measure=spec, **opts), workers=args.workers)
+        result = solve_roof(RoofProblem(rho=rho, measure=spec, **opts))
     residual = result.ensemble.reconstruction_error(rho)
     det = {
         "command": "roof",
@@ -214,7 +212,7 @@ def cmd_sweep(args) -> tuple[int, dict]:
         with _solver_errors():
             for p in grid:
                 problem = RoofProblem(rho=state, measure=MeasureSpec(P_NUMBER, p=p), **opts)
-                result = solve_roof(problem, workers=args.workers)
+                result = solve_roof(problem)
                 rows.append({"p": p, "value": result.value, "gap_estimate": result.gap_estimate})
     csv = "p,value\n" + "\n".join(f"{r['p']!r},{r['value']!r}" for r in rows)
     det = {
@@ -313,15 +311,12 @@ def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
     p.add_argument("--restarts", type=int, default=32, help="random restarts (default 32)")
     p.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
     p.add_argument("--tol", type=float, default=1e-9,
-                   help="a restart stops when its objective falls by less than this "
-                        "over 20 iterations, or sooner when its next step would gain "
-                        "only rounding error (default 1e-9)")
+                   help="a restart stops when its best objective falls by less than "
+                        "this over 20 iterations, or sooner when its next step would "
+                        "gain only rounding error (default 1e-9)")
     if direction:
         p.add_argument("--direction", choices=["min", "max"], default="min",
                        help="convex (min) or concave (max) roof (default min)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="kept for compatibility: restarts run as one lockstep batch, "
-                        "so it has no effect; must be >= 1 (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,8 +374,6 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     timings = {"wall_seconds": time.perf_counter() - start}
-    if getattr(args, "workers", None) is not None:
-        timings["workers"] = args.workers
     report = {"deterministic": det, "timings": timings}
     _emit(report, args.out)
     return code

@@ -1,8 +1,8 @@
 """File formats for states and instrument trees.
 
 Both formats are JSON (UTF-8). Complex numbers are two-element arrays
-``[re, im]``; decimal values round-trip exactly through the shortest
-repr. A state file is::
+``[re, im]`` of JSON numbers; decimal values round-trip exactly through
+the shortest repr. A state file is::
 
     {"kind": "pure", "dims": [2, 2], "data": [[re, im], ...]}
     {"kind": "density", "dims": [2, 2], "data": [[[re, im], ...], ...]}
@@ -39,9 +39,19 @@ def _fail(invariant: str, message: str, residual: float = 0.0):
 
 def _pairs_array(data) -> np.ndarray:
     try:
-        return np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as e:  # non-numbers, ragged nesting
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as e:  # non-numbers, ragged nesting
         _fail("complex-pairs", f"expected numeric [re, im] pairs: {e}")
+    # the cast also parses numeric strings and booleans, while JSON numbers
+    # load as int or float; it succeeded, so the leaves are arr.ndim levels down
+    leaves = [data]
+    for _ in range(arr.ndim):
+        leaves = [x for row in leaves for x in row]
+    bad = set(map(type, leaves)) - {int, float}
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        _fail("complex-pairs", f"expected JSON numbers in [re, im] pairs, got {names}")
+    return arr
 
 
 def pairs_to_vector(data) -> np.ndarray:

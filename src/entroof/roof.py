@@ -8,20 +8,28 @@ sum_i |chi_i><chi_i| = rho, giving an ensemble with weights ||chi_i||^2.
 The roof value is found by multi-start descent over such isometries: the
 exact gradient of the ensemble-averaged measure in the ambient coordinates
 of V is projected onto the tangent space of the isometry manifold, stepped
-with a spectral (Barzilai-Borwein) initial step under Armijo backtracking,
-and re-orthonormalized by a QR retraction after every step. Each restart
-warms up on a slightly smoothed objective and periodically tries an
-alternating-projection product polish (see the constants below); both
-devices address the conic kinks faithful measures have at their zeros.
+with a spectral (Barzilai-Borwein) initial step under nonmonotone Armijo
+backtracking, and re-orthonormalized by a QR retraction after every step.
+The Armijo test compares a trial step with the Zhang-Hager reference, an
+average of the restart's recent stage objectives weighted by powers of
+NONMONOTONE_ETA (Zhang & Hager, SIAM J. Optim. 14, 2004; Wen & Yin use it
+on orthogonality constraints, Math. Program. 142, 2013), rather than with
+the current value, so a spectral step that briefly raises the objective is
+kept instead of backtracked. Each restart warms up on a slightly smoothed
+objective and periodically tries an alternating-projection product polish
+(see the constants below); both devices address the conic kinks faithful
+measures have at their zeros.
 
 A smoothing stage ends by one of two stopping rules. The rounding floor:
 once the spectral step t and the tangent gradient xi predict a decrease
 t |xi|^2 of at most FLOOR_ULPS ulps of the stage objective, the restart
 has converged to machine precision and stops at once, without a line
-search. The window: the stage objective fell by less than ``tol`` (or
-1e-3 times the smoothing parameter) over the last WINDOW iterations. A
-restart that spends ``max_iters`` before its last stage ends stops on its
-budget; ``RoofResult.restart_stops`` records which rule ended each one.
+search. The window: the best stage objective since the stage began fell by
+less than ``tol`` (or 1e-3 times the smoothing parameter) over the last
+WINDOW iterations. It reads the best value rather than the current one,
+which a nonmonotone step may have raised. A restart that spends
+``max_iters`` before its last stage ends stops on its budget;
+``RoofResult.restart_stops`` records which rule ended each one.
 
 Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
 the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
@@ -87,6 +95,8 @@ POLISH_THRESHOLD = 0.05
 SCREEN_CANDIDATES = 256
 # Backtracking ladder of the line search: steps t, t/2, ..., t/2^39.
 LINE_SEARCH_RUNGS = 40
+# Age discount of the line search's Zhang-Hager reference (see _Engine._descend)
+NONMONOTONE_ETA = 0.85
 # Largest complex array one solve may allocate: the screened candidates'
 # member vectors (SCREEN_CANDIDATES * m * n), or the line search's member
 # vectors for a chunk of restarts, at most LINE_SEARCH_RUNGS * chunk * m * n;
@@ -153,8 +163,7 @@ class RoofProblem:
         validate_spec_dims(self.measure, self.rho.dims)
 
 
-def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float,
-                       workers: int = 1) -> None:
+def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float) -> None:
     if direction not in ("minimize", "maximize"):
         raise ValueError(f"direction must be minimize or maximize, got {direction!r}")
     if restarts < 1:
@@ -163,8 +172,6 @@ def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     if not (tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 @dataclass(frozen=True)
@@ -179,9 +186,12 @@ class RoofResult:
     ``restart_values``, ``restart_iterations`` and ``restart_stops`` hold
     each restart's best objective, its number of iterations and why it
     stopped, in restart order: "floor" (its last stage reached the rounding
-    floor), "window" (its last stage made less than ``tol`` progress over
-    WINDOW iterations) or "budget" (it spent ``max_iters`` without
-    converging).
+    floor), "window" (its last stage's best objective improved by less
+    than ``tol`` over WINDOW iterations) or "budget" (it spent
+    ``max_iters`` without converging). ``restart_rungs`` holds each
+    restart's line-search rungs summed over its iterations, as a search of
+    that restart alone tries them: the accepted rung's index + 1, or
+    LINE_SEARCH_RUNGS when no rung passes.
     """
 
     value: float
@@ -194,6 +204,7 @@ class RoofResult:
     stall_iterations: tuple[int, ...] = field(default=(), compare=False)
     restart_iterations: tuple[int, ...] = field(default=(), compare=False)
     restart_stops: tuple[str, ...] = field(default=(), compare=False)
+    restart_rungs: tuple[int, ...] = field(default=(), compare=False)
 
 
 def _eigen_factor(rho: DensityOperator) -> np.ndarray:
@@ -351,33 +362,38 @@ class _Engine:
             np.einsum("smr,nr->smn", vs, self.b))[0], axis=-1)
         return vs[int(np.argmin(totals))].copy()  # a view would keep all of vs alive
 
-    def _line_search(self, v, xi, f, t, gnorm2, eps):
-        """Armijo backtracking for a stack of iterates: each row takes the
-        first of t, t/2, ... (LINE_SEARCH_RUNGS rungs) with
-        f_new <= f - 1e-4 t gnorm2, the choice sequential backtracking makes.
+    def _line_search(self, v, xi, ref, t, gnorm2, eps):
+        """Nonmonotone Armijo backtracking for a stack of iterates: each row
+        takes the first of t, t/2, ... (LINE_SEARCH_RUNGS rungs) with
+        f_new <= ref - 1e-4 t gnorm2, the choice sequential backtracking
+        makes; ``ref`` is the row's Zhang-Hager reference (see _descend).
         Rungs are tried in blocks of 1, 2, 4, ... for every row still
         searching, so a row that passes early costs about what it would
         alone, and each block is one stacked call.
-        Returns (ok, v_new, f_new, raw_new); rows with ok False found no rung."""
+        Returns (ok, v_new, f_new, raw_new, tried); rows with ok False found
+        no rung, and tried counts the rungs a sequential search tries: the
+        accepted rung's index + 1, or LINE_SEARCH_RUNGS."""
         ok = np.zeros(len(v), dtype=bool)
-        v_new, f_new, raw_new = np.empty_like(v), np.empty_like(f), np.empty_like(f)
+        v_new, f_new, raw_new = np.empty_like(v), np.empty_like(ref), np.empty_like(ref)
+        tried = np.full(len(v), LINE_SEARCH_RUNGS)
         rows = np.arange(len(v))
         ladder = t[:, None]  # rungs of the current block, one row per iterate
         lo = 0
         while True:
             vs = _qr_fix(v[rows, None] - ladder[..., None, None] * xi[rows, None])
             fs, raws = self.totals(vs, eps[rows, None])
-            armijo = fs <= f[rows, None] - 1e-4 * ladder * gnorm2[rows, None]
+            armijo = fs <= ref[rows, None] - 1e-4 * ladder * gnorm2[rows, None]
             rung = np.argmax(armijo, axis=1)
             hit = armijo[np.arange(rows.size), rung]
             ok[rows[hit]] = True
+            tried[rows[hit]] = lo + rung[hit] + 1
             v_new[rows[hit]] = vs[hit, rung[hit]]
             f_new[rows[hit]] = fs[hit, rung[hit]]
             raw_new[rows[hit]] = raws[hit, rung[hit]]
             rows = rows[~hit]
             lo += ladder.shape[1]
             if not rows.size or lo == LINE_SEARCH_RUNGS:
-                return ok, v_new, f_new, raw_new
+                return ok, v_new, f_new, raw_new, tried
             # halve step by step from each row's last rung, as a sequential
             # search would; a block stacks at most as many isometries as
             # start screening, which sets the solve's peak memory
@@ -389,8 +405,9 @@ class _Engine:
 
     def run(self) -> list:
         """Every restart, in chunks of ``chunk``: one outcome
-        (best_f, best_v, trace, converged, stalls, iterations, stop) per
-        restart, where stop is "floor", "window" or "budget"."""
+        (best_f, best_v, trace, converged, stalls, iterations, stop, rungs)
+        per restart, where stop is "floor", "window" or "budget" and rungs
+        counts the line-search rungs it tried (see _line_search)."""
         outcomes = []
         for lo in range(0, self.restarts, self.chunk):
             outcomes += self._descend(range(lo, min(lo + self.chunk, self.restarts)))
@@ -403,9 +420,19 @@ class _Engine:
         treats each row of the stack as a descent of that restart alone
         would treat its iterate (``tests/util.py::sequential_restart``), so
         a restart's outcome does not depend on which restarts share its
-        batch. Row state: the iterate v, its stage
-        objective f, the smoothing stage and the iteration it began, the
-        step memory (prev_v, prev_xi) and the best raw objective so far.
+        batch. Row state: the iterate v, its stage objective f, the
+        smoothing stage and the iteration it began, the step memory
+        (prev_v, prev_xi), the line search's Zhang-Hager reference (ref,
+        ref_w), the stage's best objective (low) and the best raw objective
+        so far.
+
+        The reference starts at (f, 1) and after an accepted step f_new
+        becomes ref' = (eta ref_w ref + f_new) / ref_w', ref_w' =
+        eta ref_w + 1 (eta = NONMONOTONE_ETA): an average of the stage
+        objectives since its last reset, weighted by eta^age. It resets to
+        (f, 1) wherever f is replaced other than by a line search: the
+        stall nudge, an accepted polish and a stage advance. An accepted
+        step may raise f, so the WINDOW rule reads low, which only falls.
         A stage converges at the rounding floor (FLOOR_ULPS), where the row
         skips its line search, stall nudge and polish, or by the WINDOW
         rule. A row leaves the batch when its last stage converges or its
@@ -418,13 +445,15 @@ class _Engine:
         eps = stages[stage]
         f, best_f = self.totals(v, eps)
         best_v, raw = v.copy(), best_f.copy()
+        ref, ref_w, low = f.copy(), np.ones(len(ks)), f.copy()
         start = np.zeros(len(ks), dtype=int)
         memory = np.zeros(len(ks), dtype=bool)
         prev_v, prev_xi = np.zeros_like(v), np.zeros_like(v)
         pos = np.arange(len(ks))  # chunk position of each row
         stalls: list[list[int]] = [[] for _ in ks]
+        rungs = np.zeros(len(ks), dtype=int)
         best_rows: list[np.ndarray] = []
-        f_rows: deque[np.ndarray] = deque(maxlen=WINDOW + 1)  # stage objectives
+        low_rows: deque[np.ndarray] = deque(maxlen=WINDOW + 1)  # best stage objectives
         ends: list = [None] * len(ks)
         it = 0
         while pos.size:
@@ -447,11 +476,15 @@ class _Engine:
             if search.size:
                 st, g2 = step[search], gnorm2[search]
                 t = np.where((st > 0.0) & (st < 1e6), st, 1.0 / np.sqrt(g2))
-                ok, v_new, f_new, raw_new = self._line_search(v[search], xi[search],
-                                                              f[search], t, g2, eps[search])
+                ok, v_new, f_new, raw_new, tried = self._line_search(
+                    v[search], xi[search], ref[search], t, g2, eps[search])
+                rungs[pos[search]] += tried
                 rows = search[ok]
                 prev_v[rows], prev_xi[rows] = v[rows], xi[rows]
                 v[rows], f[rows], raw[rows] = v_new[ok], f_new[ok], raw_new[ok]
+                w = NONMONOTONE_ETA * ref_w[rows] + 1.0
+                ref[rows] = (NONMONOTONE_ETA * ref_w[rows] * ref[rows] + f[rows]) / w
+                ref_w[rows] = w
                 memory[rows] = True
                 accepted[rows] = True
             stalled = np.flatnonzero(~(accepted | floor))
@@ -466,6 +499,7 @@ class _Engine:
                                  + 1j * rng.normal(size=v.shape[1:]))
                 v[stalled] = _qr_fix(v[stalled] + STALL_NUDGE * np.stack(noise))
                 f[stalled], raw[stalled] = self.totals(v[stalled], eps[stalled])
+                ref[stalled], ref_w[stalled] = f[stalled], 1.0
                 memory[stalled] = False
             if self.sign > 0:
                 due = np.flatnonzero((f < POLISH_THRESHOLD) & ~floor
@@ -476,20 +510,22 @@ class _Engine:
                     better = f_cand < f[due]
                     rows = due[better]
                     v[rows], f[rows], raw[rows] = cand[better], f_cand[better], raw_cand[better]
+                    ref[rows], ref_w[rows] = f[rows], 1.0
                     memory[rows] = False
             better = raw < best_f
             best_f[better], best_v[better] = raw[better], v[better]
+            np.minimum(low, f, out=low)
             best_rows.append(np.full(len(ks), np.nan))
             best_rows[-1][pos] = best_f
-            f_rows.append(np.full(len(ks), np.nan))
-            f_rows[-1][pos] = f
+            low_rows.append(np.full(len(ks), np.nan))
+            low_rows[-1][pos] = low
             it += 1
-            # stopping rules: the rounding floor, or progress over the last
-            # WINDOW iterations of the stage
+            # stopping rules: the rounding floor, or progress of the stage's
+            # best objective over the last WINDOW iterations
             converged = floor.copy()
             window = it - 1 - start >= WINDOW
             if window.any():
-                converged |= window & (f_rows[0][pos] - f
+                converged |= window & (low_rows[0][pos] - low
                                        < np.maximum(self.tol, eps * 1e-3))
             last = stage == len(SMOOTHING_STAGES) - 1
             spent = it >= self.max_iters
@@ -498,6 +534,7 @@ class _Engine:
                 stage[advance] += 1
                 eps = stages[stage]
                 f[advance] = self.totals(v[advance], eps[advance])[0]
+                ref[advance], ref_w[advance], low[advance] = f[advance], 1.0, f[advance]
                 start[advance] = it
                 memory[advance] = False
             done = (converged & last) | spent
@@ -509,11 +546,12 @@ class _Engine:
                 keep = ~done
                 v, f, raw, eps, stage, start, memory = (
                     a[keep] for a in (v, f, raw, eps, stage, start, memory))
-                prev_v, prev_xi, best_f, best_v, pos = (
-                    a[keep] for a in (prev_v, prev_xi, best_f, best_v, pos))
+                ref, ref_w, low, prev_v, prev_xi, best_f, best_v, pos = (
+                    a[keep] for a in (ref, ref_w, low, prev_v, prev_xi, best_f, best_v, pos))
                 rngs = [rng for rng, k in zip(rngs, keep) if k]
         trace_table = np.array(best_rows)
-        return [(bf, bv, trace_table[:iters, i].tolist(), conv, stalls[i], iters, stop)
+        return [(bf, bv, trace_table[:iters, i].tolist(), conv, stalls[i], iters, stop,
+                 int(rungs[i]))
                 for i, (bf, bv, conv, iters, stop) in enumerate(ends)]
 
 
@@ -526,7 +564,6 @@ def solve_roof_custom(
     max_iters: int = 2000,
     tol: float = 1e-9,
     seed: int = 0,
-    workers: int = 1,
 ) -> RoofResult:
     """Roof optimization of an arbitrary vectorized pure-state objective.
 
@@ -538,11 +575,10 @@ def solve_roof_custom(
     :func:`entroof.measures.decreasing_counterpart` carry one. Both are
     called on stacks over restarts and line-search steps; a restart's
     result is independent of the others when each entry of a stack comes
-    out as it would from a call on that entry alone. ``workers`` is as in
-    :func:`solve_roof`. See :func:`solve_roof` for the MeasureSpec-driven
-    interface.
+    out as it would from a call on that entry alone. See :func:`solve_roof`
+    for the MeasureSpec-driven interface.
     """
-    _check_solver_args(direction, restarts, max_iters, tol, workers)
+    _check_solver_args(direction, restarts, max_iters, tol)
     grad = getattr(objective, "grad", None)
     if not callable(grad):
         raise ValueError("objective needs a gradient: set objective.grad to a function "
@@ -579,20 +615,17 @@ def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, 
         stall_iterations=tuple(stalls),
         restart_iterations=tuple(o[5] for o in outcomes),
         restart_stops=tuple(o[6] for o in outcomes),
+        restart_rungs=tuple(o[7] for o in outcomes),
     )
 
 
-def solve_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
+def solve_roof(problem: RoofProblem) -> RoofResult:
     """Numerical roof extension of ``problem.measure`` at ``problem.rho``.
 
     Runs ``restarts`` independent seeded descents and returns the best. The
     result value is an upper bound on the infimum when minimizing (lower
-    bound on the supremum when maximizing). ``workers`` is accepted for
-    compatibility and must be at least 1; restarts always run in one
-    lockstep batch, so it has no effect.
+    bound on the supremum when maximizing).
     """
-    _check_solver_args(problem.direction, problem.restarts, problem.max_iters, problem.tol,
-                       workers)
     spec, dims = problem.measure, problem.rho.dims
     return _solve(
         problem.rho,
@@ -607,9 +640,9 @@ def solve_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
     )
 
 
-def concave_roof(problem: RoofProblem, workers: int = 1) -> RoofResult:
+def concave_roof(problem: RoofProblem) -> RoofResult:
     """Maximizing counterpart of :func:`solve_roof` (for increasing monotones)."""
-    return solve_roof(replace(problem, direction="maximize"), workers=workers)
+    return solve_roof(replace(problem, direction="maximize"))
 
 
 def _check_kraus(kraus: list[np.ndarray]) -> tuple[np.ndarray, int]:

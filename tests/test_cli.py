@@ -173,7 +173,7 @@ def test_roof_deterministic_and_parallel_identical(capsys, files):
             "--restarts", "6", "--seed", "11"]
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
-    _, out3, _ = run(capsys, argv + ["--workers", "4"])
+    _, out3, _ = run(capsys, argv)
     det1 = json.dumps(report_of(out1)["deterministic"], sort_keys=True)
     det2 = json.dumps(report_of(out2)["deterministic"], sort_keys=True)
     det3 = json.dumps(report_of(out3)["deterministic"], sort_keys=True)
@@ -303,10 +303,11 @@ def test_roof_flag_errors_exit_3(capsys, files, argv):
 ])
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_workers_below_one_exit_3(capsys, files, argv, workers):
+    # --workers is no longer a flag: every command rejects it as unknown
     code, out, err = run(capsys, [a.format(**files) for a in argv] + ["--workers", workers])
     assert code == 3
     assert out == ""
-    assert "workers must be >= 1" in err
+    assert "unrecognized arguments: --workers" in err
 
 
 # --- locc -----------------------------------------------------------------------
@@ -375,8 +376,14 @@ MEAS_KRAUS = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
      "complex-pairs"),
     ("measure", {"kind": "pure", "dims": [True, 2], "data": [[1.0, 0.0], [0.0, 0.0]]},
      "dims"),
+    ("measure", {"kind": "pure", "dims": [2, 2],
+                 "data": [["1", "0"], [0, 0], [0, 0], [0, 0]]}, "complex-pairs"),
+    ("measure", {"kind": "pure", "dims": [2, 2],
+                 "data": [[True, 0], [0, 0], [0, 0], [0, 0]]}, "complex-pairs"),
+    ("measure", {"kind": "pure", "dims": [2, 2],
+                 "data": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}, "complex-pairs"),
 ], ids=["children-int", "kraus-int", "party-list", "data-strings", "ragged-vector",
-        "ragged-matrix", "dims-bool"])
+        "ragged-matrix", "dims-bool", "numeric-string", "bool-leaf", "huge-int"])
 def test_malformed_file_exit_2(capsys, files, tmp_path, command, doc, invariant):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))

@@ -180,11 +180,19 @@ def test_determinism_bitwise():
         np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
 
 
-def test_serial_parallel_identical():
+def test_serial_parallel_identical(monkeypatch):
+    # restarts descended one per batch come out as in one lockstep batch
     rho = random_density(DIMS22, RNG)
     prob = RoofProblem(rho=rho, measure=S_SPEC, restarts=6, seed=13)
-    a = solve_roof(prob, workers=1)
-    b = solve_roof(prob, workers=4)
+    a = solve_roof(prob)
+    run = _Engine.run
+
+    def serial(self):
+        self.chunk = 1
+        return run(self)
+
+    monkeypatch.setattr(_Engine, "run", serial)
+    b = solve_roof(prob)
     assert a.value == b.value
     assert a.objective_trace == b.objective_trace
     assert a.restart_values == b.restart_values
@@ -381,7 +389,7 @@ def test_restart_stop_reasons():
     outcomes = engine.run()
     assert tuple(o[6] for o in outcomes) == res.restart_stops
     assert {"budget", "window"} <= set(res.restart_stops)
-    for _, _, _, converged, _, iterations, stop in outcomes:
+    for _, _, _, converged, _, iterations, stop, _ in outcomes:
         assert (stop == "budget") == (not converged)
         assert stop != "budget" or iterations == problem.max_iters
     assert res.converged == (res.restart_stops[res.best_restart] != "budget")
@@ -417,30 +425,16 @@ def test_restart_depends_only_on_seed_and_index():
     rho = random_density(BipartiteDims(2, 3), np.random.default_rng(47))
     base = dict(rho=rho, measure=S_SPEC, max_iters=60, seed=19)
     four = solve_roof(RoofProblem(restarts=4, **base))
-    for workers in (1, 2):
-        two = solve_roof(RoofProblem(restarts=2, **base), workers=workers)
-        assert two.restart_values == four.restart_values[:2]
-
-
-def test_workers_validated_without_effect():
-    rho = random_density(DIMS22, np.random.default_rng(59))
-    problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=3, max_iters=40, seed=2)
-    for workers in (0, -1):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            solve_roof(problem, workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            concave_roof(problem, workers=workers)
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            solve_roof_custom(rho, make_objective(E_SPEC, DIMS22), workers=workers)
-    assert solve_roof(problem, workers=3).restart_values == solve_roof(problem).restart_values
+    two = solve_roof(RoofProblem(restarts=2, **base))
+    assert two.restart_values == four.restart_values[:2]
 
 
 def test_batch_composition_cannot_change_a_restart(monkeypatch):
     # a separable input, where the product polish fires and restarts
-    # finish at different iterations, and an entangled 2x3 input whose
-    # line searches stall at the top-1 ties of the geometric measure:
-    # restart k must come out the same whichever restarts share its
-    # lockstep batch
+    # finish at different iterations, and an entangled 2x3 input with a
+    # minimal ensemble whose line searches stall at the top-1 ties of the
+    # geometric measure: restart k must come out the same whichever
+    # restarts share its lockstep batch
     polished = []
     polish = _Engine.product_polish
 
@@ -453,8 +447,8 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
     entangled = random_density(BipartiteDims(2, 3), np.random.default_rng(3), 3)
     cases = [
         dict(rho=separable, measure=E_SPEC, ensemble_size=rank_of(separable), seed=0),
-        dict(rho=entangled, measure=MeasureSpec("geometric", ranks=(1, 1)), max_iters=200,
-             seed=1),
+        dict(rho=entangled, measure=MeasureSpec("geometric", ranks=(1, 1)), ensemble_size=3,
+             max_iters=200, seed=1),
     ]
     for base in cases:
         five = solve_roof(RoofProblem(restarts=5, **base))
@@ -463,6 +457,7 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
             fewer = solve_roof(RoofProblem(restarts=k + 1, **base))
             assert fewer.restart_values[k] == five.restart_values[k]
             assert fewer.restart_iterations[k] == five.restart_iterations[k]
+            assert fewer.restart_rungs[k] == five.restart_rungs[k]
             assert 0 < five.restart_iterations[k] <= RoofProblem(**base).max_iters
         # restarts split over chunks of two come out as in one batch
         problem = RoofProblem(restarts=5, **base)
@@ -473,6 +468,7 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
         chunked = engine.run()
         assert tuple(o[0] for o in chunked) == five.restart_values
         assert tuple(o[5] for o in chunked) == five.restart_iterations
+        assert tuple(o[7] for o in chunked) == five.restart_rungs
     assert polished
     stalled = solve_roof(RoofProblem(restarts=5, **cases[1]))
     assert stalled.stall_iterations
@@ -510,6 +506,40 @@ def test_lockstep_batch_matches_sequential_restarts():
             stalled |= bool(got[4])
     assert stops == {"floor", "window", "budget"}
     assert stalled
+
+
+def test_window_reads_the_stage_best(monkeypatch):
+    # accepted nonmonotone steps raise the stage objective, once to within
+    # tol of its value WINDOW iterations earlier while the stage's best
+    # value fell by more than tol over those iterations: the window must
+    # not report convergence there
+    import entroof.roof as roof_module
+
+    # one unsmoothed stage, so the stage objective is the raw one
+    monkeypatch.setattr(roof_module, "SMOOTHING_STAGES", (0.0,))
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(0), 3)
+    base = make_objective(S_SPEC, rho.dims)
+    values = []  # values[j]: the stage objective after iteration j - 1
+
+    def gradient(chi):
+        f, g = base.grad(chi)
+        values.append(float(np.sum(np.sum(np.abs(chi) ** 2, axis=-1) * f)))
+        return f, g
+
+    def objective(states):
+        return base(states)
+
+    objective.grad = gradient
+    res = solve_roof_custom(rho, objective, restarts=1, seed=0)
+    tol = RoofProblem.tol
+    f = np.array(values)
+    low = np.minimum.accumulate(f)
+    stalls = set(res.stall_iterations)
+    assert [j for j in range(1, f.size) if f[j] > f[j - 1] + tol and j - 1 not in stalls]
+    fooled = [j for j in range(WINDOW + 1, f.size)
+              if f[j - WINDOW] - f[j] < tol <= low[j - WINDOW] - low[j]]
+    assert fooled
+    assert res.restart_iterations[0] > fooled[0]
 
 
 def test_restart_chunk_bounded_before_allocation():

@@ -156,10 +156,10 @@ def sequential_restart(engine, k: int):
     """Restart k of a roof ``engine`` (``entroof.roof._Engine``), run alone
     with one iterate at a time: the reference for the lockstep batch.
 
-    Returns (best_f, best_v, trace, converged, stalls, iterations, stop),
-    the outcome the engine's ``run`` gives for restart k.
+    Returns (best_f, best_v, trace, converged, stalls, iterations, stop,
+    rungs), the outcome the engine's ``run`` gives for restart k.
     """
-    from entroof.roof import (FLOOR_ULPS, LINE_SEARCH_RUNGS, POLISH_EVERY,
+    from entroof.roof import (FLOOR_ULPS, LINE_SEARCH_RUNGS, NONMONOTONE_ETA, POLISH_EVERY,
                               POLISH_THRESHOLD, SMOOTHING_STAGES, STALL_NUDGE, WINDOW,
                               _qr_fix)
 
@@ -197,10 +197,12 @@ def sequential_restart(engine, k: int):
     v = engine._initial_point(k, rng)
     best_f, best_v = total(v), v
     trace, stalls = [], []
-    it = 0
+    it = rungs = 0
     converged = False
     for eps in SMOOTHING_STAGES:
         f = total(v, eps)
+        # Zhang-Hager reference and weight, and the stage's best value
+        ref, ref_w, low = f, 1.0, f
         prev_v = prev_xi = step = None
         stage_trace = []
         converged = False
@@ -220,10 +222,13 @@ def sequential_restart(engine, k: int):
             if gnorm2 > 0.0 and not floor:
                 t = step if step and 0.0 < step < 1e6 else 1.0 / np.sqrt(gnorm2)
                 for _ in range(LINE_SEARCH_RUNGS):
+                    rungs += 1
                     v_new = _qr_fix(v - t * xi)
                     f_new = total(v_new, eps)
-                    if f_new <= f - 1e-4 * t * gnorm2:
+                    if f_new <= ref - 1e-4 * t * gnorm2:
                         prev_v, prev_xi, v, f = v, xi, v_new, f_new
+                        w = NONMONOTONE_ETA * ref_w + 1.0
+                        ref, ref_w = (NONMONOTONE_ETA * ref_w * ref + f) / w, w
                         accepted = True
                         break
                     t *= 0.5
@@ -232,6 +237,7 @@ def sequential_restart(engine, k: int):
                 v = _qr_fix(v + STALL_NUDGE * (
                     rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)))
                 f = total(v, eps)
+                ref, ref_w = f, 1.0
                 prev_v = prev_xi = step = None
             if (engine.sign > 0 and f < POLISH_THRESHOLD and not floor
                     and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
@@ -239,12 +245,14 @@ def sequential_restart(engine, k: int):
                 f_cand = total(cand, eps)
                 if f_cand < f:
                     v, f = cand, f_cand
+                    ref, ref_w = f, 1.0
                     prev_v = prev_xi = step = None
             raw = f if eps == 0.0 else total(v)
             if raw < best_f:
                 best_f, best_v = raw, v
             trace.append(best_f)
-            stage_trace.append(f)
+            low = min(low, f)
+            stage_trace.append(low)
             it += 1
             j = len(stage_trace) - 1
             if floor or (j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j]
@@ -254,4 +262,4 @@ def sequential_restart(engine, k: int):
         if not converged:
             break
     stop = "budget" if not converged else "floor" if floor else "window"
-    return best_f, best_v, trace, converged, stalls, it, stop
+    return best_f, best_v, trace, converged, stalls, it, stop, rungs
