@@ -113,6 +113,16 @@ def eigh_desc(mat: np.ndarray, herm_atol: float = 1e-10) -> tuple[np.ndarray, np
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
+def _qr_fix(x: np.ndarray) -> np.ndarray:
+    """QR orthonormalization with the R diagonal made real positive, of a
+    single matrix or a stack (..., m, r)."""
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.where(np.abs(d) > 0, np.abs(d), 1.0)
+    ph = np.where(np.abs(d) > 0, d / mag, 1.0)
+    return q * ph[..., None, :]
+
+
 def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input, the sum of |eigenvalues|."""
     mat = np.asarray(mat, dtype=np.complex128)

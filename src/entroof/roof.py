@@ -39,24 +39,25 @@ smoothing stage's sqrt(f^2 + eps^2) - eps is applied to it in closed form.
 An iterate's raw (eps = 0) objective comes from its stage evaluation.
 
 All restarts of a solve descend in lockstep as one stack of isometries
-(R, m, r): each step makes one gradient call, one tangent projection and a
-few stacked line-search calls for the whole batch, and a restart leaves the
-batch when it converges or spends its budget. Runs are deterministic:
-restart k draws from a generator seeded by (seed, k), and stacked numpy
-calls act on each isometry as single calls do, so a restart's outcome does
-not depend on the other restarts in its batch. Results are merged by best
-value with ties broken by restart index.
+(R, m, r), one row per restart: each step makes one gradient call, one
+tangent projection and a few stacked line-search calls for the whole
+batch, and a restart leaves the batch when it converges or spends its
+budget. Runs are deterministic: restart k draws from a generator seeded by
+(seed, k), and stacked numpy calls act on each isometry as single calls
+do, so a restart's outcome does not depend on the other restarts in its
+batch. Results are merged by best value with ties broken by restart index.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import clip_spectrum, eigh_desc, kraus_residual, trace_norm
+from .linalg import _qr_fix, clip_spectrum, eigh_desc, kraus_residual, trace_norm
 from .measures import (
     KINK_FLOOR,
     MeasureSpec,
@@ -65,6 +66,7 @@ from .measures import (
     validate_spec_dims,
     von_neumann_entropy,
 )
+from .sampling import ginibre, random_isometry
 from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation, PureState
 
 STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
@@ -122,7 +124,7 @@ class Ensemble:
         if np.any(w < 0):
             raise InvariantViolation("weights-nonnegative", float(-w.min()), "negative weight")
         res = abs(float(w.sum()) - 1.0)
-        if res > 1e-10:
+        if not (res <= 1e-10):  # written so that NaN weights fail too
             raise InvariantViolation(
                 "weights-sum", res, f"weights sum to {w.sum()!r}, off by {res:.3e}")
         w.setflags(write=False)
@@ -219,18 +221,6 @@ def rank_of(rho: DensityOperator) -> int:
     return int(np.count_nonzero(clip_spectrum(np.linalg.eigvalsh(rho.matrix))))
 
 
-def _qr_fix(x: np.ndarray) -> np.ndarray:
-    """QR orthonormalization with the R diagonal made real positive.
-
-    Works on stacks (..., m, r) as well as single matrices.
-    """
-    q, r = np.linalg.qr(x)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.where(np.abs(d) > 0, np.abs(d), 1.0)
-    ph = np.where(np.abs(d) > 0, d / mag, 1.0)
-    return q * ph[..., None, :]
-
-
 def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
     """Decomposition of rho generated by an m x rank isometry.
 
@@ -256,6 +246,39 @@ def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
         PureState(chi[i] / math.sqrt(w[i]), rho.dims) for i in np.flatnonzero(keep)
     )
     return Ensemble(w[keep], states, rho.dims)
+
+
+# One restart's result: its best raw objective and isometry, then its entries
+# of the RoofResult fields objective_trace, converged, stall_iterations,
+# restart_iterations, restart_stops and restart_rungs.
+_Outcome = namedtuple("_Outcome", "best_f best_v trace converged stalls iterations stop rungs")
+
+
+class _Rows(SimpleNamespace):
+    """The restarts of one lockstep descent, one row each.
+
+    Every field is indexed by row: chunk position ``pos``, generator
+    ``rng``, iterate ``v``, stage and raw objectives ``f`` and ``raw``,
+    smoothing ``stage`` and the iteration ``start`` it began at, step
+    memory (``memory`` and the last move ``prev_v``, ``prev_xi``),
+    Zhang-Hager reference ``ref`` and weight ``ref_w``, the stage's best
+    objective ``low`` with a ring ``lows`` of its last WINDOW + 1 values
+    (iteration it in column it mod WINDOW + 1), best raw objective
+    ``best_f`` and its isometry ``best_v``, line-search rungs tried
+    ``rungs`` and stalled iterations ``stalls``.
+    """
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where ``mask`` is False from every field."""
+        vars(self).update({
+            name: value[mask] if isinstance(value, np.ndarray)
+            else [x for x, k in zip(value, mask) if k]
+            for name, value in vars(self).items()})
+
+    def reset(self, rows: np.ndarray) -> None:
+        """Restart the reference of ``rows`` at (f, 1) and drop their step memory."""
+        self.ref[rows], self.ref_w[rows] = self.f[rows], 1.0
+        self.memory[rows] = False
 
 
 class _Engine:
@@ -354,10 +377,8 @@ class _Engine:
 
     def _initial_point(self, k: int, rng: np.random.Generator) -> np.ndarray:
         if k % 2 == 0:
-            return _qr_fix(rng.normal(size=(self.m, self.r))
-                           + 1j * rng.normal(size=(self.m, self.r)))
-        shape = (SCREEN_CANDIDATES, self.m, self.r)
-        vs = _qr_fix(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            return random_isometry(self.m, self.r, rng)
+        vs = _qr_fix(ginibre(rng, SCREEN_CANDIDATES, self.m, self.r))
         totals = np.sum(self.member_contrib(
             np.einsum("smr,nr->smn", vs, self.b))[0], axis=-1)
         return vs[int(np.argmin(totals))].copy()  # a view would keep all of vs alive
@@ -404,155 +425,133 @@ class _Engine:
             ladder = np.multiply.accumulate(halves, axis=1)[:, 1:]
 
     def run(self) -> list:
-        """Every restart, in chunks of ``chunk``: one outcome
-        (best_f, best_v, trace, converged, stalls, iterations, stop, rungs)
-        per restart, where stop is "floor", "window" or "budget" and rungs
-        counts the line-search rungs it tried (see _line_search)."""
-        outcomes = []
-        for lo in range(0, self.restarts, self.chunk):
-            outcomes += self._descend(range(lo, min(lo + self.chunk, self.restarts)))
-        return outcomes
+        """Every restart's :data:`_Outcome`, in restart order, ``chunk`` at a time."""
+        return [o for lo in range(0, self.restarts, self.chunk)
+                for o in self._descend(range(lo, min(lo + self.chunk, self.restarts)))]
 
     def _descend(self, ks: range) -> list:
-        """Descend restarts ``ks`` in lockstep.
+        """Descend restarts ``ks`` in lockstep, one row of a :class:`_Rows` each.
 
         Restart k draws from a generator seeded by (seed, k) and every step
         treats each row of the stack as a descent of that restart alone
         would treat its iterate (``tests/util.py::sequential_restart``), so
         a restart's outcome does not depend on which restarts share its
-        batch. Row state: the iterate v, its stage objective f, the
-        smoothing stage and the iteration it began, the step memory
-        (prev_v, prev_xi), the line search's Zhang-Hager reference (ref,
-        ref_w), the stage's best objective (low) and the best raw objective
-        so far.
+        batch.
 
         The reference starts at (f, 1) and after an accepted step f_new
         becomes ref' = (eta ref_w ref + f_new) / ref_w', ref_w' =
         eta ref_w + 1 (eta = NONMONOTONE_ETA): an average of the stage
-        objectives since its last reset, weighted by eta^age. It resets to
-        (f, 1) wherever f is replaced other than by a line search: the
-        stall nudge, an accepted polish and a stage advance. An accepted
-        step may raise f, so the WINDOW rule reads low, which only falls.
-        A stage converges at the rounding floor (FLOOR_ULPS), where the row
-        skips its line search, stall nudge and polish, or by the WINDOW
-        rule. A row leaves the batch when its last stage converges or its
-        iteration budget is spent.
+        objectives since its last reset, weighted by eta^age. Wherever f
+        is replaced other than by a line search (the stall nudge, an
+        accepted polish and a stage advance), ``_Rows.reset`` restarts it
+        at (f, 1) and drops the step memory. An accepted step may raise f,
+        so the WINDOW rule reads low, which only falls. A stage converges
+        at the rounding floor (FLOOR_ULPS), where the row skips its line
+        search, stall nudge and polish, or by the WINDOW rule. A row
+        leaves the batch (``_Rows.keep``) when its last stage converges or
+        its iteration budget is spent.
         """
-        rngs = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
-        v = np.stack([self._initial_point(k, rng) for k, rng in zip(ks, rngs)])
         stages = np.array(SMOOTHING_STAGES)
-        stage = np.zeros(len(ks), dtype=int)
-        eps = stages[stage]
-        f, best_f = self.totals(v, eps)
-        best_v, raw = v.copy(), best_f.copy()
-        ref, ref_w, low = f.copy(), np.ones(len(ks)), f.copy()
-        start = np.zeros(len(ks), dtype=int)
-        memory = np.zeros(len(ks), dtype=bool)
-        prev_v, prev_xi = np.zeros_like(v), np.zeros_like(v)
-        pos = np.arange(len(ks))  # chunk position of each row
-        stalls: list[list[int]] = [[] for _ in ks]
-        rungs = np.zeros(len(ks), dtype=int)
-        best_rows: list[np.ndarray] = []
-        low_rows: deque[np.ndarray] = deque(maxlen=WINDOW + 1)  # best stage objectives
-        ends: list = [None] * len(ks)
+        rng = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
+        v = np.stack([self._initial_point(k, g) for k, g in zip(ks, rng)])
+        f, raw = self.totals(v, stages[0])
+        n = len(ks)
+        rows = _Rows(pos=np.arange(n), rng=rng, v=v, f=f, raw=raw, stage=np.zeros(n, dtype=int),
+                     start=np.zeros(n, dtype=int), memory=np.zeros(n, dtype=bool),
+                     prev_v=np.zeros_like(v), prev_xi=np.zeros_like(v), ref=f.copy(),
+                     ref_w=np.ones(n), low=f.copy(), lows=np.zeros((n, WINDOW + 1)),
+                     best_f=raw.copy(), best_v=v.copy(), rungs=np.zeros(n, dtype=int),
+                     stalls=[[] for _ in ks])
+        outcomes: list = [None] * n
+        trace: list[np.ndarray] = []  # best_f per iteration, by chunk position
         it = 0
-        while pos.size:
+        while rows.pos.size:
+            # v, f and raw are the record's own arrays: writing them writes the rows
+            v, f, raw, eps = rows.v, rows.f, rows.raw, stages[rows.stage]
             grad = self._gradient(v @ self.b.T, eps)
             vh = v.conj().swapaxes(-1, -2)
             xi = grad - v @ ((vh @ grad + grad.conj().swapaxes(-1, -2) @ v) / 2.0)
             gnorm2 = np.sum(np.abs(xi) ** 2, axis=(-2, -1))
             # spectral (Barzilai-Borwein) initial step from the last move
-            step = np.full(len(pos), np.nan)
-            if memory.any():
-                s = v - prev_v
-                y = xi - prev_xi
+            step = np.full(len(v), np.nan)
+            if rows.memory.any():
+                s = v - rows.prev_v
+                y = xi - rows.prev_xi
                 num = np.sum((s.conj() * s).real, axis=(-2, -1))
                 den = np.sum((s.conj() * y).real, axis=(-2, -1))
                 np.divide(num, den, out=step,
-                          where=memory & (den > 1e-300) & np.isfinite(den))
-            floor = memory & (step * gnorm2 <= FLOOR_ULPS * np.finfo(float).eps * np.abs(f))
-            accepted = np.zeros(len(pos), dtype=bool)
+                          where=rows.memory & (den > 1e-300) & np.isfinite(den))
+            floor = rows.memory & (step * gnorm2 <= FLOOR_ULPS * np.finfo(float).eps * np.abs(f))
+            accepted = np.zeros(len(v), dtype=bool)
             search = np.flatnonzero((gnorm2 > 0.0) & ~floor)
             if search.size:
                 st, g2 = step[search], gnorm2[search]
                 t = np.where((st > 0.0) & (st < 1e6), st, 1.0 / np.sqrt(g2))
                 ok, v_new, f_new, raw_new, tried = self._line_search(
-                    v[search], xi[search], ref[search], t, g2, eps[search])
-                rungs[pos[search]] += tried
-                rows = search[ok]
-                prev_v[rows], prev_xi[rows] = v[rows], xi[rows]
-                v[rows], f[rows], raw[rows] = v_new[ok], f_new[ok], raw_new[ok]
-                w = NONMONOTONE_ETA * ref_w[rows] + 1.0
-                ref[rows] = (NONMONOTONE_ETA * ref_w[rows] * ref[rows] + f[rows]) / w
-                ref_w[rows] = w
-                memory[rows] = True
-                accepted[rows] = True
+                    v[search], xi[search], rows.ref[search], t, g2, eps[search])
+                rows.rungs[search] += tried
+                moved = search[ok]
+                rows.prev_v[moved], rows.prev_xi[moved] = v[moved], xi[moved]
+                v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
+                w = NONMONOTONE_ETA * rows.ref_w[moved] + 1.0
+                rows.ref[moved] = (NONMONOTONE_ETA * rows.ref_w[moved] * rows.ref[moved]
+                                   + f[moved]) / w
+                rows.ref_w[moved] = w
+                rows.memory[moved] = True
+                accepted[moved] = True
             stalled = np.flatnonzero(~(accepted | floor))
             if stalled.size:
                 # likely a non-smooth point (degenerate Schmidt values):
                 # nudge the iterate and reset the step memory
-                noise = []
                 for i in stalled:
-                    stalls[pos[i]].append(it)
-                    rng = rngs[i]
-                    noise.append(rng.normal(size=v.shape[1:])
-                                 + 1j * rng.normal(size=v.shape[1:]))
-                v[stalled] = _qr_fix(v[stalled] + STALL_NUDGE * np.stack(noise))
+                    rows.stalls[i].append(it)
+                noise = np.stack([ginibre(rows.rng[i], *v.shape[1:]) for i in stalled])
+                v[stalled] = _qr_fix(v[stalled] + STALL_NUDGE * noise)
                 f[stalled], raw[stalled] = self.totals(v[stalled], eps[stalled])
-                ref[stalled], ref_w[stalled] = f[stalled], 1.0
-                memory[stalled] = False
+                rows.reset(stalled)
             if self.sign > 0:
                 due = np.flatnonzero((f < POLISH_THRESHOLD) & ~floor
-                                     & ((it - start) % POLISH_EVERY == POLISH_EVERY - 1))
+                                     & ((it - rows.start) % POLISH_EVERY == POLISH_EVERY - 1))
                 if due.size:
                     cand = self.product_polish(v[due])
                     f_cand, raw_cand = self.totals(cand, eps[due])
                     better = f_cand < f[due]
-                    rows = due[better]
-                    v[rows], f[rows], raw[rows] = cand[better], f_cand[better], raw_cand[better]
-                    ref[rows], ref_w[rows] = f[rows], 1.0
-                    memory[rows] = False
-            better = raw < best_f
-            best_f[better], best_v[better] = raw[better], v[better]
-            np.minimum(low, f, out=low)
-            best_rows.append(np.full(len(ks), np.nan))
-            best_rows[-1][pos] = best_f
-            low_rows.append(np.full(len(ks), np.nan))
-            low_rows[-1][pos] = low
+                    took = due[better]
+                    v[took], f[took], raw[took] = cand[better], f_cand[better], raw_cand[better]
+                    rows.reset(took)
+            better = raw < rows.best_f
+            rows.best_f[better], rows.best_v[better] = raw[better], v[better]
+            np.minimum(rows.low, f, out=rows.low)
+            trace.append(np.full(n, np.nan))
+            trace[-1][rows.pos] = rows.best_f
+            rows.lows[:, it % (WINDOW + 1)] = rows.low
             it += 1
             # stopping rules: the rounding floor, or progress of the stage's
             # best objective over the last WINDOW iterations
-            converged = floor.copy()
-            window = it - 1 - start >= WINDOW
-            if window.any():
-                converged |= window & (low_rows[0][pos] - low
-                                       < np.maximum(self.tol, eps * 1e-3))
-            last = stage == len(SMOOTHING_STAGES) - 1
+            window = it - 1 - rows.start >= WINDOW
+            converged = floor | (window & (rows.lows[:, it % (WINDOW + 1)] - rows.low
+                                           < np.maximum(self.tol, eps * 1e-3)))
+            last = rows.stage == len(SMOOTHING_STAGES) - 1
             spent = it >= self.max_iters
             advance = np.flatnonzero(converged & ~last & (not spent))
             if advance.size:
-                stage[advance] += 1
-                eps = stages[stage]
-                f[advance] = self.totals(v[advance], eps[advance])[0]
-                ref[advance], ref_w[advance], low[advance] = f[advance], 1.0, f[advance]
-                start[advance] = it
-                memory[advance] = False
+                rows.stage[advance] += 1
+                f[advance] = self.totals(v[advance], stages[rows.stage[advance]])[0]
+                rows.reset(advance)
+                rows.low[advance] = f[advance]
+                rows.start[advance] = it
             done = (converged & last) | spent
-            for i in np.flatnonzero(done):
-                conv = bool(converged[i] and last[i])
-                stop = "budget" if not conv else "floor" if floor[i] else "window"
-                ends[pos[i]] = (float(best_f[i]), best_v[i].copy(), conv, it, stop)
             if done.any():
-                keep = ~done
-                v, f, raw, eps, stage, start, memory = (
-                    a[keep] for a in (v, f, raw, eps, stage, start, memory))
-                ref, ref_w, low, prev_v, prev_xi, best_f, best_v, pos = (
-                    a[keep] for a in (ref, ref_w, low, prev_v, prev_xi, best_f, best_v, pos))
-                rngs = [rng for rng, k in zip(rngs, keep) if k]
-        trace_table = np.array(best_rows)
-        return [(bf, bv, trace_table[:iters, i].tolist(), conv, stalls[i], iters, stop,
-                 int(rungs[i]))
-                for i, (bf, bv, conv, iters, stop) in enumerate(ends)]
+                for i in np.flatnonzero(done):
+                    conv = bool(converged[i] and last[i])
+                    stop = "budget" if not conv else "floor" if floor[i] else "window"
+                    outcomes[rows.pos[i]] = _Outcome(
+                        float(rows.best_f[i]), rows.best_v[i].copy(), None, conv,
+                        rows.stalls[i], it, stop, int(rows.rungs[i]))
+                rows.keep(~done)
+        table = np.array(trace)
+        return [o._replace(trace=table[:o.iterations, i].tolist())
+                for i, o in enumerate(outcomes)]
 
 
 def solve_roof_custom(
@@ -592,30 +591,26 @@ def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, 
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
                   grad)
     outcomes = eng.run()
-    finals = np.array([o[0] for o in outcomes])
+    finals = np.array([o.best_f for o in outcomes])
     best = int(np.argmin(finals))
-    best_f, best_v, trace, converged, stalls = outcomes[best][:5]
-    if restarts > 1:
-        second = float(np.min(np.delete(finals, best)))
-        gap = abs(second - best_f)
-    else:
-        gap = 0.0
+    top = outcomes[best]
+    gap = abs(float(np.min(np.delete(finals, best))) - top.best_f) if restarts > 1 else 0.0
 
-    ensemble = ensemble_from_isometry(rho, best_v)
+    ensemble = ensemble_from_isometry(rho, top.best_v)
     member_vals = eng.objective(np.array([s.amplitudes for s in ensemble.states]))
     value = float(np.dot(ensemble.weights, member_vals))
     return RoofResult(
         value=value,
         ensemble=ensemble,
-        objective_trace=tuple(eng.sign * f for f in trace),
-        converged=converged,
+        objective_trace=tuple(eng.sign * f for f in top.trace),
+        converged=top.converged,
         gap_estimate=gap,
         restart_values=tuple(eng.sign * f for f in finals),
         best_restart=best,
-        stall_iterations=tuple(stalls),
-        restart_iterations=tuple(o[5] for o in outcomes),
-        restart_stops=tuple(o[6] for o in outcomes),
-        restart_rungs=tuple(o[7] for o in outcomes),
+        stall_iterations=tuple(top.stalls),
+        restart_iterations=tuple(o.iterations for o in outcomes),
+        restart_stops=tuple(o.stop for o in outcomes),
+        restart_rungs=tuple(o.rungs for o in outcomes),
     )
 
 

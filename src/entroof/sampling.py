@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import _qr_fix, partial_transpose
 from .states import BipartiteDims, DensityOperator, PureState
 
 
@@ -21,18 +22,14 @@ def random_pure_state(dims: BipartiteDims, rng: np.random.Generator) -> PureStat
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary (QR of a Ginibre matrix, phases fixed)."""
-    q, r = np.linalg.qr(ginibre(rng, dim, dim))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return random_isometry(dim, dim, rng)
 
 
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Column-orthonormal rows x cols matrix, rows >= cols."""
     if rows < cols:
         raise ValueError(f"isometry needs rows >= cols, got {rows} < {cols}")
-    q, r = np.linalg.qr(ginibre(rng, rows, cols))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _qr_fix(ginibre(rng, rows, cols))
 
 
 def random_density(
@@ -72,8 +69,6 @@ def random_npt_density(
     max_tries: int = 10_000,
 ) -> DensityOperator:
     """Random state whose partial transpose has an eigenvalue < -min_negativity."""
-    from .linalg import partial_transpose
-
     for _ in range(max_tries):
         rho = random_density(dims, rng)
         w = np.linalg.eigvalsh(partial_transpose(rho, "B"))

@@ -111,6 +111,12 @@ def test_ensemble_invariants():
         Ensemble(np.array([1.0]), (psi, psi), DIMS22)
 
 
+def test_ensemble_rejects_nan_weights():
+    with pytest.raises(InvariantViolation) as exc:
+        Ensemble(np.array([np.nan]), (bell(),), DIMS22)
+    assert exc.value.invariant == "weights-sum"
+
+
 # --- solve_roof on known cases -----------------------------------------------
 
 def test_pure_state_any_ensemble_size():
@@ -197,6 +203,31 @@ def test_serial_parallel_identical(monkeypatch):
     assert a.objective_trace == b.objective_trace
     assert a.restart_values == b.restart_values
     np.testing.assert_array_equal(a.ensemble.weights, b.ensemble.weights)
+
+
+@pytest.mark.parametrize("chunk", [None, 2])
+def test_result_describes_its_best_restart(monkeypatch, chunk):
+    # the trace and stalls of a result belong to its best restart, and every
+    # per-restart tuple has one entry per restart, in one lockstep batch and
+    # in chunks of two, minimizing and maximizing
+    if chunk is not None:
+        run = _Engine.run
+
+        def chunked(self):
+            self.chunk = chunk
+            return run(self)
+
+        monkeypatch.setattr(_Engine, "run", chunked)
+    rho = random_density(DIMS22, np.random.default_rng(23), 3)
+    for solve in (solve_roof, concave_roof):
+        res = solve(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, max_iters=300, seed=4))
+        for entries in (res.restart_values, res.restart_iterations, res.restart_stops,
+                        res.restart_rungs):
+            assert len(entries) == 5
+        best = res.best_restart
+        assert len(res.objective_trace) == res.restart_iterations[best]
+        assert res.objective_trace[-1] == res.restart_values[best]
+        assert all(it < res.restart_iterations[best] for it in res.stall_iterations)
 
 
 def test_trace_monotone():
@@ -387,11 +418,11 @@ def test_restart_stop_reasons():
     engine = _Engine(rho, make_objective(S_SPEC, rho.dims), "minimize", None, 5, 200,
                      problem.tol, 1)
     outcomes = engine.run()
-    assert tuple(o[6] for o in outcomes) == res.restart_stops
+    assert tuple(o.stop for o in outcomes) == res.restart_stops
     assert {"budget", "window"} <= set(res.restart_stops)
-    for _, _, _, converged, _, iterations, stop, _ in outcomes:
-        assert (stop == "budget") == (not converged)
-        assert stop != "budget" or iterations == problem.max_iters
+    for o in outcomes:
+        assert (o.stop == "budget") == (not o.converged)
+        assert o.stop != "budget" or o.iterations == problem.max_iters
     assert res.converged == (res.restart_stops[res.best_restart] != "budget")
 
 
@@ -466,9 +497,9 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
                          problem.tol, problem.seed)
         engine.chunk = 2
         chunked = engine.run()
-        assert tuple(o[0] for o in chunked) == five.restart_values
-        assert tuple(o[5] for o in chunked) == five.restart_iterations
-        assert tuple(o[7] for o in chunked) == five.restart_rungs
+        assert tuple(o.best_f for o in chunked) == five.restart_values
+        assert tuple(o.iterations for o in chunked) == five.restart_iterations
+        assert tuple(o.rungs for o in chunked) == five.restart_rungs
     assert polished
     stalled = solve_roof(RoofProblem(restarts=5, **cases[1]))
     assert stalled.stall_iterations

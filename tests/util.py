@@ -156,12 +156,12 @@ def sequential_restart(engine, k: int):
     """Restart k of a roof ``engine`` (``entroof.roof._Engine``), run alone
     with one iterate at a time: the reference for the lockstep batch.
 
-    Returns (best_f, best_v, trace, converged, stalls, iterations, stop,
-    rungs), the outcome the engine's ``run`` gives for restart k.
+    Returns the ``_Outcome`` the engine's ``run`` gives for restart k.
     """
+    from entroof.linalg import _qr_fix
     from entroof.roof import (FLOOR_ULPS, LINE_SEARCH_RUNGS, NONMONOTONE_ETA, POLISH_EVERY,
                               POLISH_THRESHOLD, SMOOTHING_STAGES, STALL_NUDGE, WINDOW,
-                              _qr_fix)
+                              _Outcome)
 
     b = engine.b
 
@@ -262,4 +262,4 @@ def sequential_restart(engine, k: int):
         if not converged:
             break
     stop = "budget" if not converged else "floor" if floor else "window"
-    return best_f, best_v, trace, converged, stalls, it, stop, rungs
+    return _Outcome(best_f, best_v, trace, converged, stalls, it, stop, rungs)
