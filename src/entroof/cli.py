@@ -238,10 +238,7 @@ def cmd_locc(args) -> tuple[int, dict]:
     spec = _spec_from_args(args)
     opts, roof_config = _roof_options(args, rho)
     report = validate_tree(tree, tree_dims)
-    validation = [
-        {"path": list(i.path), "code": i.code, "message": i.message, "residual": i.residual}
-        for i in report.issues
-    ]
+    validation = [dict(vars(i)) for i in report.issues]
     det = {
         "command": "locc",
         "inputs": {"tree": _input_doc(args.tree), "state": _input_doc(args.state)},
@@ -268,25 +265,8 @@ def cmd_locc(args) -> tuple[int, dict]:
             }
             for n in audit.nodes
         ],
-        "inequalities": [
-            {
-                "path": list(q.path),
-                "parent_value": q.parent_value,
-                "children_average": q.children_average,
-                "slack": q.slack,
-                "gap_budget": q.gap_budget,
-                "flagged": q.flagged,
-            }
-            for q in audit.inequalities
-        ],
-        "end_to_end": {
-            "input_value": audit.end_to_end.input_value,
-            "input_gap": audit.end_to_end.input_gap,
-            "output_value": audit.end_to_end.output_value,
-            "output_gap": audit.end_to_end.output_gap,
-            "slack": audit.end_to_end.slack,
-            "flagged": audit.end_to_end.flagged,
-        },
+        "inequalities": [dict(vars(q)) for q in audit.inequalities],
+        "end_to_end": dict(vars(audit.end_to_end)),
         "pruned": [list(p) for p in audit.pruned],
     })
     return EXIT_OK, det

@@ -25,6 +25,7 @@ from .linalg import (
     schmidt_lambdas,
     trace_norm,
 )
+from .sampling import random_isometry
 from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
 
 ENTANGLEMENT_NUMBER = "entanglement-number"
@@ -181,7 +182,9 @@ def _e_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
 
 
 def _p_number(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
-    return np.maximum(1.0 - np.sum(lams ** spec.p, axis=-1), 0.0) ** (1.0 / spec.p)
+    deficit = np.maximum(1.0 - np.sum(lams ** spec.p, axis=-1), 0.0)
+    # explicit zero: at p = inf, 0 ** (1/p) would be 0 ** 0 = 1
+    return np.where(deficit == 0.0, 0.0, deficit ** (1.0 / spec.p))
 
 
 def _p_number_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
@@ -419,7 +422,8 @@ def schatten_deficit(rho_mat: np.ndarray, p: float) -> float:
     """
     _check_p_order(p)
     w = clip_spectrum(np.linalg.eigvalsh(np.asarray(rho_mat, dtype=np.complex128)))
-    return max(1.0 - float(np.sum(w**p)), 0.0) ** (1.0 / p)
+    deficit = max(1.0 - float(np.sum(w**p)), 0.0)
+    return 0.0 if deficit == 0.0 else deficit ** (1.0 / p)
 
 
 def p_number_pure(psi: PureState, p: float) -> float:
@@ -503,9 +507,7 @@ def geometric_measure_alternating(
     starts = [(u[:, :k1], vh.conj().T[:, :k2])]
     rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), 0x6E0]))
     for _ in range(restarts):
-        ga = rng.normal(size=(da, k1)) + 1j * rng.normal(size=(da, k1))
-        gb = rng.normal(size=(db, k2)) + 1j * rng.normal(size=(db, k2))
-        starts.append((np.linalg.qr(ga)[0], np.linalg.qr(gb)[0]))
+        starts.append((random_isometry(da, k1, rng), random_isometry(db, k2, rng)))
 
     def top_eigvecs(g: np.ndarray, k: int) -> np.ndarray:
         w, v = np.linalg.eigh(g)

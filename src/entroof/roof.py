@@ -59,7 +59,7 @@ import numpy as np
 
 from .linalg import _qr_fix, clip_spectrum, eigh_desc, kraus_residual, trace_norm
 from .measures import (
-    KINK_FLOOR,
+    ENTROPY,
     MeasureSpec,
     make_gradient,
     make_objective,
@@ -655,37 +655,6 @@ def _check_kraus(kraus: list[np.ndarray]) -> tuple[np.ndarray, int]:
     return np.stack(ops), dim_in
 
 
-def _channel_output_entropy(ops: np.ndarray, log_base: float):
-    """Objective psi -> S(Phi(|psi><psi|)) of the channel with Kraus stack
-    ``ops``, with its gradient for :func:`solve_roof_custom`."""
-
-    def objective(states: np.ndarray) -> np.ndarray:
-        y = np.einsum("koi,...i->...ko", ops, states)
-        out = np.einsum("...ko,...kp->...op", y, y.conj())
-        w = np.maximum(np.linalg.eigvalsh(out), 0.0)
-        w = w / np.maximum(np.sum(w, axis=-1, keepdims=True), 1e-300)
-        mask = w > 1e-15
-        logs = np.zeros_like(w)
-        np.log(w, where=mask, out=logs)
-        return -np.sum(w * logs, axis=-1) / math.log(log_base)
-
-    def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # |chi|^2 S(omega) = -Tr(Phi(chi chi^H) log Phi(chi chi^H)) + |chi|^2 log|chi|^2
-        # for the normalized output omega; its derivative is -Phi^H(log omega) chi
-        y = np.einsum("koi,...i->...ko", ops, chi)
-        w, u = np.linalg.eigh(np.einsum("...ko,...kp->...op", y, y.conj()))
-        w = np.maximum(w, 0.0)
-        w = w / np.maximum(np.sum(w, axis=-1, keepdims=True), 1e-300)
-        logs = np.log(np.maximum(w, KINK_FLOOR)) / math.log(log_base)
-        log_out = (u * logs[..., None, :]) @ u.conj().swapaxes(-1, -2)
-        g = -np.einsum("koi,...ko->...i", ops.conj(),
-                       np.einsum("...op,...kp->...ko", log_out, y))
-        return -np.sum(w * logs, axis=-1), g
-
-    objective.grad = gradient
-    return objective
-
-
 def channel_entropy(
     rho: DensityOperator,
     kraus: list[np.ndarray],
@@ -693,14 +662,29 @@ def channel_entropy(
     **opts,
 ) -> float:
     """Output entropy of the channel at rho minus the minimal average output
-    entropy over pure-state decompositions of rho."""
+    entropy over pure-state decompositions of rho.
+
+    The minimum is the entropy roof of the Stinespring dilation: with
+    V = sum_k K_k (x) |k>, the output-side reduced state of V psi is
+    Phi(psi) and |V chi|^2 = |chi|^2, so the decompositions of V rho V^H
+    are exactly the images under V of the decompositions of rho, with the
+    same weights, and the minimum equals the ``entropy`` roof of V rho V^H
+    across (output | environment). ``log_base`` is 2 or e; ``opts`` are the
+    :class:`RoofProblem` fields ``ensemble_size``, ``restarts``,
+    ``max_iters``, ``tol`` and ``seed``.
+    """
     ops, dim_in = _check_kraus(kraus)
     if dim_in != rho.dims.total:
         raise InvariantViolation(
             "kraus-dims", 0.0,
             f"channel acts on dim {dim_in}, state lives in dim {rho.dims.total}")
-    output = sum(k @ rho.matrix @ k.conj().T for k in ops)
-    total = von_neumann_entropy(output, log_base)
-    inner = solve_roof_custom(rho, _channel_output_entropy(ops, log_base),
-                              direction="minimize", **opts)
-    return total - inner.value
+    spec = MeasureSpec(ENTROPY, log_base=log_base)
+    n_ops, d_out = ops.shape[:2]
+    v = ops.transpose(1, 0, 2).reshape(d_out * n_ops, dim_in)
+    dilated = v @ rho.matrix @ v.conj().T
+    dilated = (dilated + dilated.conj().T) / 2
+    # completeness holds to KRAUS_ATOL only, the trace check is tighter
+    dilated = DensityOperator(dilated / np.trace(dilated).real, BipartiteDims(d_out, n_ops))
+    output = sum(op @ rho.matrix @ op.conj().T for op in ops)
+    inner = solve_roof(RoofProblem(dilated, spec, **opts))
+    return von_neumann_entropy(output, log_base) - inner.value

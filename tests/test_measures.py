@@ -92,6 +92,14 @@ def test_p_number_domain():
     assert p_number_pure(bell(), math.inf) == 1.0
 
 
+def test_p_number_at_infinity():
+    # the deficit of a product is 0, and 0 ** (1/inf) must not become 0 ** 0 = 1
+    for psi, expect in ((product_01(), 0.0), (bell(), 1.0)):
+        red = partial_trace(DensityOperator.from_pure(psi), "B")
+        assert p_number_pure(psi, math.inf) == expect
+        assert schatten_deficit(red, math.inf) == expect
+
+
 @pytest.mark.parametrize("bad", [math.nan, 1.0])
 @pytest.mark.parametrize("fn", [
     lambda p: schatten_deficit(np.eye(2) / 2, p),

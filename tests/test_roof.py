@@ -30,7 +30,6 @@ from entroof.roof import (
     LINE_SEARCH_RUNGS,
     MAX_WORK_ENTRIES,
     WINDOW,
-    _channel_output_entropy,
     _eigen_factor,
     _Engine,
     rank_of,
@@ -342,6 +341,44 @@ def test_channel_entropy_invalid_kraus():
         channel_entropy(rho, [np.eye(2)])
 
 
+def test_channel_entropy_rectangular_isometry():
+    # one Kraus operator 4 -> 6: the environment is trivial, and the
+    # output keeps the spectrum of rho
+    rng = np.random.default_rng(71)
+    rho = random_density(DIMS22, rng)
+    got = channel_entropy(rho, [random_isometry(6, 4, rng)], restarts=2)
+    assert abs(got - von_neumann_entropy(rho.matrix)) < 1e-6
+
+
+def test_channel_entropy_instrument_bounds():
+    # the minimum over decompositions is at most the eigen-ensemble's
+    # average output entropy, and the output lives in dimension 3
+    rng = np.random.default_rng(73)
+    rho = random_density(DIMS22, rng)
+    kraus = random_instrument(4, 3, rng, dim_out=3)
+
+    def channel(m):
+        return sum(k @ m @ k.conj().T for k in kraus)
+
+    w, e = np.linalg.eigh(rho.matrix)
+    eigen_avg = sum(p * von_neumann_entropy(channel(np.outer(v, v.conj())))
+                    for p, v in zip(w, e.T))
+    got = channel_entropy(rho, kraus, restarts=4)
+    assert -1e-9 <= got <= np.log2(3)
+    assert got >= von_neumann_entropy(channel(rho.matrix)) - eigen_avg - 1e-9
+
+
+def test_channel_entropy_log_base():
+    rng = np.random.default_rng(79)
+    rho = random_density(DIMS22, rng)
+    kraus = random_instrument(4, 2, rng)
+    base2 = channel_entropy(rho, kraus, restarts=4, seed=3)
+    base_e = channel_entropy(rho, kraus, log_base=np.e, restarts=4, seed=3)
+    assert abs(base_e - np.log(2) * base2) < 1e-6
+    with pytest.raises(ValueError):
+        channel_entropy(rho, kraus, log_base=10.0)
+
+
 # --- problem validation ------------------------------------------------------------
 
 def test_problem_validation():
@@ -646,9 +683,6 @@ def test_gradient_matches_finite_differences(dims):
         # counterparts vanish identically and have no relative error
         if spec.k != 1 and spec.ranks != (dims.d, dims.d):
             _check_against_fd(rho, decreasing_counterpart(spec, dims)[1], chi)
-    kraus = np.stack(random_instrument(dims.total, 3, rng))
-    for base in (2.0, np.e):
-        _check_against_fd(rho, _channel_output_entropy(kraus, base), chi)
 
 
 @pytest.mark.parametrize("dims", GRAD_DIMS, ids=_dims_id)
