@@ -13,6 +13,7 @@ from .linalg import (
 )
 from .locc import (
     BranchState,
+    InvalidTree,
     LoccNode,
     MonotonicityAudit,
     audit_monotonicity,

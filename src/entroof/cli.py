@@ -22,7 +22,7 @@ import time
 
 from . import io as fileio
 from .linalg import schmidt
-from .locc import audit_monotonicity, validate_tree
+from .locc import InvalidTree, audit_monotonicity
 from .measures import ENTROPY, MEASURES, P_NUMBER, MeasureSpec, measure_value, p_number_pure
 from .roof import RoofProblem, _check_solver_args, rank_of, solve_roof
 from .states import DensityOperator, InvariantViolation, PureState
@@ -237,8 +237,6 @@ def cmd_locc(args) -> tuple[int, dict]:
             f"tree dims {tree_dims.as_tuple()} do not match state dims {rho.dims.as_tuple()}")
     spec = _spec_from_args(args)
     opts, roof_config = _roof_options(args, rho)
-    report = validate_tree(tree, tree_dims)
-    validation = [dict(vars(i)) for i in report.issues]
     det = {
         "command": "locc",
         "inputs": {"tree": _input_doc(args.tree), "state": _input_doc(args.state)},
@@ -246,13 +244,14 @@ def cmd_locc(args) -> tuple[int, dict]:
             "measure": _spec_config(spec),
             "roof": roof_config,
         },
-        "results": {"validation": validation},
+        "results": {"validation": []},
     }
-    if not report.ok:
-        return EXIT_BAD_TREE, det
-
     with _solver_errors():
-        audit = audit_monotonicity(tree, rho, spec, opts)
+        try:
+            audit = audit_monotonicity(tree, rho, spec, opts)
+        except InvalidTree as e:  # the audit validates the tree before any work
+            det["results"]["validation"] = [dict(vars(i)) for i in e.report.issues]
+            return EXIT_BAD_TREE, det
     det["results"].update({
         "branches": [
             {

@@ -109,21 +109,71 @@ def load_state(path) -> PureState | DensityOperator:
     return DensityOperator(pairs_to_matrix(doc["data"]), dims)
 
 
-def _parse_node(obj, where: str) -> LoccNode:
-    if not isinstance(obj, dict):
-        _fail("tree-node", f"node at {where} must be an object")
-    for key in ("kraus", "children"):
-        if not isinstance(obj.get(key, []), list):
-            _fail("tree-node", f"'{key}' of the node at {where} must be a list")
-    kraus = [pairs_to_matrix(k) for k in obj.get("kraus", [])]
-    children = [
-        _parse_node(c, f"{where}.{i}") for i, c in enumerate(obj.get("children", []))
-    ]
-    try:
-        return LoccNode(party=obj.get("party", "A"), kraus=tuple(kraus),
-                        children=tuple(children))
-    except ValueError as e:  # the party label
-        _fail("party", f"node at {where}: {e}")
+def _cast_kraus(ops: list[tuple[str, int, object]]) -> list[np.ndarray]:
+    """Complex matrices of the Kraus pair lists (node, index, data), in order.
+
+    Operators of one (rows, columns) shape are cast together; a group the
+    shared cast rejects is cast one operator at a time, so that the error
+    names the first malformed operator and its node.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for j, (_, _, data) in enumerate(ops):
+        try:
+            key = (len(data), len(data[0]))
+        except (TypeError, KeyError, IndexError):  # not a list of lists
+            key = None
+        groups.setdefault(key, []).append(j)
+    out: list = [None] * len(ops)
+    for key, members in groups.items():
+        try:
+            arr = _pairs_array([ops[j][2] for j in members]) if key else None
+        except InvariantViolation:
+            arr = None
+        if arr is not None and arr.ndim == 4 and arr.shape[3] == 2:
+            mats = arr[..., 0] + 1j * arr[..., 1]
+            for j, m in zip(members, mats):
+                out[j] = m
+            continue
+        for j in members:
+            where, i, data = ops[j]
+            try:
+                out[j] = pairs_to_matrix(data)
+            except InvariantViolation as e:
+                _fail(e.invariant, f"Kraus operator {i} of the node at {where}: {e}")
+    return out
+
+
+def _parse_tree(root) -> LoccNode:
+    """The tree under a root object, read by an explicit-stack walk."""
+    objs: list[tuple[dict, str]] = []   # pre-order
+    ops: list[tuple[str, int, object]] = []
+    stack = [(root, "root")]
+    while stack:
+        obj, where = stack.pop()
+        if not isinstance(obj, dict):
+            _fail("tree-node", f"node at {where} must be an object")
+        for key in ("kraus", "children"):
+            if not isinstance(obj.get(key, []), list):
+                _fail("tree-node", f"'{key}' of the node at {where} must be a list")
+        objs.append((obj, where))
+        ops.extend((where, i, k) for i, k in enumerate(obj.get("kraus", [])))
+        children = obj.get("children", [])
+        stack.extend((children[i], f"{where}.{i}") for i in reversed(range(len(children))))
+    kraus = _cast_kraus(ops)
+    # a node's subtree follows it in pre-order, so walking backwards finds
+    # each node's children finished, first child on top of the stack
+    done: list[LoccNode] = []
+    for obj, where in reversed(objs):
+        n_ops, n_kids = len(obj.get("kraus", [])), len(obj.get("children", []))
+        kids = done[len(done) - n_kids:][::-1]
+        del done[len(done) - n_kids:]
+        try:
+            done.append(LoccNode(party=obj.get("party", "A"), children=tuple(kids),
+                                 kraus=tuple(kraus[len(kraus) - n_ops:])))
+        except ValueError as e:  # the party label
+            _fail("party", f"node at {where}: {e}")
+        del kraus[len(kraus) - n_ops:]
+    return done[0]
 
 
 def load_tree(path) -> tuple[LoccNode, BipartiteDims]:
@@ -133,10 +183,7 @@ def load_tree(path) -> tuple[LoccNode, BipartiteDims]:
     dims = _parse_dims(doc.get("dims"))
     if "root" not in doc:
         _fail("root", "missing 'root' field")
-    try:
-        return _parse_node(doc["root"], "root"), dims
-    except RecursionError:
-        _fail("tree-depth", f"the tree in {path} nests too deeply to load")
+    return _parse_tree(doc["root"]), dims
 
 
 def save_state(path, state: PureState | DensityOperator) -> None:

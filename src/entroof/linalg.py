@@ -28,12 +28,12 @@ def _check_side(side: Side) -> str:
     return s
 
 
-def _split_dims(mat: np.ndarray, dims: tuple[int, int]) -> tuple[int, int]:
+def _split_dims(shape: tuple[int, ...], dims: tuple[int, int]) -> tuple[int, int]:
     da, db = int(dims[0]), int(dims[1])
-    if mat.shape != (da * db, da * db):
+    if shape != (da * db, da * db):
         raise InvariantViolation(
             "dims-factorization", 0.0,
-            f"matrix side {mat.shape} does not factor as ({da}*{db}, {da}*{db})")
+            f"matrix side {shape} does not factor as ({da}*{db}, {da}*{db})")
     return da, db
 
 
@@ -47,7 +47,7 @@ def reshape_to_coefficient_matrix(psi: PureState) -> np.ndarray:
 
 def trace_out(mat: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
     """Partial trace over one factor of a (possibly unnormalized) matrix."""
-    da, db = _split_dims(mat, dims)
+    da, db = _split_dims(mat.shape, dims)
     t = mat.reshape(da, db, da, db)
     if _check_side(side) == "A":
         return np.ascontiguousarray(np.einsum("ijil->jl", t))
@@ -56,7 +56,7 @@ def trace_out(mat: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
 
 def transpose_side(mat: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
     """Partial transpose on one factor. Involutive and trace-preserving."""
-    da, db = _split_dims(mat, dims)
+    da, db = _split_dims(mat.shape, dims)
     t = mat.reshape(da, db, da, db)
     if _check_side(side) == "A":
         t = t.transpose(2, 1, 0, 3)
@@ -74,21 +74,29 @@ def partial_transpose(rho: DensityOperator, side: Side) -> np.ndarray:
     return transpose_side(rho.matrix, rho.dims.as_tuple(), side)
 
 
-def apply_local(op: np.ndarray, mat: np.ndarray, dims: tuple[int, int],
+def apply_local(ops: np.ndarray, mats: np.ndarray, dims: tuple[int, int],
                 side: Side) -> np.ndarray:
-    """(op x I) mat (op x I)^H, or with I x op, acting on one factor only.
+    """(K x I) M (K x I)^H, or with I x K, acting on one factor only.
 
-    ``op`` may be rectangular (it can change the acting party's dimension);
-    ``dims`` are the joint dimensions of ``mat``. The caller guarantees that
-    ``op`` acts on the ``side`` factor's dimension.
+    ``ops`` (..., d_out, d) and ``mats`` (..., n, n) are stacks whose
+    leading axes broadcast against each other, so one call applies every
+    Kraus operator of a node to its state (``ops`` (k, d_out, d), ``mats``
+    (n, n)) or pairs whole lists of operators and states; the unstacked
+    case is a single operator and matrix. An operator may be rectangular
+    (it can change the acting party's dimension); ``dims`` are the joint
+    dimensions of ``mats``, and the caller guarantees that ``d`` is the
+    ``side`` factor's dimension. Each pair takes the same two matrix
+    products whatever the stacking, so results do not depend on it.
     """
-    da, db = _split_dims(mat, dims)
-    out = op.shape[0]
+    da, db = _split_dims(mats.shape[-2:], dims)
+    lead = np.broadcast_shapes(ops.shape[:-2], mats.shape[:-2])
+    out = ops.shape[-2]
     if _check_side(side) == "A":
-        t = (op @ mat.reshape(da, -1)).reshape(out * db, da, db)
-        return (op.conj() @ t).reshape(out * db, out * db)
-    t = (mat.reshape(-1, db) @ op.conj().T).reshape(da, db, da * out)
-    return (op @ t).reshape(da * out, da * out)
+        t = (ops @ mats.reshape(mats.shape[:-2] + (da, -1))).reshape(lead + (out * db, da, db))
+        return (ops.conj()[..., None, :, :] @ t).reshape(lead + (out * db, out * db))
+    t = mats.reshape(mats.shape[:-2] + (-1, db)) @ ops.conj().swapaxes(-1, -2)
+    t = t.reshape(lead + (da, db, da * out))
+    return (ops[..., None, :, :] @ t).reshape(lead + (da * out, da * out))
 
 
 def kraus_residual(ops) -> float:

@@ -4,8 +4,9 @@ A protocol is a rooted ordered tree: each internal node holds the Kraus
 operators of the instrument applied by one party at that point, with one
 child per outcome. Kraus operators act on that party's factor only (as
 K x I or I x K, without forming the lifted matrix), so local dimensions may
-change between rounds. Every walk over a tree is an explicit-stack
-pre-order loop, so tree depth is not bounded by the recursion limit.
+change between rounds. Every walk over a tree is a loop, an explicit-stack
+pre-order walk or a level-by-level one, so tree depth is not bounded by
+the recursion limit.
 
 Branch states are stored unnormalized with the raw instrument maps composed
 down from the root; the trace of a branch is then the joint probability of
@@ -14,11 +15,19 @@ channel output is the plain sum over leaves. (Equivalently, each child is
 generated from its parent's normalized state and carries its own
 probability weight.)
 
+``run_tree`` computes the states one tree level at a time: the Kraus
+operators of a level that share a party, input dimensions and shape are
+applied to their parents' states in one stacked ``apply_local`` call.
+
 ``audit_monotonicity`` checks, node by node, that a measure does not
-increase on average down the tree: rank-one branch states are evaluated
-exactly through the pure-state formulas, mixed ones through the numerical
-convex roof, whose gap estimate accompanies each inequality so that
-near-zero violations can be attributed to the optimizer.
+increase on average down the tree. It too works a level at a time: per
+level and dimensions, one stacked Hermitian eigendecomposition tests every
+branch for rank one, and one stacked ``measure_value`` evaluates all
+rank-one branches exactly through the pure-state formulas. Each mixed
+branch gets its own numerical convex roof, whose gap estimate accompanies
+each inequality so that near-zero violations can be attributed to the
+optimizer. Stacking does not change a single bit of the values: every
+branch takes the matrix operations its own evaluation would take.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 from .linalg import apply_local, kraus_residual
 from .measures import MeasureSpec, measure_value
 from .roof import RoofProblem, solve_roof
-from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation, PureState
+from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation
 
 Path = tuple[int, ...]
 
@@ -102,16 +111,6 @@ class TreeValidationReport:
         return not self.issues
 
 
-def iter_nodes(tree: LoccNode):
-    """Depth-first (path, node) pairs; the root has the empty path."""
-    stack = [((), tree)]
-    while stack:
-        path, node = stack.pop()
-        yield path, node
-        for i in reversed(range(len(node.children))):
-            stack.append((path + (i,), node.children[i]))
-
-
 def _child_dims(node: LoccNode, dims: tuple[int, int]) -> tuple[int, int]:
     out = node.kraus[0].shape[0]
     return (out, dims[1]) if node.party == "A" else (dims[0], out)
@@ -159,36 +158,68 @@ def validate_tree(tree: LoccNode, dims: BipartiteDims) -> TreeValidationReport:
     return TreeValidationReport(tuple(issues))
 
 
+class InvalidTree(InvariantViolation):
+    """A tree failed :func:`validate_tree`; ``report`` holds every issue."""
+
+    def __init__(self, report: TreeValidationReport):
+        worst = report.issues[0]
+        super().__init__("locc-tree", worst.residual or 0.0,
+                         f"invalid tree at node {worst.path}: {worst.message}")
+        self.report = report
+
+
 def run_tree(
     tree: LoccNode, rho: DensityOperator
 ) -> tuple[list[list[BranchState]], DensityOperator]:
     """Evaluate every branch state and the channel output sum over leaves.
 
-    Raises InvariantViolation if the tree fails validation.
+    ``levels[t]`` lists the branches at depth t in path order. Raises
+    :class:`InvalidTree` (an InvariantViolation) if the tree fails
+    validation.
     """
     report = validate_tree(tree, rho.dims)
     if not report.ok:
-        worst = report.issues[0]
-        raise InvariantViolation(
-            "locc-tree", worst.residual or 0.0,
-            f"invalid tree at node {worst.path}: {worst.message}")
+        raise InvalidTree(report)
+    return _walk(tree, rho)
 
+
+def _walk(
+    tree: LoccNode, rho: DensityOperator
+) -> tuple[list[list[BranchState]], DensityOperator]:
+    """:func:`run_tree` on a validated tree, one level at a time.
+
+    The (operator, parent state) pairs of a level are grouped by party,
+    dimensions and operator shape, and each group is one stacked
+    :func:`apply_local` call. Leaves are summed in path order, the order
+    of a depth-first walk.
+    """
+    level = [BranchState((), rho.matrix, float(np.trace(rho.matrix).real),
+                         rho.dims.as_tuple())]
+    nodes = [tree]
     levels: list[list[BranchState]] = []
     leaves: list[BranchState] = []
-    stack = [(tree, (), rho.matrix, rho.dims.as_tuple())]
-    while stack:
-        node, path, mat, cur = stack.pop()
-        bs = BranchState(path, mat, float(np.trace(mat).real), cur)
-        if len(levels) == len(path):
-            levels.append([])
-        levels[len(path)].append(bs)
-        if node.is_leaf:
-            leaves.append(bs)
-            continue
-        nxt = _child_dims(node, cur)
-        for i in reversed(range(len(node.children))):
-            stack.append((node.children[i], path + (i,),
-                          apply_local(node.kraus[i], mat, cur, node.party), nxt))
+    while level:
+        levels.append(level)
+        groups: dict[tuple, list[int]] = {}
+        for i, (node, bs) in enumerate(zip(nodes, level)):
+            if node.is_leaf:
+                leaves.append(bs)
+            else:
+                key = (node.party, bs.dims, node.kraus[0].shape)
+                groups.setdefault(key, []).append(i)
+        kids: list[list[BranchState]] = [[] for _ in level]
+        for (party, cur, _), members in groups.items():
+            pairs = [(i, c) for i in members for c in range(len(nodes[i].kraus))]
+            ops = np.stack([nodes[i].kraus[c] for i, c in pairs])
+            mats = np.stack([level[i].unnormalized for i, _ in pairs])
+            out = apply_local(ops, mats, cur, party)
+            probs = np.trace(out, axis1=-2, axis2=-1).real.tolist()
+            nxt = _child_dims(nodes[members[0]], cur)
+            for (i, c), mat, prob in zip(pairs, out, probs):
+                kids[i].append(BranchState(level[i].path + (c,), mat, prob, nxt))
+        level = [bs for row in kids for bs in row]
+        nodes = [c for node in nodes for c in node.children]
+    leaves.sort(key=lambda bs: bs.path)
     out = sum(bs.unnormalized for bs in leaves)
     out = (out + out.conj().T) / 2
     out_dims = BipartiteDims(*leaves[0].dims)
@@ -248,24 +279,43 @@ class MonotonicityAudit:
     pruned: tuple[Path, ...] = field(default=())
 
 
-def _evaluate_density(
-    mat: np.ndarray,
+def _evaluate(
+    mats: np.ndarray,
     dims: tuple[int, int],
     spec: MeasureSpec,
     roof_opts: dict,
-) -> tuple[float, str, float]:
-    """Measure value of a normalized state matrix: exact if rank one."""
-    mat = (mat + mat.conj().T) / 2
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure values of normalized state matrices (n, D, D) of one dims.
+
+    One stacked eigendecomposition tests every row for rank one; the
+    rank-one rows are evaluated exactly by one stacked
+    :func:`measure_value` on their top eigenvectors, and every other row
+    by its own numerical roof. Returns (values, pure, gaps): ``pure``
+    marks the exact rows, whose gap is zero.
+    """
     bdims = BipartiteDims(*dims)
-    w, vecs = np.linalg.eigh(mat)
-    rank_one = len(w) == 1 or w[-2] <= PURE_RANK_ATOL
-    if rank_one:
-        psi = vecs[:, -1]
-        psi = psi / np.linalg.norm(psi)
-        return measure_value(spec, PureState(psi, bdims)), "pure", 0.0
-    rho = DensityOperator(mat / np.trace(mat).real, bdims)
-    result = solve_roof(RoofProblem(rho=rho, measure=spec, **roof_opts))
-    return result.value, "roof", result.gap_estimate
+    mats = (mats + mats.conj().swapaxes(-1, -2)) / 2
+    w, vecs = np.linalg.eigh(mats)
+    pure = w[:, -2] <= PURE_RANK_ATOL if w.shape[1] > 1 else np.ones(len(w), dtype=bool)
+    values = np.empty(len(mats))
+    gaps = np.zeros(len(mats))
+    if pure.any():
+        psi = vecs[pure, :, -1]
+        # one norm per row: the stacked norm sums in another order
+        psi = psi / np.array([np.linalg.norm(v) for v in psi])[:, None]
+        values[pure] = measure_value(spec, psi, bdims)
+    for i in np.flatnonzero(~pure):
+        rho = DensityOperator(mats[i] / np.trace(mats[i]).real, bdims)
+        result = solve_roof(RoofProblem(rho=rho, measure=spec, **roof_opts))
+        values[i], gaps[i] = result.value, result.gap_estimate
+    return values, pure, gaps
+
+
+def _evaluate_state(rho: DensityOperator, spec: MeasureSpec,
+                    roof_opts: dict) -> tuple[float, float]:
+    """(value, gap) of one state: :func:`_evaluate` on a one-row stack."""
+    values, _, gaps = _evaluate(rho.matrix[None], rho.dims.as_tuple(), spec, roof_opts)
+    return values.item(), gaps.item()
 
 
 def audit_monotonicity(
@@ -277,29 +327,40 @@ def audit_monotonicity(
 ) -> MonotonicityAudit:
     """Per-node and end-to-end average monotonicity report for a measure.
 
-    ``roof_opts`` are forwarded to :class:`RoofProblem` for branches that
-    need a numerical roof (keys: ensemble_size, restarts, max_iters, tol,
-    seed). Branches with probability below PRUNE_TOL are skipped and listed
-    in ``pruned`` (the measure of a zero-probability branch is undefined).
-    ``end_to_end=False`` skips the channel-output comparison, which needs a
-    roof solve whenever the output is mixed.
+    The branches are evaluated a level at a time, in one :func:`_evaluate`
+    call per level and dimensions. ``roof_opts`` are forwarded to
+    :class:`RoofProblem` for branches that need a numerical roof (keys:
+    ensemble_size, restarts, max_iters, tol, seed). Branches with
+    probability below PRUNE_TOL are skipped and listed in ``pruned`` (the
+    measure of a zero-probability branch is undefined). ``end_to_end=False``
+    skips the channel-output comparison, which needs a roof solve whenever
+    the output is mixed. Raises :class:`InvalidTree` if the tree fails
+    validation.
     """
     roof_opts = dict(roof_opts or {})
     levels, output = run_tree(tree, rho)
 
     values: dict[Path, NodeValue] = {}
     pruned: list[Path] = []
-    node_of = dict(iter_nodes(tree))
+    node_of: dict[Path, LoccNode] = {}
+    nodes = [tree]
     for level in levels:
-        for bs in level:
+        groups: dict[tuple[int, int], list[BranchState]] = {}
+        for bs, node in zip(level, nodes):
+            node_of[bs.path] = node
             if bs.probability < PRUNE_TOL:
                 pruned.append(bs.path)
-                continue
-            val, method, gap = _evaluate_density(
-                bs.unnormalized / bs.probability, bs.dims, spec, roof_opts)
-            node = node_of[bs.path]
-            values[bs.path] = NodeValue(
-                bs.path, node.party, bs.probability, val, method, gap, node.is_leaf)
+            else:
+                groups.setdefault(bs.dims, []).append(bs)
+        for dims, branches in groups.items():
+            probs = np.array([bs.probability for bs in branches])
+            mats = np.stack([bs.unnormalized for bs in branches]) / probs[:, None, None]
+            vals, pure, gaps = _evaluate(mats, dims, spec, roof_opts)
+            for bs, val, is_pure, gap in zip(branches, vals.tolist(), pure, gaps.tolist()):
+                node = node_of[bs.path]
+                values[bs.path] = NodeValue(bs.path, node.party, bs.probability, val,
+                                            "pure" if is_pure else "roof", gap, node.is_leaf)
+        nodes = [c for node in nodes for c in node.children]
 
     inequalities = []
     for path, nv in sorted(values.items()):
@@ -316,10 +377,8 @@ def audit_monotonicity(
 
     end = None
     if end_to_end:
-        in_val, _, in_gap = _evaluate_density(
-            rho.matrix, rho.dims.as_tuple(), spec, roof_opts)
-        out_val, _, out_gap = _evaluate_density(
-            output.matrix, output.dims.as_tuple(), spec, roof_opts)
+        in_val, in_gap = _evaluate_state(rho, spec, roof_opts)
+        out_val, out_gap = _evaluate_state(output, spec, roof_opts)
         slack = in_val - out_val
         end = EndToEnd(
             in_val, in_gap, out_val, out_gap, slack,

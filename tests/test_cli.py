@@ -12,7 +12,7 @@ from entroof.locc import LoccNode
 from entroof.measures import MEASURES, MeasureSpec
 from entroof.sampling import random_density
 
-from util import DIMS22, bell, leaf
+from util import DIMS22, bell, iter_nodes, leaf, mixed_party_tree, two_round_tree
 
 
 @pytest.fixture
@@ -358,6 +358,37 @@ def test_locc_deep_tree_file_exit_2(capsys, files, tmp_path):
     code, _, err = run(capsys, ["locc", str(path), files["bell"], "--measure", "e"])
     assert code == 2
     assert "json-depth" in err
+
+
+def test_locc_malformed_operator_deep_in_tree_exit_2(capsys, files, tmp_path):
+    rng = np.random.default_rng(8)
+    tree = two_round_tree(rng, "A", "B", outcomes=3)
+    path = tmp_path / "deep-bad.json"
+    fileio.save_tree(path, tree, DIMS22)
+    doc = json.loads(path.read_text())
+    doc["root"]["children"][0]["children"][2] = {
+        "party": "B", "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0], [1.0, 0.0]]]],
+        "children": [{"party": "B"}]}
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["locc", str(path), files["bell"], "--measure", "e"])
+    assert code == 2
+    assert "invariant 'complex-pairs'" in err
+    assert "Kraus operator 0 of the node at root.0.2" in err
+    assert out == ""
+
+
+def test_tree_file_roundtrip_is_exact(tmp_path):
+    # operators of several shapes (2 -> 3 on Bob's side) and both parties
+    rng = np.random.default_rng(9)
+    tree = mixed_party_tree(rng)
+    fileio.save_tree(tmp_path / "t.json", tree, BipartiteDims(3, 2))
+    loaded, dims = fileio.load_tree(tmp_path / "t.json")
+    assert dims == BipartiteDims(3, 2)
+    want, got = list(iter_nodes(tree)), list(iter_nodes(loaded))
+    assert [path for path, _ in got] == [path for path, _ in want]
+    for (_, a), (_, b) in zip(want, got):
+        assert a.party == b.party and len(a.kraus) == len(b.kraus)
+        assert all(np.array_equal(x, y) for x, y in zip(a.kraus, b.kraus))
 
 
 MEAS_KRAUS = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],

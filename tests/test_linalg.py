@@ -130,6 +130,21 @@ def test_apply_local_matches_kron(side, d_out):
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_apply_local_stacks_match_single_calls(side):
+    # broadcast leading axes: (operators, 1) against (1, states) gives
+    # every pair, each bitwise as its own call
+    rng = np.random.default_rng(13)
+    dims = (2, 3) if side == "A" else (3, 2)
+    ops = ginibre(rng, 4, 3, 2)
+    mats = ginibre(rng, 5, 6, 6)
+    got = apply_local(ops[:, None], mats[None], dims, side)
+    assert got.shape == (4, 5, 9, 9)
+    for i, k in enumerate(ops):
+        for j, h in enumerate(mats):
+            assert np.array_equal(got[i, j], apply_local(k, h, dims, side))
+
+
 def test_schmidt_bell_and_product():
     np.testing.assert_allclose(schmidt(bell()).lambdas, [0.5, 0.5], atol=1e-12)
     np.testing.assert_allclose(schmidt(product_01()).lambdas, [1.0], atol=1e-12)

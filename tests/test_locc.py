@@ -12,7 +12,7 @@ from entroof import (
     run_tree,
     validate_tree,
 )
-from entroof.locc import LoccNode, iter_nodes
+from entroof.locc import LoccNode
 from entroof.measures import MeasureSpec
 from entroof.sampling import (
     random_density,
@@ -22,7 +22,18 @@ from entroof.sampling import (
     random_unitary,
 )
 
-from util import DIMS22, bell, leaf, one_round_tree, two_round_tree
+from util import (
+    DIMS22,
+    bell,
+    iter_nodes,
+    leaf,
+    mixed_party_input,
+    mixed_party_tree,
+    one_round_tree,
+    per_branch_audit,
+    per_node_walk,
+    two_round_tree,
+)
 
 RNG = np.random.default_rng(777)
 
@@ -175,7 +186,52 @@ def test_dimension_changing_kraus():
     assert abs(np.trace(out.matrix).real - 1.0) <= 1e-9
 
 
+def test_run_tree_matches_per_node_walk():
+    rng = np.random.default_rng(90)
+    cases = [(mixed_party_tree(rng), mixed_party_input(rng)),
+             (two_round_tree(rng, "A", "B", outcomes=3), random_density(DIMS22, rng))]
+    for tree, rho in cases:
+        levels, out = run_tree(tree, rho)
+        ref_levels, ref_out, ref_dims = per_node_walk(tree, rho)
+        assert len(levels) == len(ref_levels)
+        for level, ref in zip(levels, ref_levels):
+            assert [b.path for b in level] == [path for path, *_ in ref]
+            for b, (_, mat, prob, dims) in zip(level, ref):
+                assert np.array_equal(b.unnormalized, mat)
+                assert b.probability == prob and b.dims == dims
+        assert np.array_equal(out.matrix, ref_out)
+        assert out.dims.as_tuple() == ref_dims
+
+
 # --- monotonicity audit -------------------------------------------------------------
+
+AUDIT_SPECS = [MeasureSpec("entanglement-number"), MeasureSpec("p-number", p=2.5),
+               MeasureSpec("entropy"), MeasureSpec("negativity"),
+               MeasureSpec("concurrence", k=2), MeasureSpec("geometric", ranks=(1, 1)),
+               MeasureSpec("geometric", ranks=(1, 2))]
+
+
+@pytest.mark.parametrize("spec", AUDIT_SPECS, ids=lambda s: f"{s.kind}-{s.ranks or ''}")
+def test_audit_matches_per_branch_reference(spec):
+    rng = np.random.default_rng(91)
+    tree = mixed_party_tree(rng)
+    rho = mixed_party_input(rng)
+    mixed = spec.ranks is None or spec.ranks[0] == spec.ranks[1]
+    if not mixed:
+        # no roof for unequal ranks: every branch of a pure input is pure
+        rho = DensityOperator.from_pure(random_pure_state(rho.dims, rng))
+    opts = {"restarts": 2, "max_iters": 60, "seed": 5}
+    audit = audit_monotonicity(tree, rho, spec, roof_opts=opts, end_to_end=mixed)
+    values, pruned, end = per_branch_audit(tree, rho, spec, opts, end_to_end=mixed)
+
+    assert list(audit.pruned) == pruned == [(3,), (3, 0)]
+    assert {n.path: (n.probability, n.value, n.method, n.gap) for n in audit.nodes} == values
+    methods = {n.method for n in audit.nodes}
+    assert methods == ({"pure", "roof"} if mixed else {"pure"})
+    if mixed:
+        e = audit.end_to_end
+        assert (e.input_value, e.input_gap, e.output_value, e.output_gap) == end
+
 
 def test_audit_bell_computational_measurement():
     rho = DensityOperator.from_pure(bell())

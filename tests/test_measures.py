@@ -336,6 +336,26 @@ def test_faithfulness_on_pure_states():
                 assert measure_value(spec, ent) > 1e-4
 
 
+def test_stacked_measure_value_matches_one_state_calls():
+    # rows of every kept Schmidt rank, unequal geometric ranks included
+    rng = np.random.default_rng(77)
+    for dims in (DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 3)):
+        rows = [random_pure_state(dims, rng) for _ in range(4)]
+        rows += [random_product_state(dims, rng) for _ in range(2)]
+        if dims.d == 3:
+            rows.append(PureState(np.kron([1, 0, 1], [0, 1, 1]) / 2 + 0j, dims))  # rank 1
+            amp = np.zeros(dims.total, dtype=complex)
+            amp[[0, dims.dim_b + 1]] = [0.6, 0.8]  # Schmidt rank 2 of 3
+            rows.append(PureState(amp, dims))
+        stack = np.stack([psi.amplitudes for psi in rows])
+        specs = _all_specs(dims) + [MeasureSpec("geometric", ranks=(1, 2))]
+        for spec in specs:
+            got = measure_value(spec, stack.reshape(2, -1, dims.total), dims)
+            want = np.array([measure_value(spec, psi) for psi in rows])
+            assert got.shape == (2, len(rows) // 2)
+            assert np.array_equal(got.ravel(), want), spec
+
+
 def test_gram_spectra_matches_svd():
     for dims in ALL_DIMS:
         states = np.stack(

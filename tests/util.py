@@ -6,7 +6,10 @@ from __future__ import annotations
 import numpy as np
 
 from entroof import BipartiteDims, DensityOperator, PureState
-from entroof.locc import LoccNode
+from entroof.linalg import apply_local
+from entroof.locc import PRUNE_TOL, PURE_RANK_ATOL, LoccNode
+from entroof.measures import measure_value
+from entroof.roof import RoofProblem, solve_roof
 from entroof.sampling import random_instrument
 
 DIMS22 = BipartiteDims(2, 2)
@@ -48,6 +51,115 @@ def two_round_tree(rng: np.random.Generator, first: str, second: str,
         kids.append(LoccNode(second, kraus=tuple(sub),
                              children=tuple(leaf(second) for _ in sub)))
     return LoccNode(first, kraus=tuple(kraus), children=tuple(kids))
+
+
+def iter_nodes(tree: LoccNode):
+    """Depth-first (path, node) pairs; the root has the empty path."""
+    stack = [((), tree)]
+    while stack:
+        path, node = stack.pop()
+        yield path, node
+        for i in reversed(range(len(node.children))):
+            stack.append((path + (i,), node.children[i]))
+
+
+def mixed_party_tree(rng: np.random.Generator) -> LoccNode:
+    """A tree on (3, 2) that ends on (3, 3), with Alice and Bob on one level,
+    dimension-changing 2 -> 3 operators on Bob's side, a zero-probability
+    outcome, and, on :func:`mixed_party_input`, both pure and mixed branches.
+
+    Root outcomes: 0 projects onto span{|1>, |2>} and 1 onto |0> (both
+    leave the input pure), 2 keeps the whole input (mixed), 3 is zero.
+    """
+    eye = np.eye(3, dtype=complex)
+    p12, p0 = np.diag([0.0, 1.0, 1.0]).astype(complex), np.diag([1.0, 0.0, 0.0]).astype(complex)
+    half = np.sqrt(0.5)
+
+    def grow(outcomes: int) -> LoccNode:   # Bob 2 -> 3, then leaves
+        kraus = random_instrument(2, outcomes, rng, dim_out=3)
+        return LoccNode("B", kraus=tuple(kraus), children=tuple(leaf("B") for _ in kraus))
+
+    alice = random_instrument(3, 2, rng)
+    return LoccNode("A", kraus=(half * p12, half * p0, half * eye, 0 * eye), children=(
+        grow(2),
+        LoccNode("A", kraus=tuple(alice), children=(grow(1), grow(1))),
+        grow(2),
+        grow(1),
+    ))
+
+
+def mixed_party_input(rng: np.random.Generator) -> DensityOperator:
+    """Rank-2 state on (3, 2): an entangled state supported on Alice's
+    |1>, |2> mixed with a product state on her |0>."""
+    ent = np.zeros((3, 2), dtype=complex)
+    ent[1:] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    prod = np.zeros((3, 2), dtype=complex)
+    prod[0] = rng.normal(size=2) + 1j * rng.normal(size=2)
+    vecs = [v.ravel() / np.linalg.norm(v) for v in (ent, prod)]
+    mat = 0.6 * np.outer(vecs[0], vecs[0].conj()) + 0.4 * np.outer(vecs[1], vecs[1].conj())
+    return DensityOperator((mat + mat.conj().T) / 2, BipartiteDims(3, 2))
+
+
+def per_node_walk(tree: LoccNode, rho: DensityOperator):
+    """Reference for ``entroof.locc.run_tree``: a depth-first walk that
+    applies each node's Kraus operators with one ``apply_local`` call on
+    that node's state. Returns (levels of (path, matrix, probability,
+    dims), channel output matrix, output dims)."""
+    levels, leaves = [], []
+    stack = [(tree, (), rho.matrix, rho.dims.as_tuple())]
+    while stack:
+        node, path, mat, cur = stack.pop()
+        if len(levels) == len(path):
+            levels.append([])
+        levels[len(path)].append((path, mat, float(np.trace(mat).real), cur))
+        if not node.kraus:
+            leaves.append((mat, cur))
+            continue
+        kids = apply_local(np.stack(node.kraus), mat, cur, node.party)
+        d_out = node.kraus[0].shape[0]
+        nxt = (d_out, cur[1]) if node.party == "A" else (cur[0], d_out)
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], path + (i,), kids[i], nxt))
+    out = sum(mat for mat, _ in leaves)
+    return levels, (out + out.conj().T) / 2, leaves[0][1]
+
+
+def evaluate_density(mat: np.ndarray, dims: tuple[int, int], spec, roof_opts: dict):
+    """Reference for the audit's stacked evaluation: one branch at a time,
+    (value, method, gap) of a normalized state matrix, exact if rank one."""
+    mat = (mat + mat.conj().T) / 2
+    bdims = BipartiteDims(*dims)
+    w, vecs = np.linalg.eigh(mat)
+    if len(w) == 1 or w[-2] <= PURE_RANK_ATOL:
+        psi = vecs[:, -1]
+        psi = psi / np.linalg.norm(psi)
+        return measure_value(spec, PureState(psi, bdims)), "pure", 0.0
+    rho = DensityOperator(mat / np.trace(mat).real, bdims)
+    result = solve_roof(RoofProblem(rho=rho, measure=spec, **roof_opts))
+    return result.value, "roof", result.gap_estimate
+
+
+def per_branch_audit(tree: LoccNode, rho: DensityOperator, spec, roof_opts: dict,
+                     end_to_end: bool):
+    """Reference for ``entroof.locc.audit_monotonicity``: every branch of
+    :func:`per_node_walk` through :func:`evaluate_density` on its own.
+    Returns ({path: (probability, value, method, gap)}, pruned paths in
+    level order, (input value, input gap, output value, output gap) or
+    None)."""
+    levels, output, out_dims = per_node_walk(tree, rho)
+    values, pruned = {}, []
+    for level in levels:
+        for path, mat, prob, dims in level:
+            if prob < PRUNE_TOL:
+                pruned.append(path)
+                continue
+            values[path] = (prob, *evaluate_density(mat / prob, dims, spec, roof_opts))
+    end = None
+    if end_to_end:
+        in_val, _, in_gap = evaluate_density(rho.matrix, rho.dims.as_tuple(), spec, roof_opts)
+        out_val, _, out_gap = evaluate_density(output, out_dims, spec, roof_opts)
+        end = (in_val, in_gap, out_val, out_gap)
+    return values, pruned, end
 
 
 def sampling_oracle_roof(
