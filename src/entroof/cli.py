@@ -24,7 +24,7 @@ from . import io as fileio
 from .linalg import schmidt
 from .locc import InvalidTree, audit_monotonicity
 from .measures import ENTROPY, MEASURES, P_NUMBER, MeasureSpec, measure_value, p_number_pure
-from .roof import RoofProblem, _check_solver_args, rank_of, solve_roof
+from .roof import WINDOW, RoofProblem, _check_solver_args, _ensemble_size, rank_of, solve_roof
 from .states import DensityOperator, InvariantViolation, PureState
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
     opts = {"ensemble_size": args.m, "restarts": args.restarts, "tol": args.tol,
             "seed": args.seed}
     config = {**opts, "max_iters": RoofProblem.max_iters,
-              "ensemble_size": args.m if args.m is not None else rank_of(rho) ** 2}
+              "ensemble_size": _ensemble_size(rank_of(rho), args.m)}
     if "direction" in args:  # the LOCC audit always minimizes
         opts["direction"] = "minimize" if args.direction == "min" else "maximize"
         config["direction"] = args.direction
@@ -287,12 +287,14 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
 def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
     p.add_argument("--m", type=int, default=None,
                    help="ensemble size (default rank(rho)^2)")
-    p.add_argument("--restarts", type=int, default=32, help="random restarts (default 32)")
-    p.add_argument("--seed", type=int, default=0, help="optimizer seed (default 0)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--restarts", type=int, default=RoofProblem.restarts,
+                   help="random restarts (default %(default)s)")
+    p.add_argument("--seed", type=int, default=RoofProblem.seed,
+                   help="optimizer seed (default %(default)s)")
+    p.add_argument("--tol", type=float, default=RoofProblem.tol,
                    help="a restart stops when its best objective falls by less than "
-                        "this over 20 iterations, or sooner when its next step would "
-                        "gain only rounding error (default 1e-9)")
+                        f"this over {WINDOW} iterations, or sooner when its next step "
+                        "would gain only rounding error (default %(default)s)")
     if direction:
         p.add_argument("--direction", choices=["min", "max"], default="min",
                        help="convex (min) or concave (max) roof (default min)")

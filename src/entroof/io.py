@@ -54,17 +54,12 @@ def _pairs_array(data) -> np.ndarray:
     return arr
 
 
-def pairs_to_vector(data) -> np.ndarray:
+def pairs_to_array(data, ndim: int) -> np.ndarray:
+    """Complex vector (``ndim`` 1) or matrix (2) from nested [re, im] pairs."""
     arr = _pairs_array(data)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        _fail("complex-pairs", f"expected a list of [re, im] pairs, got shape {arr.shape}")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def pairs_to_matrix(data) -> np.ndarray:
-    arr = _pairs_array(data)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        _fail("complex-pairs", f"expected rows of [re, im] pairs, got shape {arr.shape}")
+    if arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        what = "a list of" if ndim == 1 else "rows of"
+        _fail("complex-pairs", f"expected {what} [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -105,8 +100,8 @@ def load_state(path) -> PureState | DensityOperator:
     if "data" not in doc:
         _fail("data", "missing 'data' field")
     if kind == "pure":
-        return PureState(pairs_to_vector(doc["data"]), dims)
-    return DensityOperator(pairs_to_matrix(doc["data"]), dims)
+        return PureState(pairs_to_array(doc["data"], 1), dims)
+    return DensityOperator(pairs_to_array(doc["data"], 2), dims)
 
 
 def _cast_kraus(ops: list[tuple[str, int, object]]) -> list[np.ndarray]:
@@ -137,7 +132,7 @@ def _cast_kraus(ops: list[tuple[str, int, object]]) -> list[np.ndarray]:
         for j in members:
             where, i, data = ops[j]
             try:
-                out[j] = pairs_to_matrix(data)
+                out[j] = pairs_to_array(data, 2)
             except InvariantViolation as e:
                 _fail(e.invariant, f"Kraus operator {i} of the node at {where}: {e}")
     return out

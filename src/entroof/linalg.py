@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .states import (
+    KRAUS_ATOL,
     RANK_RTOL,
     DensityOperator,
     InvariantViolation,
@@ -19,6 +20,8 @@ from .states import (
 )
 
 Side = str  # "A" or "B"
+
+EIGH_HERM_ATOL = 1e-10  # entrywise Hermiticity that eigh_desc accepts
 
 
 def _check_side(side: Side) -> str:
@@ -99,24 +102,32 @@ def apply_local(ops: np.ndarray, mats: np.ndarray, dims: tuple[int, int],
     return (ops[..., None, :, :] @ t).reshape(lead + (da * out, da * out))
 
 
-def kraus_residual(ops) -> float:
-    """Entrywise max |sum_k K_k^H K_k - I|: how far Kraus operators of a
-    common shape are from trace preservation."""
+def instrument_issue(ops) -> tuple[str, str, float | None] | None:
+    """The first violation of a Kraus instrument as (invariant, message,
+    residual), or None: operators must be matrices of one shape with sum
+    K^H K = I within KRAUS_ATOL, entrywise. Callers check the input dim."""
+    shapes = {k.shape for k in ops}
+    if len(shapes) != 1 or any(len(s) != 2 for s in shapes):
+        return "kraus-shape", f"inconsistent Kraus shapes {sorted(shapes)}", None
     acc = sum(k.conj().T @ k for k in ops)
-    return float(np.max(np.abs(acc - np.eye(ops[0].shape[1]))))
+    res = float(np.max(np.abs(acc - np.eye(ops[0].shape[1]))))
+    if res > KRAUS_ATOL:
+        return "kraus-completeness", f"sum K^H K deviates from identity by {res:.3e}", res
+    return None
 
 
-def eigh_desc(mat: np.ndarray, herm_atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Raises InvariantViolation when the input is not Hermitian within
-    ``herm_atol`` (entrywise).
+    EIGH_HERM_ATOL (entrywise).
     """
     mat = np.asarray(mat, dtype=np.complex128)
     res = float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
-    if res > herm_atol:
+    if res > EIGH_HERM_ATOL:
         raise InvariantViolation(
-            "hermitian", res, f"matrix deviates from Hermitian by {res:.3e} (> {herm_atol})")
+            "hermitian", res,
+            f"matrix deviates from Hermitian by {res:.3e} (> {EIGH_HERM_ATOL})")
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
     return w[::-1].copy(), v[:, ::-1].copy()
 
@@ -139,11 +150,11 @@ def trace_norm(mat: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def clip_spectrum(values: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Zero out spectrum entries below rtol * max and clamp tiny negatives."""
+def clip_spectrum(values: np.ndarray) -> np.ndarray:
+    """Zero out spectrum entries below RANK_RTOL * max and clamp tiny negatives."""
     values = np.asarray(values, dtype=float)
     top = float(np.max(values, initial=0.0))
-    out = np.where(values < rtol * top, 0.0, values)
+    out = np.where(values < RANK_RTOL * top, 0.0, values)
     return np.maximum(out, 0.0)
 
 

@@ -36,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import apply_local, kraus_residual
+from .linalg import apply_local, instrument_issue
 from .measures import MeasureSpec, measure_value
 from .roof import RoofProblem, solve_roof
-from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation
+from .states import BipartiteDims, DensityOperator, InvariantViolation
 
 Path = tuple[int, ...]
 
@@ -131,10 +131,9 @@ def validate_tree(tree: LoccNode, dims: BipartiteDims) -> TreeValidationReport:
                 path, "children-count",
                 f"{len(node.kraus)} Kraus operators vs {len(node.children)} children"))
             continue
-        shapes = {k.shape for k in node.kraus}
-        if len(shapes) != 1 or any(len(s) != 2 for s in shapes):
-            issues.append(TreeIssue(
-                path, "kraus-shape", f"inconsistent Kraus shapes {sorted(shapes)}"))
+        issue = instrument_issue(node.kraus)
+        if issue and issue[0] == "kraus-shape":
+            issues.append(TreeIssue(path, *issue))
             continue
         acting = cur[0] if node.party == "A" else cur[1]
         d_in = node.kraus[0].shape[1]
@@ -143,11 +142,8 @@ def validate_tree(tree: LoccNode, dims: BipartiteDims) -> TreeValidationReport:
                 path, "kraus-dims",
                 f"operators act on dim {d_in}, current {node.party} dim is {acting}"))
             continue
-        res = kraus_residual(node.kraus)
-        if res > KRAUS_ATOL:
-            issues.append(TreeIssue(
-                path, "kraus-completeness",
-                f"sum K^H K deviates from identity by {res:.3e}", res))
+        if issue:  # incomplete: reported, and the walk goes on below
+            issues.append(TreeIssue(path, *issue))
         nxt = _child_dims(node, cur)
         for i in reversed(range(len(node.children))):
             stack.append((node.children[i], path + (i,), nxt))

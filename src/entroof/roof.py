@@ -57,7 +57,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .linalg import _qr_fix, clip_spectrum, eigh_desc, kraus_residual, trace_norm
+from .linalg import _qr_fix, clip_spectrum, eigh_desc, instrument_issue, trace_norm
 from .measures import (
     ENTROPY,
     MeasureSpec,
@@ -67,7 +67,7 @@ from .measures import (
     von_neumann_entropy,
 )
 from .sampling import ginibre, random_isometry
-from .states import KRAUS_ATOL, BipartiteDims, DensityOperator, InvariantViolation, PureState
+from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
 
 STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
 WINDOW = 20              # iterations over which the stopping rule measures progress
@@ -218,7 +218,13 @@ def _eigen_factor(rho: DensityOperator) -> np.ndarray:
 
 
 def rank_of(rho: DensityOperator) -> int:
-    return int(np.count_nonzero(clip_spectrum(np.linalg.eigvalsh(rho.matrix))))
+    """The rank r of rho that the solver works with: its eigen-factor's columns."""
+    return _eigen_factor(rho).shape[1]
+
+
+def _ensemble_size(r: int, m: int | None) -> int:
+    """Ensemble size at rank r: ``m``, or by default r^2 (Caratheodory's bound)."""
+    return r * r if m is None else int(m)
 
 
 def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
@@ -296,7 +302,7 @@ class _Engine:
         self.b = _eigen_factor(rho)
         self.n, self.r = self.b.shape
         self.da, self.db = rho.dims.as_tuple()
-        m = self.r * self.r if m is None else int(m)
+        m = _ensemble_size(self.r, m)
         if m < self.r:
             raise ValueError(f"ensemble size m = {m} below rank(rho) = {self.r}")
         entries = SCREEN_CANDIDATES * m * self.n
@@ -557,19 +563,21 @@ class _Engine:
 def solve_roof_custom(
     rho: DensityOperator,
     objective,
-    direction: str = "minimize",
-    ensemble_size: int | None = None,
-    restarts: int = 32,
-    max_iters: int = 2000,
-    tol: float = 1e-9,
-    seed: int = 0,
+    direction: str = RoofProblem.direction,
+    ensemble_size: int | None = RoofProblem.ensemble_size,
+    restarts: int = RoofProblem.restarts,
+    max_iters: int = RoofProblem.max_iters,
+    tol: float = RoofProblem.tol,
+    seed: int = RoofProblem.seed,
 ) -> RoofResult:
     """Roof optimization of an arbitrary vectorized pure-state objective.
 
-    ``objective`` maps stacks of normalized state vectors (..., n) to values
-    (...,) and carries its gradient as ``objective.grad``: a function of
-    unnormalized vectors chi (..., n) returning ``(values, g)``, the
-    objective at chi/|chi| and g = d(|chi|^2 objective(chi/|chi|))/d chi^*.
+    ``objective`` maps stacks of state vectors chi (..., n) to values
+    (...,). The solver calls it on unnormalized ensemble members, so it
+    must depend on chi only through chi/|chi|. It carries its gradient as
+    ``objective.grad``: a function of unnormalized vectors chi (..., n)
+    returning ``(values, g)``, the objective at chi/|chi| and
+    g = d(|chi|^2 objective(chi/|chi|))/d chi^*.
     Objectives from :func:`entroof.measures.make_objective` and
     :func:`entroof.measures.decreasing_counterpart` carry one. Both are
     called on stacks over restarts and line-search steps; a restart's
@@ -640,21 +648,6 @@ def concave_roof(problem: RoofProblem) -> RoofResult:
     return solve_roof(replace(problem, direction="maximize"))
 
 
-def _check_kraus(kraus: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
-    if not ops or any(k.ndim != 2 for k in ops):
-        raise InvariantViolation("kraus-shape", 0.0, "need a nonempty list of matrices")
-    dim_in = ops[0].shape[1]
-    if any(k.shape != ops[0].shape for k in ops):
-        raise InvariantViolation("kraus-shape", 0.0, "all Kraus operators must share a shape")
-    res = kraus_residual(ops)
-    if res > KRAUS_ATOL:
-        raise InvariantViolation(
-            "kraus-completeness", res,
-            f"sum K^H K deviates from identity by {res:.3e}")
-    return np.stack(ops), dim_in
-
-
 def channel_entropy(
     rho: DensityOperator,
     kraus: list[np.ndarray],
@@ -673,13 +666,18 @@ def channel_entropy(
     :class:`RoofProblem` fields ``ensemble_size``, ``restarts``,
     ``max_iters``, ``tol`` and ``seed``.
     """
-    ops, dim_in = _check_kraus(kraus)
+    ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
+    issue = instrument_issue(ops)
+    if issue:
+        invariant, message, residual = issue
+        raise InvariantViolation(invariant, residual or 0.0, message)
+    ops = np.stack(ops)
+    n_ops, d_out, dim_in = ops.shape
     if dim_in != rho.dims.total:
         raise InvariantViolation(
             "kraus-dims", 0.0,
             f"channel acts on dim {dim_in}, state lives in dim {rho.dims.total}")
     spec = MeasureSpec(ENTROPY, log_base=log_base)
-    n_ops, d_out = ops.shape[:2]
     v = ops.transpose(1, 0, 2).reshape(d_out * n_ops, dim_in)
     dilated = v @ rho.matrix @ v.conj().T
     dilated = (dilated + dilated.conj().T) / 2

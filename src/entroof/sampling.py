@@ -10,6 +10,8 @@ import numpy as np
 from .linalg import _qr_fix, partial_transpose
 from .states import BipartiteDims, DensityOperator, PureState
 
+NPT_MAX_TRIES = 10_000  # draws random_npt_density makes before it gives up
+
 
 def ginibre(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -63,18 +65,16 @@ def random_separable_density(
 
 
 def random_npt_density(
-    dims: BipartiteDims,
-    rng: np.random.Generator,
-    min_negativity: float = 1e-2,
-    max_tries: int = 10_000,
+    dims: BipartiteDims, rng: np.random.Generator, min_negativity: float = 1e-2
 ) -> DensityOperator:
-    """Random state whose partial transpose has an eigenvalue < -min_negativity."""
-    for _ in range(max_tries):
+    """Random state whose partial transpose has an eigenvalue < -min_negativity,
+    from at most NPT_MAX_TRIES draws."""
+    for _ in range(NPT_MAX_TRIES):
         rho = random_density(dims, rng)
         w = np.linalg.eigvalsh(partial_transpose(rho, "B"))
         if w[0] < -min_negativity:
             return rho
-    raise RuntimeError(f"no NPT state below -{min_negativity} found in {max_tries} draws")
+    raise RuntimeError(f"no NPT state below -{min_negativity} found in {NPT_MAX_TRIES} draws")
 
 
 def random_instrument(

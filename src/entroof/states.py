@@ -39,22 +39,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_complex_vector(data) -> np.ndarray:
-    v = np.ascontiguousarray(data, dtype=np.complex128)
-    if v.ndim != 1:
-        raise InvariantViolation("shape", v.ndim, f"expected a vector, got ndim={v.ndim}")
-    if not np.all(np.isfinite(v.view(np.float64))):
+def as_complex_array(data, ndim: int) -> np.ndarray:
+    """``data`` as a contiguous complex array of ``ndim`` axes (1: vector,
+    2: matrix) with finite entries."""
+    a = np.ascontiguousarray(data, dtype=np.complex128)
+    if a.ndim != ndim:
+        kind = "vector" if ndim == 1 else "matrix"
+        raise InvariantViolation("shape", a.ndim, f"expected a {kind}, got ndim={a.ndim}")
+    if not np.all(np.isfinite(a.view(np.float64))):
         raise InvariantViolation("finite", np.inf, "entries must be finite (no NaN/Inf)")
-    return v
-
-
-def as_complex_matrix(data) -> np.ndarray:
-    m = np.ascontiguousarray(data, dtype=np.complex128)
-    if m.ndim != 2:
-        raise InvariantViolation("shape", m.ndim, f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.view(np.float64))):
-        raise InvariantViolation("finite", np.inf, "entries must be finite (no NaN/Inf)")
-    return m
+    return a
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ class PureState:
     dims: BipartiteDims
 
     def __post_init__(self):
-        v = as_complex_vector(self.amplitudes)
+        v = as_complex_array(self.amplitudes, 1)
         if v.size != self.dims.total:
             raise InvariantViolation(
                 "length", abs(v.size - self.dims.total),
@@ -121,7 +115,7 @@ class DensityOperator:
     dims: BipartiteDims
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
+        m = as_complex_array(self.matrix, 2)
         n = self.dims.total
         if m.shape != (n, n):
             raise InvariantViolation(

@@ -7,12 +7,22 @@ import pytest
 
 import entroof.cli as cli
 import entroof.io as fileio
+import entroof.roof as roof
 from entroof import BipartiteDims, DensityOperator, PureState, RoofProblem
+from entroof.linalg import clip_spectrum
 from entroof.locc import LoccNode
 from entroof.measures import MEASURES, MeasureSpec
 from entroof.sampling import random_density
 
-from util import DIMS22, bell, iter_nodes, leaf, mixed_party_tree, two_round_tree
+from util import (
+    DIMS22,
+    bell,
+    edge_rank_density,
+    iter_nodes,
+    leaf,
+    mixed_party_tree,
+    two_round_tree,
+)
 
 
 @pytest.fixture
@@ -256,6 +266,32 @@ def test_sweep_grid_cap_checked_before_allocation(capsys, files):
         tracemalloc.stop()
     assert code == 3
     assert peak < 10_000_000
+
+
+def test_roof_echoes_the_ensemble_size_it_solves_with(capsys, tmp_path, monkeypatch):
+    used = []
+
+    class Spy(roof._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            used.append(self.m)
+
+    monkeypatch.setattr(roof, "_Engine", Spy)
+    # states with an eigenvalue at the RANK_RTOL cutoff that eigvalsh and
+    # the solver's eigendecomposition count differently
+    rng = np.random.default_rng(0)
+    edge = [edge_rank_density(rng) for _ in range(50)]
+    split = [rho for rho in edge if roof._eigen_factor(rho).shape[1]
+             != np.count_nonzero(clip_spectrum(np.linalg.eigvalsh(rho.matrix)))]
+    assert len(split) >= 2
+    for i, rho in enumerate(split[:2]):
+        fileio.save_state(tmp_path / f"edge{i}.json", rho)
+        code, out, _ = run(capsys, ["roof", str(tmp_path / f"edge{i}.json"),
+                                    "--measure", "entropy", "--restarts", "1"])
+        assert code == 0
+        det = report_of(out)["deterministic"]
+        assert det["config"]["roof"]["ensemble_size"] == used[-1]
+        assert len(det["results"]["ensemble"]["weights"]) <= used[-1]
 
 
 def test_roof_ensemble_size_bound_exit_3(capsys, files):

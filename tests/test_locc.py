@@ -8,6 +8,7 @@ from entroof import (
     InvariantViolation,
     PureState,
     audit_monotonicity,
+    channel_entropy,
     measure_value,
     run_tree,
     validate_tree,
@@ -63,18 +64,20 @@ def test_incomplete_kraus_reported_with_residual():
 
 
 def test_kraus_tolerance_shared_with_channel_check():
-    from entroof.roof import _check_kraus
     from entroof.states import KRAUS_ATOL
 
+    rho = DensityOperator.from_pure(bell())
     for excess, ok in ((0.2 * KRAUS_ATOL, True), (5 * KRAUS_ATOL, False)):
         k = np.sqrt(1 + excess) * np.eye(2)  # completeness residual = excess
         tree = LoccNode("A", kraus=(k,), children=(leaf(),))
-        assert validate_tree(tree, DIMS22).ok == ok
-        if ok:
-            _check_kraus([k])
-        else:
-            with pytest.raises(InvariantViolation):
-                _check_kraus([k])
+        report = validate_tree(tree, DIMS22)
+        assert report.ok == ok
+        if not ok:  # the channel check reports what the tree reports
+            with pytest.raises(InvariantViolation) as exc:
+                channel_entropy(rho, [np.kron(k, np.eye(2))])
+            issue = report.issues[0]
+            assert (exc.value.invariant, str(exc.value), exc.value.residual) == (
+                issue.code, issue.message, issue.residual)
 
 
 def test_random_two_round_tree_valid():

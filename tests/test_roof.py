@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -48,6 +50,7 @@ from entroof.states import PureState
 from util import (
     DIMS22,
     bell,
+    edge_rank_density,
     eigh_gradient,
     fd_gradient,
     sampling_oracle_roof,
@@ -335,10 +338,14 @@ def test_channel_entropy_depolarizing():
 
 def test_channel_entropy_invalid_kraus():
     rho = random_density(DIMS22, RNG)
-    with pytest.raises(InvariantViolation):
-        channel_entropy(rho, [np.eye(4) / 2])
-    with pytest.raises(InvariantViolation):
-        channel_entropy(rho, [np.eye(2)])
+    for kraus, invariant in (([np.eye(4) / 2], "kraus-completeness"),
+                             ([np.eye(2)], "kraus-dims"),
+                             ([], "kraus-shape"),
+                             ([np.eye(4), np.eye(5, 4)], "kraus-shape"),
+                             ([np.ones(4)], "kraus-shape")):
+        with pytest.raises(InvariantViolation) as exc:
+            channel_entropy(rho, kraus)
+        assert exc.value.invariant == invariant
 
 
 def test_channel_entropy_rectangular_isometry():
@@ -779,3 +786,22 @@ def test_smoothing_stage_evaluates_each_iterate_once():
     for evaluated in calls:
         assert evaluated
         assert len(set(evaluated)) == len(evaluated)
+
+
+def test_rank_of_is_the_engine_rank_on_edge_spectra():
+    # an eigenvalue at the RANK_RTOL cutoff, where the rounding of two
+    # eigensolvers can put it on either side
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        rho = edge_rank_density(rng)
+        assert rank_of(rho) == _eigen_factor(rho).shape[1]
+
+
+def test_solve_roof_custom_defaults_are_roof_problem_defaults():
+    params = inspect.signature(solve_roof_custom).parameters
+    shared = [f for f in dataclasses.fields(RoofProblem)
+              if f.name in params and f.default is not dataclasses.MISSING]
+    assert {f.name for f in shared} == {
+        "direction", "ensemble_size", "restarts", "max_iters", "tol", "seed"}
+    for f in shared:
+        assert params[f.name].default == f.default, f.name

@@ -10,7 +10,7 @@ from entroof.linalg import apply_local
 from entroof.locc import PRUNE_TOL, PURE_RANK_ATOL, LoccNode
 from entroof.measures import measure_value
 from entroof.roof import RoofProblem, solve_roof
-from entroof.sampling import random_instrument
+from entroof.sampling import ginibre, random_instrument, random_unitary
 
 DIMS22 = BipartiteDims(2, 2)
 
@@ -29,6 +29,16 @@ def diag_state(l1: float, l2: float) -> PureState:
     v[0] = np.sqrt(l1)
     v[3] = np.sqrt(l2)
     return PureState(v, DIMS22)
+
+
+def edge_rank_density(rng: np.random.Generator) -> DensityOperator:
+    """A 2x2 density whose rank hangs on rounding: spectrum (0.6, 0.4 - eps,
+    eps, 0) with eps = 6e-13 at the RANK_RTOL cutoff, in a random basis, plus
+    2e-14 of complex noise that is not Hermitian, renormalized."""
+    eps = 6e-13
+    u = random_unitary(4, rng)
+    m = (u * np.array([0.6, 0.4 - eps, eps, 0.0])) @ u.conj().T + 2e-14 * ginibre(rng, 4, 4)
+    return DensityOperator(m / np.trace(m).real, DIMS22)
 
 
 def leaf(party: str = "A") -> LoccNode:
