@@ -82,14 +82,20 @@ def _check_roof_flags(args) -> None:
         _check_solver_args("minimize", args.restarts, RoofProblem.max_iters, args.tol)
 
 
-def _roof_options(args, rho: DensityOperator) -> tuple[dict, dict]:
+def _roof_options(args, rho: DensityOperator | None) -> tuple[dict, dict]:
     """RoofProblem keywords from the checked roof flags, and their echo for
-    the report's config."""
+    the report's config.
+
+    The echoed ``ensemble_size`` is the m that solves ``rho``; with
+    ``rho`` None (the LOCC audit, whose solves each use the default at
+    their own rank) it is ``--m``, null when unset.
+    """
     _check_roof_flags(args)
     opts = {"ensemble_size": args.m, "restarts": args.restarts, "tol": args.tol,
             "seed": args.seed}
-    config = {**opts, "max_iters": RoofProblem.max_iters,
-              "ensemble_size": _ensemble_size(rank_of(rho), args.m)}
+    config = {**opts, "max_iters": RoofProblem.max_iters}
+    if rho is not None:
+        config["ensemble_size"] = _ensemble_size(rank_of(rho), args.m)
     if "direction" in args:  # the LOCC audit always minimizes
         opts["direction"] = "minimize" if args.direction == "min" else "maximize"
         config["direction"] = args.direction
@@ -236,7 +242,7 @@ def cmd_locc(args) -> tuple[int, dict]:
         raise ParamError(
             f"tree dims {tree_dims.as_tuple()} do not match state dims {rho.dims.as_tuple()}")
     spec = _spec_from_args(args)
-    opts, roof_config = _roof_options(args, rho)
+    opts, roof_config = _roof_options(args, None)
     det = {
         "command": "locc",
         "inputs": {"tree": _input_doc(args.tree), "state": _input_doc(args.state)},
@@ -286,7 +292,7 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
     p.add_argument("--m", type=int, default=None,
-                   help="ensemble size (default rank(rho)^2)")
+                   help="ensemble size (default min(r^2, 2r) at the state's rank r)")
     p.add_argument("--restarts", type=int, default=RoofProblem.restarts,
                    help="random restarts (default %(default)s)")
     p.add_argument("--seed", type=int, default=RoofProblem.seed,

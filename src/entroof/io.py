@@ -51,6 +51,9 @@ def _pairs_array(data) -> np.ndarray:
     if bad:
         names = ", ".join(sorted(t.__name__ for t in bad))
         _fail("complex-pairs", f"expected JSON numbers in [re, im] pairs, got {names}")
+    # Python's json reads the NaN and Infinity literals, and 1e400 as inf
+    if not np.all(np.isfinite(arr)):
+        _fail("finite", "entries must be finite (no NaN/Inf)", np.inf)
     return arr
 
 

@@ -111,7 +111,7 @@ def instrument_issue(ops) -> tuple[str, str, float | None] | None:
         return "kraus-shape", f"inconsistent Kraus shapes {sorted(shapes)}", None
     acc = sum(k.conj().T @ k for k in ops)
     res = float(np.max(np.abs(acc - np.eye(ops[0].shape[1]))))
-    if res > KRAUS_ATOL:
+    if not (res <= KRAUS_ATOL):  # written so that a NaN residual fails too
         return "kraus-completeness", f"sum K^H K deviates from identity by {res:.3e}", res
     return None
 

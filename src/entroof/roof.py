@@ -102,8 +102,9 @@ NONMONOTONE_ETA = 0.85
 # Largest complex array one solve may allocate: the screened candidates'
 # member vectors (SCREEN_CANDIDATES * m * n), or the line search's member
 # vectors for a chunk of restarts, at most LINE_SEARCH_RUNGS * chunk * m * n;
-# the chunk is sized to fit. The limit admits the default m = r^2 up to an
-# 8x8 full-rank state; larger ensembles are rejected before any allocation.
+# the chunk is sized to fit. The limit admits the default m = 2r up to a
+# 22x22 full-rank state (256 * 2r * n <= 2^27) and m = r^2 up to 8x8; larger
+# ensembles are rejected before any allocation.
 MAX_WORK_ENTRIES = 2**27
 
 
@@ -146,9 +147,10 @@ class Ensemble:
 class RoofProblem:
     """A roof optimization instance.
 
-    ``ensemble_size`` defaults to rank(rho)^2, the standard sufficiency
-    bound; it must be at least rank(rho). ``seed`` makes the whole run
-    reproducible.
+    ``ensemble_size`` defaults to min(r^2, 2r) at r = rank(rho): 2r for a
+    mixed state, 1 for a pure one. It must be at least r; r^2, the
+    Caratheodory bound on an optimal ensemble, may be set explicitly.
+    ``seed`` makes the whole run reproducible.
     """
 
     rho: DensityOperator
@@ -223,8 +225,13 @@ def rank_of(rho: DensityOperator) -> int:
 
 
 def _ensemble_size(r: int, m: int | None) -> int:
-    """Ensemble size at rank r: ``m``, or by default r^2 (Caratheodory's bound)."""
-    return r * r if m is None else int(m)
+    """Ensemble size at rank r: ``m``, or by default min(r^2, 2r).
+
+    Caratheodory bounds some optimal ensemble by r^2 members, but at a fixed
+    iteration budget 2r members reach equal or lower values on 3x3 and 2x4
+    states in about half the time; a pure state (r = 1) keeps m = 1.
+    """
+    return min(r * r, 2 * r) if m is None else int(m)
 
 
 def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:

@@ -375,6 +375,26 @@ def test_locc_bell_measurement(capsys, files):
     np.testing.assert_allclose(branch_probs, [0.5, 0.5], atol=1e-12)
 
 
+def test_locc_echoes_the_ensemble_size_flag(capsys, files, monkeypatch):
+    # the input is pure (rank 1) while the one roof solve, of the channel
+    # output, is at rank 2: the echo is --m, or null when each solve takes
+    # the default at its own rank
+    used = []
+
+    class Spy(roof._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            used.append(self.m)
+
+    monkeypatch.setattr(roof, "_Engine", Spy)
+    for flag, echo, m in (([], None, roof._ensemble_size(2, None)), (["--m", "3"], 3, 3)):
+        code, out, _ = run(capsys, ["locc", files["meas"], files["bell"],
+                                    "--measure", "e", "--restarts", "1", *flag])
+        assert code == 0
+        assert report_of(out)["deterministic"]["config"]["roof"]["ensemble_size"] == echo
+        assert used[-1] == m
+
+
 def test_locc_invalid_tree_exit_5(capsys, files):
     code, out, _ = run(capsys, ["locc", files["bad"], files["bell"], "--measure", "e"])
     assert code == 5
@@ -449,8 +469,13 @@ MEAS_KRAUS = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
                  "data": [[True, 0], [0, 0], [0, 0], [0, 0]]}, "complex-pairs"),
     ("measure", {"kind": "pure", "dims": [2, 2],
                  "data": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}, "complex-pairs"),
+    ("locc", {"dims": [2, 2], "root": {"party": "A", "kraus": [
+        [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}}, "finite"),
+    ("measure", {"kind": "pure", "dims": [2, 2],
+                 "data": [[math.inf, 0], [0, 0], [0, 0], [0, 0]]}, "finite"),
 ], ids=["children-int", "kraus-int", "party-list", "data-strings", "ragged-vector",
-        "ragged-matrix", "dims-bool", "numeric-string", "bool-leaf", "huge-int"])
+        "ragged-matrix", "dims-bool", "numeric-string", "bool-leaf", "huge-int",
+        "kraus-nan", "state-inf"])
 def test_malformed_file_exit_2(capsys, files, tmp_path, command, doc, invariant):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))

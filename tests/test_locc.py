@@ -61,6 +61,9 @@ def test_incomplete_kraus_reported_with_residual():
     assert issue.code == "kraus-completeness"
     # sum K^H K = I/4, so the max-abs deviation from I is 3/4
     assert abs(issue.residual - 0.75) < 1e-12
+    # a NaN entry gives a NaN residual, which must fail the check too
+    tree = LoccNode("A", kraus=(np.diag([np.nan, 1.0]),), children=(leaf(),))
+    assert [i.code for i in validate_tree(tree, DIMS22).issues] == ["kraus-completeness"]
 
 
 def test_kraus_tolerance_shared_with_channel_check():

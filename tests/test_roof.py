@@ -34,6 +34,7 @@ from entroof.roof import (
     WINDOW,
     _eigen_factor,
     _Engine,
+    _ensemble_size,
     rank_of,
 )
 from entroof.sampling import (
@@ -282,6 +283,26 @@ def test_ensemble_size_sufficiency():
     assert large.value <= small.value + 1e-6
 
 
+def test_default_ensemble_size_rule():
+    # one owner: the default m is min(r^2, 2r), and a default solve is the
+    # solve at that explicit m, bit for bit
+    assert [_ensemble_size(r, None) for r in range(1, 10)] == [
+        min(r * r, 2 * r) for r in range(1, 10)]
+    rho = random_density(DIMS22, np.random.default_rng(29), 3)
+    opts = dict(rho=rho, measure=S_SPEC, restarts=3, max_iters=200, seed=5)
+    a = solve_roof(RoofProblem(**opts))
+    b = solve_roof(RoofProblem(**opts, ensemble_size=6))
+    assert a.value == b.value
+    assert a.objective_trace == b.objective_trace
+    assert a.restart_values == b.restart_values
+    np.testing.assert_array_equal(a.ensemble.weights, b.ensemble.weights)
+    for x, y in zip(a.ensemble.states, b.ensemble.states, strict=True):
+        np.testing.assert_array_equal(x.amplitudes, y.amplitudes)
+    pure = DensityOperator.from_pure(random_pure_state(DIMS22, np.random.default_rng(31)))
+    assert _Engine(pure, make_objective(E_SPEC, DIMS22), "minimize", None, 1, 1, 1e-9, 0).m == 1
+    assert len(solve_roof(RoofProblem(rho=pure, measure=E_SPEC, restarts=2)).ensemble.states) == 1
+
+
 def test_gap_estimate_is_restart_spread():
     rho = random_density(DIMS22, RNG)
     res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, seed=8))
@@ -339,6 +360,7 @@ def test_channel_entropy_depolarizing():
 def test_channel_entropy_invalid_kraus():
     rho = random_density(DIMS22, RNG)
     for kraus, invariant in (([np.eye(4) / 2], "kraus-completeness"),
+                             ([np.diag([np.nan, 1, 1, 1])], "kraus-completeness"),
                              ([np.eye(2)], "kraus-dims"),
                              ([], "kraus-shape"),
                              ([np.eye(4), np.eye(5, 4)], "kraus-shape"),
@@ -416,10 +438,11 @@ def test_ensemble_size_bound_checked_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    # the default m = r^2 of a full-rank 8x8 state is still admitted
+    # the default m and m = r^2 of a full-rank 8x8 state are still admitted
     big = random_density(BipartiteDims(8, 8), rng)
-    engine = _Engine(big, make_objective(E_SPEC, big.dims), "minimize", None, 1, 1, 1e-9, 0)
-    assert engine.m == 64 * 64
+    objective = make_objective(E_SPEC, big.dims)
+    for m, want in ((None, _ensemble_size(64, None)), (64 * 64, 64 * 64)):
+        assert _Engine(big, objective, "minimize", m, 1, 1, 1e-9, 0).m == want
 
 
 def test_stall_metadata_recorded():
@@ -566,7 +589,7 @@ def test_lockstep_batch_matches_sequential_restarts():
         (mixed, make_objective(S_SPEC, DIMS22), "minimize", None, 6, 2000),
         (mixed, make_objective(E_SPEC, DIMS22), "maximize", None, 3, 2000),
         (separable, make_objective(E_SPEC, DIMS22), "minimize", rank_of(separable), 4, 2000),
-        (entangled, make_objective(S_SPEC, entangled.dims), "minimize", None, 3, 60),
+        (entangled, make_objective(S_SPEC, entangled.dims), "minimize", None, 3, 40),
         (mixed, constant, "minimize", None, 2, 2000),
     ]
     stops, stalled = set(), False
@@ -618,21 +641,24 @@ def test_window_reads_the_stage_best(monkeypatch):
 
 
 def test_restart_chunk_bounded_before_allocation():
-    # the default m = r^2 of a full-rank 8x8 state with 32 restarts: the
-    # engine picks its chunk of lockstep restarts without allocating, and
-    # the line search's stacked member vectors fit the work limit
+    # a full-rank 8x8 state with 32 restarts, at the default m and at
+    # m = r^2: the engine picks its chunk of lockstep restarts without
+    # allocating, and the line search's stacked member vectors fit the
+    # work limit
     big = random_density(BipartiteDims(8, 8), np.random.default_rng(53))
     objective = make_objective(E_SPEC, big.dims)
-    tracemalloc.start()
-    try:
-        engine = _Engine(big, objective, "minimize", None, 32, 2000, 1e-9, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert engine.m == 64 * 64
-    assert 1 <= engine.chunk < 32
-    assert LINE_SEARCH_RUNGS * engine.chunk * engine.m * engine.n <= MAX_WORK_ENTRIES
-    assert peak < 1_000_000
+    for m in (None, 64 * 64):
+        tracemalloc.start()
+        try:
+            engine = _Engine(big, objective, "minimize", m, 32, 2000, 1e-9, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert engine.m == _ensemble_size(64, m)
+        # r^2 members fit only by splitting the restarts into chunks
+        assert 1 <= engine.chunk < 32 if m else engine.chunk == 32
+        assert LINE_SEARCH_RUNGS * engine.chunk * engine.m * engine.n <= MAX_WORK_ENTRIES
+        assert peak < 1_000_000
 
 
 # --- exact gradient --------------------------------------------------------------
