@@ -173,8 +173,23 @@ def _entropy_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return -(np.log(np.maximum(lams, KINK_FLOOR)) + 1.0) / math.log(spec.log_base)
 
 
+def _pair_sum(x: np.ndarray) -> np.ndarray:
+    """2 sum_{i<j} x_i x_j along the last axis, for descending x >= 0.
+
+    Each x_i multiplies the sum of the smaller entries after it, which is
+    accumulated from the smallest up, so no subtraction cancels: with
+    sum(x) = 1 this is 1 - sum(x^2) to full relative precision even near
+    a product state, where that difference loses every digit.
+    """
+    if x.shape[-1] == 2:  # the same product, without the accumulation calls
+        return 2.0 * (x[..., 0] * x[..., 1])
+    tail = np.cumsum(x[..., :0:-1], axis=-1)[..., ::-1]  # sum_{j>i} x_j, i < r - 1
+    return 2.0 * np.sum(x[..., :-1] * tail, axis=-1)
+
+
 def _e(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
-    return np.sqrt(np.maximum(1.0 - np.sum(lams * lams, axis=-1), 0.0))
+    # 1 - sum(lams^2) = 2 sum_{i<j} lams_i lams_j
+    return np.sqrt(_pair_sum(lams))
 
 
 def _e_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
@@ -193,8 +208,8 @@ def _p_number_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
 
 
 def _negativity(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
-    s = np.sum(np.sqrt(np.maximum(lams, 0.0)), axis=-1)
-    return np.maximum(s * s - 1.0, 0.0) / (d - 1)
+    # s^2 - 1 = 2 sum_{i<j} sqrt(lams_i lams_j) for s = sum(sqrt(lams))
+    return _pair_sum(np.sqrt(np.maximum(lams, 0.0))) / (d - 1)
 
 
 def _negativity_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:

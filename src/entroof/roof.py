@@ -5,24 +5,30 @@ an isometry acting on its eigen-ensemble: if rho = sum_j p_j |e_j><e_j| has
 rank r and V is an m x r matrix with V^dagger V = I, the unnormalized
 vectors chi_i = sum_j V[i, j] sqrt(p_j) |e_j> satisfy
 sum_i |chi_i><chi_i| = rho, giving an ensemble with weights ||chi_i||^2.
-The roof value is found by multi-start descent over such isometries: the
-exact gradient of the ensemble-averaged measure in the ambient coordinates
-of V is projected onto the tangent space of the isometry manifold, stepped
-with a spectral (Barzilai-Borwein) initial step under nonmonotone Armijo
-backtracking, and re-orthonormalized by a QR retraction after every step.
+The roof value is found by multi-start Riemannian L-BFGS over such
+isometries (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015): the exact
+gradient of the ensemble-averaged measure in the ambient coordinates of V
+is projected onto the tangent space of the isometry manifold, giving xi;
+a two-loop recursion over the restart's last LBFGS_MEMORY curvature pairs
+(s, y) turns xi into a direction -p, projected onto the tangent space; and
+a step along -p, the unit step first, under nonmonotone Armijo
+backtracking, is re-orthonormalized by a QR retraction. The pairs are the ambient
+differences of successive iterates and of their tangent gradients; a pair
+with <s, y> <= 0 is skipped. A restart without pairs, or whose p is not a
+descent direction, searches along -xi from the step 1 / |xi|.
 The Armijo test compares a trial step with the Zhang-Hager reference, an
 average of the restart's recent stage objectives weighted by powers of
 NONMONOTONE_ETA (Zhang & Hager, SIAM J. Optim. 14, 2004; Wen & Yin use it
 on orthogonality constraints, Math. Program. 142, 2013), rather than with
-the current value, so a spectral step that briefly raises the objective is
+the current value, so a step that briefly raises the objective is
 kept instead of backtracked. Each restart warms up on a slightly smoothed
 objective and periodically tries an alternating-projection product polish
 (see the constants below); both devices address the conic kinks faithful
 measures have at their zeros.
 
 A smoothing stage ends by one of two stopping rules. The rounding floor:
-once the spectral step t and the tangent gradient xi predict a decrease
-t |xi|^2 of at most FLOOR_ULPS ulps of the stage objective, the restart
+once the L-BFGS direction predicts a decrease <xi, p> of at most
+FLOOR_ULPS ulps of the stage objective, the restart
 has converged to machine precision and stops at once, without a line
 search. The window: the best stage objective since the stage began fell by
 less than ``tol`` (or 1e-3 times the smoothing parameter) over the last
@@ -36,11 +42,13 @@ the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
 d(|chi|^2 f)/dchi^* (its ``grad``; for built-in measures the derivative of
 a spectral function, :func:`entroof.measures.make_gradient`), and the
 smoothing stage's sqrt(f^2 + eps^2) - eps is applied to it in closed form.
-An iterate's raw (eps = 0) objective comes from its stage evaluation.
+An iterate's raw (eps = 0) objective comes from its stage evaluation, and
+the line search evaluates its first trial step through the gradient, so
+an iterate accepted there comes with its gradient.
 
 All restarts of a solve descend in lockstep as one stack of isometries
-(R, m, r), one row per restart: each step makes one gradient call, one
-tangent projection and a few stacked line-search calls for the whole
+(R, m, r), one row per restart: each step makes one two-loop recursion,
+two tangent projections and a few stacked line-search calls for the whole
 batch, and a restart leaves the batch when it converges or spends its
 budget. Runs are deterministic: restart k draws from a generator seeded by
 (seed, k), and stacked numpy calls act on each isometry as single calls
@@ -63,6 +71,7 @@ from .measures import (
     MeasureSpec,
     make_gradient,
     make_objective,
+    measure_value,
     validate_spec_dims,
     von_neumann_entropy,
 )
@@ -71,8 +80,8 @@ from .states import BipartiteDims, DensityOperator, InvariantViolation, PureStat
 
 STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
 WINDOW = 20              # iterations over which the stopping rule measures progress
-# Rounding-floor stop: a row whose spectral step t and tangent gradient
-# |xi|^2 predict a decrease t |xi|^2 of at most FLOOR_ULPS ulps of its stage
+# Rounding-floor stop: a row whose L-BFGS direction -p predicts a decrease
+# <xi, p> (the unit step's) of at most FLOOR_ULPS ulps of its stage
 # objective f has converged to machine precision. Backtracking could only
 # trade rounding noise there, so the row ends its stage at once instead of
 # waiting out the WINDOW.
@@ -99,6 +108,8 @@ SCREEN_CANDIDATES = 256
 LINE_SEARCH_RUNGS = 40
 # Age discount of the line search's Zhang-Hager reference (see _Engine._descend)
 NONMONOTONE_ETA = 0.85
+# Curvature pairs (s, y) each restart keeps for its L-BFGS direction
+LBFGS_MEMORY = 5
 # Largest complex array one solve may allocate: the screened candidates'
 # member vectors (SCREEN_CANDIDATES * m * n), or the line search's member
 # vectors for a chunk of restarts, at most LINE_SEARCH_RUNGS * chunk * m * n;
@@ -182,8 +193,10 @@ def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float
 class RoofResult:
     """Outcome of a roof optimization.
 
-    ``value`` is the objective of ``ensemble`` (an upper bound on the true
-    infimum when minimizing, a lower bound on the supremum when maximizing).
+    ``value`` is the weighted average of ``ensemble``'s member values (an
+    upper bound on the true infimum when minimizing, a lower bound on the
+    supremum when maximizing): their :func:`entroof.measures.measure_value`
+    from :func:`solve_roof`, their objective from :func:`solve_roof_custom`.
     ``objective_trace`` is the best restart's best-so-far objective per
     iteration; ``gap_estimate`` is the spread between the two best restarts,
     a heuristic optimality indicator, never a rigorous bound.
@@ -267,13 +280,31 @@ def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
 _Outcome = namedtuple("_Outcome", "best_f best_v trace converged stalls iterations stop rungs")
 
 
+def _real(z: np.ndarray) -> np.ndarray:
+    """Real coordinates of a stack of complex arrays (R, ...), as (R, 2 size)."""
+    return np.ascontiguousarray(z).view(np.float64).reshape(len(z), -1)
+
+
+def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Projection of ambient z onto the tangent space of the isometries v,
+    z - v sym(v^H z), for stacks (..., m, r)."""
+    vh = v.conj().swapaxes(-1, -2)
+    return z - v @ ((vh @ z + z.conj().swapaxes(-1, -2) @ v) / 2.0)
+
+
 class _Rows(SimpleNamespace):
     """The restarts of one lockstep descent, one row each.
 
     Every field is indexed by row: chunk position ``pos``, generator
     ``rng``, iterate ``v``, stage and raw objectives ``f`` and ``raw``,
     smoothing ``stage`` and the iteration ``start`` it began at, step
-    memory (``memory`` and the last move ``prev_v``, ``prev_xi``),
+    memory (whether the row ``moved`` by a line search since its last
+    reset, and ``prev``, the real coordinates (2, 2mr) of the iterate and
+    tangent gradient it moved from; the L-BFGS ``pairs`` (LBFGS_MEMORY, 2,
+    2mr) of (s, y), newest first, with ``rho`` = 1 / <s, y> per slot, 0 in
+    an empty one, and the newest pair's ``gamma`` = <s, y> / <y, y>), the
+    gradient of the iterate where it is ``fresh`` from the line search
+    (member values ``fm`` and ``g``, as ``grad`` returns them),
     Zhang-Hager reference ``ref`` and weight ``ref_w``, the stage's best
     objective ``low`` with a ring ``lows`` of its last WINDOW + 1 values
     (iteration it in column it mod WINDOW + 1), best raw objective
@@ -291,7 +322,41 @@ class _Rows(SimpleNamespace):
     def reset(self, rows: np.ndarray) -> None:
         """Restart the reference of ``rows`` at (f, 1) and drop their step memory."""
         self.ref[rows], self.ref_w[rows] = self.f[rows], 1.0
-        self.memory[rows] = False
+        self.moved[rows] = False
+        self.rho[rows], self.gamma[rows] = 0.0, 0.0
+
+    def push(self, cur: np.ndarray) -> None:
+        """Store each moved row's pair (s, y) = ``cur`` - ``prev``, from the
+        real coordinates (rows, 2, 2mr) of its iterate and tangent gradient,
+        as its newest, skipping pairs with <s, y> <= 0; the oldest pair
+        leaves a full memory."""
+        pairs = cur - self.prev
+        sy = np.sum(pairs[:, 0] * pairs[:, 1], axis=-1, keepdims=True)
+        keep = self.moved & (sy[:, 0] > 0.0)
+        rows = slice(None)
+        if not keep.all():
+            rows = np.flatnonzero(keep)
+            pairs, sy = pairs[rows], sy[rows]
+        self.pairs[rows, 1:], self.rho[rows, 1:] = self.pairs[rows, :-1], self.rho[rows, :-1]
+        self.pairs[rows, 0], self.rho[rows, 0] = pairs, 1.0 / sy
+        self.gamma[rows] = sy / np.sum(pairs[:, 1] * pairs[:, 1], axis=-1, keepdims=True)
+
+    def two_loop(self, q: np.ndarray) -> np.ndarray:
+        """H q for the L-BFGS inverse-Hessian estimate H of each row, for q
+        (rows, 2mr): the two-loop recursion over the row's pairs, newest
+        first, from H0 = gamma I. A slot beyond a row's pairs has rho = 0
+        and leaves q unchanged; a row without pairs has gamma = 0, so H = 0."""
+        pairs, rho = self.pairs.swapaxes(0, 1), self.rho.swapaxes(0, 1)
+        s, y = pairs[:, :, 0], pairs[:, :, 1]  # slot-major: s[j] is slot j of every row
+        alpha = []
+        q = q.copy()
+        for s_j, y_j, rho_j in zip(s, y, rho):
+            alpha.append(rho_j * (s_j * q).sum(axis=-1, keepdims=True))
+            q -= alpha[-1] * y_j
+        q *= self.gamma
+        for s_j, y_j, rho_j, alpha_j in zip(s[::-1], y[::-1], rho[::-1], alpha[::-1]):
+            q += (alpha_j - rho_j * (y_j * q).sum(axis=-1, keepdims=True)) * s_j
+        return q
 
 
 class _Engine:
@@ -307,6 +372,7 @@ class _Engine:
     def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed,
                  grad=None):
         self.b = _eigen_factor(rho)
+        self.bc = self.b.conj()
         self.n, self.r = self.b.shape
         self.da, self.db = rho.dims.as_tuple()
         m = _ensemble_size(self.r, m)
@@ -328,15 +394,16 @@ class _Engine:
         # above) and SCREEN_CANDIDATES > 6 * LINE_SEARCH_RUNGS
         self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * m * self.n))
 
-    def member_contrib(self, chi: np.ndarray, eps=0.0) -> tuple[np.ndarray, np.ndarray]:
+    def member_contrib(self, chi: np.ndarray, eps=0.0, vals=None) -> tuple[np.ndarray, np.ndarray]:
         """Weight-times-measure of unnormalized member vectors (..., n), at
-        the smoothing stage and raw (eps = 0), from one objective call.
+        the smoothing stage and raw (eps = 0), from one objective call or
+        from the members' values ``vals`` when given.
 
         ``eps`` is the smoothing stage: a float, or an array over the stack
         axes of members (..., m, n), one stage per isometry.
         """
         w = np.sum(np.abs(chi) ** 2, axis=-1)
-        vals = self.objective(chi)
+        vals = self.objective(chi) if vals is None else vals
         raw = self.sign * (w * vals)
         e = np.asarray(eps)[..., None]
         if not np.any(e):
@@ -349,10 +416,11 @@ class _Engine:
         stage, raw = self.member_contrib(v @ self.b.T, eps)
         return np.sum(stage, axis=-1), np.sum(raw, axis=-1)
 
-    def _gradient(self, chi: np.ndarray, eps) -> np.ndarray:
+    def _gradient(self, chi: np.ndarray, eps, fg=None) -> np.ndarray:
         """d total / d Re V + i d total / d Im V at the members chi = V B^T,
-        for members (..., m, n) and ``eps`` as in :meth:`member_contrib`."""
-        f, g = self.grad(chi)
+        for members (..., m, n) and ``eps`` as in :meth:`member_contrib`;
+        ``fg`` is ``grad(chi)`` when already known."""
+        f, g = self.grad(chi) if fg is None else fg
         e = np.asarray(eps)[..., None]
         if np.any(e):
             # d/dchi^* of |chi|^2 s(f), s(f) = sqrt(f^2 + eps^2) - eps:
@@ -362,7 +430,7 @@ class _Engine:
                 slope = f / root
                 smooth = (root - e - slope * f)[..., None] * chi + slope[..., None] * g
             g = np.where(e[..., None] > 0, smooth, g)
-        return 2.0 * self.sign * (g @ self.b.conj())
+        return 2.0 * self.sign * (g @ self.bc)
 
     def product_polish(self, v: np.ndarray, iters: int = 60) -> np.ndarray:
         """Alternate rank-one member truncation with a Procrustes refit.
@@ -378,7 +446,7 @@ class _Engine:
             c = (v @ self.b.T).reshape(-1, self.da, self.db)
             u, s, vh = np.linalg.svd(c)
             tau = (s[:, 0, None, None] * u[:, :, :1] @ vh[:, :1, :]).reshape(-1, self.m, self.n)
-            u2, _, w2 = np.linalg.svd(tau @ self.b.conj(), full_matrices=False)
+            u2, _, w2 = np.linalg.svd(tau @ self.bc, full_matrices=False)
             v_new = u2 @ w2
             fixed = np.max(np.abs(v_new - v), axis=(-2, -1)) < 1e-14
             out[live[fixed]] = v_new[fixed]
@@ -396,27 +464,46 @@ class _Engine:
             np.einsum("smr,nr->smn", vs, self.b))[0], axis=-1)
         return vs[int(np.argmin(totals))].copy()  # a view would keep all of vs alive
 
-    def _line_search(self, v, xi, ref, t, gnorm2, eps):
-        """Nonmonotone Armijo backtracking for a stack of iterates: each row
-        takes the first of t, t/2, ... (LINE_SEARCH_RUNGS rungs) with
-        f_new <= ref - 1e-4 t gnorm2, the choice sequential backtracking
-        makes; ``ref`` is the row's Zhang-Hager reference (see _descend).
-        Rungs are tried in blocks of 1, 2, 4, ... for every row still
-        searching, so a row that passes early costs about what it would
-        alone, and each block is one stacked call.
-        Returns (ok, v_new, f_new, raw_new, tried); rows with ok False found
-        no rung, and tried counts the rungs a sequential search tries: the
-        accepted rung's index + 1, or LINE_SEARCH_RUNGS."""
-        ok = np.zeros(len(v), dtype=bool)
-        v_new, f_new, raw_new = np.empty_like(v), np.empty_like(ref), np.empty_like(ref)
-        tried = np.full(len(v), LINE_SEARCH_RUNGS)
-        rows = np.arange(len(v))
-        ladder = t[:, None]  # rungs of the current block, one row per iterate
-        lo = 0
-        while True:
-            vs = _qr_fix(v[rows, None] - ladder[..., None, None] * xi[rows, None])
+    def _line_search(self, v, p, ref, t, slope, eps):
+        """Nonmonotone Armijo backtracking for a stack of iterates along the
+        tangent directions -p: each row takes the first of t, t/2, ...
+        (LINE_SEARCH_RUNGS rungs) with f_new <= ref - 1e-4 t slope, where
+        slope = <xi, p> > 0, the choice sequential backtracking makes;
+        ``ref`` is the row's Zhang-Hager reference (see _descend).
+        The first rung is evaluated through ``grad``, whose values the
+        stage objective then reads, so a row that takes it already has the
+        gradient of its next iterate. The rows still searching then try
+        the further rungs in blocks of 2, 4, ..., each block one stacked
+        call, so a row that passes early costs about what it would alone.
+        Returns (ok, v_new, f_new, raw_new, tried, first); rows with ok False
+        found no rung, and tried counts the rungs a sequential search tries:
+        the accepted rung's index + 1, or LINE_SEARCH_RUNGS. ``first`` is
+        (took, values, g): which rows took their first rung, and ``grad``'s
+        values and g there, for every row."""
+        # trial stacks are (rows, rungs, m, r), here one rung per row
+        vs = _qr_fix(v[:, None] - t[:, None, None, None] * p[:, None])
+        chi = vs @ self.b.T
+        vals, g = self.grad(chi)
+        stage, raw_new = self.member_contrib(chi, eps[:, None], vals)
+        v_new, vals, g = vs[:, 0], vals[:, 0], g[:, 0]
+        f_new, raw_new = np.sum(stage[:, 0], axis=-1), np.sum(raw_new[:, 0], axis=-1)
+        took = f_new <= ref - 1e-4 * t * slope
+        ok, tried = took.copy(), np.where(took, 1, LINE_SEARCH_RUNGS)
+        rows = np.flatnonzero(~took)
+        ladder = t[rows, None]  # rungs of the current block, one row per iterate
+        lo = 1
+        while rows.size and lo < LINE_SEARCH_RUNGS:
+            # halve step by step from each row's last rung, as a sequential
+            # search would; a block stacks at most as many isometries as
+            # start screening, which sets the solve's peak memory
+            size = min(2 * ladder.shape[1], LINE_SEARCH_RUNGS - lo,
+                       max(1, SCREEN_CANDIDATES // rows.size))
+            halves = np.full((rows.size, size + 1), 0.5)
+            halves[:, 0] = ladder[:, -1]
+            ladder = np.multiply.accumulate(halves, axis=1)[:, 1:]
+            vs = _qr_fix(v[rows, None] - ladder[..., None, None] * p[rows, None])
             fs, raws = self.totals(vs, eps[rows, None])
-            armijo = fs <= ref[rows, None] - 1e-4 * ladder * gnorm2[rows, None]
+            armijo = fs <= ref[rows, None] - 1e-4 * ladder * slope[rows, None]
             rung = np.argmax(armijo, axis=1)
             hit = armijo[np.arange(rows.size), rung]
             ok[rows[hit]] = True
@@ -424,18 +511,9 @@ class _Engine:
             v_new[rows[hit]] = vs[hit, rung[hit]]
             f_new[rows[hit]] = fs[hit, rung[hit]]
             raw_new[rows[hit]] = raws[hit, rung[hit]]
-            rows = rows[~hit]
-            lo += ladder.shape[1]
-            if not rows.size or lo == LINE_SEARCH_RUNGS:
-                return ok, v_new, f_new, raw_new, tried
-            # halve step by step from each row's last rung, as a sequential
-            # search would; a block stacks at most as many isometries as
-            # start screening, which sets the solve's peak memory
-            size = min(2 * ladder.shape[1], LINE_SEARCH_RUNGS - lo,
-                       max(1, SCREEN_CANDIDATES // rows.size))
-            halves = np.full((rows.size, size + 1), 0.5)
-            halves[:, 0] = ladder[~hit, -1]
-            ladder = np.multiply.accumulate(halves, axis=1)[:, 1:]
+            rows, ladder = rows[~hit], ladder[~hit]
+            lo += size
+        return ok, v_new, f_new, raw_new, tried, (took, vals, g)
 
     def run(self) -> list:
         """Every restart's :data:`_Outcome`, in restart order, ``chunk`` at a time."""
@@ -451,8 +529,13 @@ class _Engine:
         a restart's outcome does not depend on which restarts share its
         batch.
 
-        The reference starts at (f, 1) and after an accepted step f_new
-        becomes ref' = (eta ref_w ref + f_new) / ref_w', ref_w' =
+        Each iteration first stores the row's curvature pair from its last
+        accepted step (``_Rows.push``), then takes the L-BFGS direction
+        (``_Rows.two_loop``) with the unit step, or -xi with the step
+        1 / |xi| where the row has no pairs or the direction does not
+        descend; the Armijo test and the rounding floor read the slope
+        <xi, p>. The reference starts at (f, 1) and after an accepted step
+        f_new becomes ref' = (eta ref_w ref + f_new) / ref_w', ref_w' =
         eta ref_w + 1 (eta = NONMONOTONE_ETA): an average of the stage
         objectives since its last reset, weighted by eta^age. Wherever f
         is replaced other than by a line search (the stall nudge, an
@@ -469,9 +552,13 @@ class _Engine:
         v = np.stack([self._initial_point(k, g) for k, g in zip(ks, rng)])
         f, raw = self.totals(v, stages[0])
         n = len(ks)
+        size = 2 * self.m * self.r  # real coordinates of one isometry
         rows = _Rows(pos=np.arange(n), rng=rng, v=v, f=f, raw=raw, stage=np.zeros(n, dtype=int),
-                     start=np.zeros(n, dtype=int), memory=np.zeros(n, dtype=bool),
-                     prev_v=np.zeros_like(v), prev_xi=np.zeros_like(v), ref=f.copy(),
+                     start=np.zeros(n, dtype=int), moved=np.zeros(n, dtype=bool),
+                     prev=np.zeros((n, 2, size)), pairs=np.zeros((n, LBFGS_MEMORY, 2, size)),
+                     rho=np.zeros((n, LBFGS_MEMORY, 1)), gamma=np.zeros((n, 1)),
+                     fresh=np.zeros(n, dtype=bool), fm=np.zeros((n, self.m)),
+                     g=np.zeros((n, self.m, self.n), dtype=complex), ref=f.copy(),
                      ref_w=np.ones(n), low=f.copy(), lows=np.zeros((n, WINDOW + 1)),
                      best_f=raw.copy(), best_v=v.copy(), rungs=np.zeros(n, dtype=int),
                      stalls=[[] for _ in ks])
@@ -481,36 +568,48 @@ class _Engine:
         while rows.pos.size:
             # v, f and raw are the record's own arrays: writing them writes the rows
             v, f, raw, eps = rows.v, rows.f, rows.raw, stages[rows.stage]
-            grad = self._gradient(v @ self.b.T, eps)
-            vh = v.conj().swapaxes(-1, -2)
-            xi = grad - v @ ((vh @ grad + grad.conj().swapaxes(-1, -2) @ v) / 2.0)
+            # the gradient at v, from the line search that accepted v where
+            # it took its first rung
+            chi = v @ self.b.T
+            stale = np.flatnonzero(~rows.fresh)
+            if stale.size:
+                sel = slice(None) if stale.size == len(v) else stale
+                rows.fm[sel], rows.g[sel] = self.grad(chi[sel])
+            grad = self._gradient(chi, eps, (rows.fm, rows.g))
+            rows.fresh[:] = False
+            xi = _tangent(v, grad)
             gnorm2 = np.sum(np.abs(xi) ** 2, axis=(-2, -1))
-            # spectral (Barzilai-Borwein) initial step from the last move
-            step = np.full(len(v), np.nan)
-            if rows.memory.any():
-                s = v - rows.prev_v
-                y = xi - rows.prev_xi
-                num = np.sum((s.conj() * s).real, axis=(-2, -1))
-                den = np.sum((s.conj() * y).real, axis=(-2, -1))
-                np.divide(num, den, out=step,
-                          where=rows.memory & (den > 1e-300) & np.isfinite(den))
-            floor = rows.memory & (step * gnorm2 <= FLOOR_ULPS * np.finfo(float).eps * np.abs(f))
+            # real coordinates of (v, xi): the pair (s, y) of a row that
+            # moved is their change since its last step
+            cur = np.stack((_real(v), _real(xi)), axis=1)
+            if rows.moved.any():
+                rows.push(cur)
+            # the L-BFGS direction -p where it descends, <xi, p> > 0; a row
+            # without pairs has p = 0 there and searches along -xi
+            d = _tangent(v, rows.two_loop(cur[:, 1]).view(np.complex128).reshape(xi.shape))
+            ds = (cur[:, 1] * _real(d)).sum(axis=-1)
+            lbfgs = (ds > 0.0) & (ds < np.inf)
+            p = np.where(lbfgs[:, None, None], d, xi)
+            slope = np.where(lbfgs, ds, gnorm2)
+            floor = lbfgs & (slope <= FLOOR_ULPS * np.finfo(float).eps * np.abs(f))
             accepted = np.zeros(len(v), dtype=bool)
             search = np.flatnonzero((gnorm2 > 0.0) & ~floor)
             if search.size:
-                st, g2 = step[search], gnorm2[search]
-                t = np.where((st > 0.0) & (st < 1e6), st, 1.0 / np.sqrt(g2))
-                ok, v_new, f_new, raw_new, tried = self._line_search(
-                    v[search], xi[search], rows.ref[search], t, g2, eps[search])
+                # the unit step along an L-BFGS direction, else 1 / |xi|
+                t = np.where(lbfgs[search], 1.0, 1.0 / np.sqrt(gnorm2[search]))
+                ok, v_new, f_new, raw_new, tried, (took, fm, g) = self._line_search(
+                    v[search], p[search], rows.ref[search], t, slope[search], eps[search])
                 rows.rungs[search] += tried
+                rows.fresh[search[took]] = True
+                rows.fm[search[took]], rows.g[search[took]] = fm[took], g[took]
                 moved = search[ok]
-                rows.prev_v[moved], rows.prev_xi[moved] = v[moved], xi[moved]
+                rows.prev[moved] = cur[moved]
                 v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
                 w = NONMONOTONE_ETA * rows.ref_w[moved] + 1.0
                 rows.ref[moved] = (NONMONOTONE_ETA * rows.ref_w[moved] * rows.ref[moved]
                                    + f[moved]) / w
                 rows.ref_w[moved] = w
-                rows.memory[moved] = True
+                rows.moved[moved] = True
                 accepted[moved] = True
             stalled = np.flatnonzero(~(accepted | floor))
             if stalled.size:
@@ -531,6 +630,7 @@ class _Engine:
                     better = f_cand < f[due]
                     took = due[better]
                     v[took], f[took], raw[took] = cand[better], f_cand[better], raw_cand[better]
+                    rows.fresh[took] = False
                     rows.reset(took)
             better = raw < rows.best_f
             rows.best_f[better], rows.best_v[better] = raw[better], v[better]
@@ -597,12 +697,14 @@ def solve_roof_custom(
     if not callable(grad):
         raise ValueError("objective needs a gradient: set objective.grad to a function "
                          "chi -> (values, d(|chi|^2 values)/d conj(chi))")
-    return _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters,
-                  tol, seed)
+    return _solve(rho, objective, grad, objective, direction, ensemble_size, restarts,
+                  max_iters, tol, seed)
 
 
-def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, tol,
-           seed) -> RoofResult:
+def _solve(rho, objective, grad, member_value, direction, ensemble_size, restarts, max_iters,
+           tol, seed) -> RoofResult:
+    """Run the engine and build the result; ``value`` is the weighted
+    ``member_value`` of the returned ensemble's normalized members."""
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
                   grad)
     outcomes = eng.run()
@@ -612,7 +714,7 @@ def _solve(rho, objective, grad, direction, ensemble_size, restarts, max_iters, 
     gap = abs(float(np.min(np.delete(finals, best))) - top.best_f) if restarts > 1 else 0.0
 
     ensemble = ensemble_from_isometry(rho, top.best_v)
-    member_vals = eng.objective(np.array([s.amplitudes for s in ensemble.states]))
+    member_vals = member_value(np.array([s.amplitudes for s in ensemble.states]))
     value = float(np.dot(ensemble.weights, member_vals))
     return RoofResult(
         value=value,
@@ -634,13 +736,16 @@ def solve_roof(problem: RoofProblem) -> RoofResult:
 
     Runs ``restarts`` independent seeded descents and returns the best. The
     result value is an upper bound on the infimum when minimizing (lower
-    bound on the supremum when maximizing).
+    bound on the supremum when maximizing). It is the weighted
+    :func:`entroof.measures.measure_value` of the returned members (one
+    stacked SVD), the route that is accurate near product states.
     """
     spec, dims = problem.measure, problem.rho.dims
     return _solve(
         problem.rho,
         make_objective(spec, dims),
         make_gradient(spec, dims),
+        lambda states: measure_value(spec, states, dims),
         problem.direction,
         problem.ensemble_size,
         problem.restarts,

@@ -33,6 +33,7 @@ from entroof.measures import (
     gram_spectra,
     make_objective,
     validate_spec_dims,
+    value_from_lambdas,
 )
 from entroof.sampling import random_product_state, random_pure_state, random_unitary
 
@@ -63,6 +64,23 @@ def test_entanglement_number_three_routes():
             via_reduced = purity_deficit(red)
             assert abs(via_gram - via_schmidt) < 1e-10
             assert abs(via_gram - via_reduced) < 1e-10
+
+
+def test_e_and_negativity_near_product_states():
+    # 1 - sum(lambda^2) and (sum sqrt(lambda))^2 - 1 cancel to nothing near a
+    # product state; the values keep full relative precision there, on
+    # spectra and through the SVD route, and their derivatives stay finite
+    e_spec, n_spec = MeasureSpec("entanglement-number"), MeasureSpec("negativity")
+    for l2 in 10.0 ** -np.arange(4, 25):
+        lams = np.array([1.0 - l2, l2])
+        e_want, n_want = math.sqrt(2.0 * lams[0] * l2), 2.0 * math.sqrt(lams[0] * l2)
+        assert value_from_lambdas(e_spec, lams, DIMS22) == pytest.approx(e_want, rel=1e-14)
+        assert value_from_lambdas(n_spec, lams, DIMS22) == pytest.approx(n_want, rel=1e-14)
+        psi = diag_state(lams[0], l2)
+        assert measure_value(e_spec, psi) == pytest.approx(e_want, rel=1e-12)
+        assert measure_value(n_spec, psi) == pytest.approx(n_want, rel=1e-12)
+        for spec in (e_spec, n_spec):
+            assert np.all(np.isfinite(MEASURES[spec.kind].deriv(spec, lams, 2)))
 
 
 # --- p-number ----------------------------------------------------------------

@@ -153,6 +153,19 @@ def test_value_matches_returned_ensemble():
     assert abs(res.value - recomputed) < 1e-12
 
 
+def test_value_is_the_members_measure_value():
+    # near-product members, where the solver's Gram-route spectra lose the
+    # small Schmidt values: the value is the weighted measure_value (SVD
+    # route) of the returned members
+    sep = random_separable_density(DIMS22, np.random.default_rng(107))
+    res = solve_roof(RoofProblem(
+        rho=sep, measure=E_SPEC, ensemble_size=rank_of(sep), restarts=4, seed=0))
+    states = np.array([s.amplitudes for s in res.ensemble.states])
+    members = measure_value(E_SPEC, states, DIMS22)
+    assert members.max() < 1e-6
+    assert abs(res.value - float(np.sum(res.ensemble.weights * members))) <= 1e-12
+
+
 def test_mixed_bell_plus_01_matches_independent_oracle():
     # 0.5 |Bell><Bell| + 0.5 |01><01| has a closed two-qubit value
     # 0.5/sqrt(2) (spin-flip route), reproduced here by a dense sampling +
@@ -480,9 +493,9 @@ def test_restart_stop_reasons():
     assert abs(res.value - 0.25) < 1e-12
     # "budget" exactly when a restart spends max_iters without converging
     rho = random_density(BipartiteDims(2, 3), np.random.default_rng(2), 4)
-    problem = RoofProblem(rho=rho, measure=S_SPEC, restarts=5, max_iters=200, seed=1)
+    problem = RoofProblem(rho=rho, measure=S_SPEC, restarts=5, max_iters=93, seed=1)
     res = solve_roof(problem)
-    engine = _Engine(rho, make_objective(S_SPEC, rho.dims), "minimize", None, 5, 200,
+    engine = _Engine(rho, make_objective(S_SPEC, rho.dims), "minimize", None, 5, 93,
                      problem.tol, 1)
     outcomes = engine.run()
     assert tuple(o.stop for o in outcomes) == res.restart_stops
@@ -519,6 +532,32 @@ def test_solve_roof_reads_gradient_from_spec(monkeypatch):
     assert got.restart_values == want.restart_values
 
 
+def _ginibre_density(dims: BipartiteDims, r: int, seed: int) -> DensityOperator:
+    """g g^H / Tr for g = normal + 1j normal of shape (n, r) from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dims.total, r)) + 1j * rng.normal(size=(dims.total, r))
+    mat = g @ g.conj().T
+    return DensityOperator(mat / np.trace(mat).real, dims)
+
+
+def test_default_3x3_entropy_solve_converges():
+    # a full-rank 3x3 state at default settings converges within max_iters,
+    # at or below the best value the solver reached before L-BFGS
+    rho = _ginibre_density(BipartiteDims(3, 3), 9, 2)
+    res = solve_roof(RoofProblem(rho=rho, measure=S_SPEC, restarts=4, seed=0))
+    assert res.converged
+    assert res.value <= 0.10407296
+
+
+def test_default_2x4_e_solve_reaches_best_known():
+    # the 2x4 `e` default solve converges to within 1e-4 of the best value
+    # known before L-BFGS (0.08635, from the smoothing ladder 1e-2 ... 1e-5, 0)
+    rho = _ginibre_density(BipartiteDims(2, 4), 8, 3)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC))
+    assert res.converged
+    assert res.value <= 0.08635 + 1e-4
+
+
 def test_restart_depends_only_on_seed_and_index():
     rho = random_density(BipartiteDims(2, 3), np.random.default_rng(47))
     base = dict(rho=rho, measure=S_SPEC, max_iters=60, seed=19)
@@ -542,7 +581,7 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
 
     monkeypatch.setattr(_Engine, "product_polish", counting_polish)
     separable = random_separable_density(DIMS22, np.random.default_rng(107))
-    entangled = random_density(BipartiteDims(2, 3), np.random.default_rng(3), 3)
+    entangled = random_density(BipartiteDims(2, 3), np.random.default_rng(25), 3)
     cases = [
         dict(rho=separable, measure=E_SPEC, ensemble_size=rank_of(separable), seed=0),
         dict(rho=entangled, measure=MeasureSpec("geometric", ranks=(1, 1)), ensemble_size=3,
@@ -575,7 +614,7 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
 def test_lockstep_batch_matches_sequential_restarts():
     # every restart of the lockstep batch equals, bit for bit, the same
     # restart descended alone one iterate at a time: smoothing stages,
-    # Barzilai-Borwein steps, backtracking, stalls, polish, budgets and
+    # L-BFGS steps, backtracking, stalls, polish, budgets and
     # both stopping rules
     def constant(s):
         return np.full(s.shape[:-1], 0.25)
@@ -615,7 +654,7 @@ def test_window_reads_the_stage_best(monkeypatch):
 
     # one unsmoothed stage, so the stage objective is the raw one
     monkeypatch.setattr(roof_module, "SMOOTHING_STAGES", (0.0,))
-    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(0), 3)
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(4), 4)
     base = make_objective(S_SPEC, rho.dims)
     values = []  # values[j]: the stage objective after iteration j - 1
 
@@ -784,24 +823,33 @@ def test_closed_form_d2_gradient_at_ties(dims):
     np.testing.assert_allclose(g[0], 0.5 * tied[0], rtol=0, atol=1e-15)
 
 
-def test_smoothing_stage_evaluates_each_iterate_once():
-    # an iteration (from one gradient call to the next) passes each
-    # isometry's members to the objective at most once: the raw value of
-    # an accepted iterate comes from the line-search call that accepted
-    # it, not from a second evaluation
+def test_smoothing_stage_evaluates_each_iterate_once(monkeypatch):
+    # an iteration (from one engine gradient to the next) passes each
+    # isometry's members to the objective, or to its gradient in the line
+    # search, at most once: the raw value of an accepted iterate comes from
+    # the line-search call that accepted it, not from a second evaluation
     rho = random_density(DIMS22, np.random.default_rng(73), 3)
     base = make_objective(S_SPEC, DIMS22)
     calls: list[list[bytes]] = []
-    iterations = []
+    engine_gradient = _Engine._gradient
+
+    def iteration(self, chi, eps, fg=None):
+        calls.append([])
+        return engine_gradient(self, chi, eps, fg)
+
+    monkeypatch.setattr(_Engine, "_gradient", iteration)
+
+    def record(states):
+        calls[-1] += [b.tobytes() for b in states.reshape(-1, *states.shape[-2:])]
 
     def objective(states):
-        if states.ndim >= 3 and iterations:  # isometry stacks, after start-up
-            calls[-1] += [b.tobytes() for b in states.reshape(-1, *states.shape[-2:])]
+        if states.ndim >= 3 and calls:  # isometry stacks, after start-up
+            record(states)
         return base(states)
 
     def gradient(chi):
-        iterations.append(len(chi))
-        calls.append([])
+        if chi.ndim >= 4:  # line-search rungs; iterates come as (R, m, n)
+            record(chi)
         return base.grad(chi)
 
     objective.grad = gradient

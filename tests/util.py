@@ -281,15 +281,15 @@ def sequential_restart(engine, k: int):
     Returns the ``_Outcome`` the engine's ``run`` gives for restart k.
     """
     from entroof.linalg import _qr_fix
-    from entroof.roof import (FLOOR_ULPS, LINE_SEARCH_RUNGS, NONMONOTONE_ETA, POLISH_EVERY,
-                              POLISH_THRESHOLD, SMOOTHING_STAGES, STALL_NUDGE, WINDOW,
-                              _Outcome)
+    from entroof.roof import (FLOOR_ULPS, LBFGS_MEMORY, LINE_SEARCH_RUNGS, NONMONOTONE_ETA,
+                              POLISH_EVERY, POLISH_THRESHOLD, SMOOTHING_STAGES, STALL_NUDGE,
+                              WINDOW, _Outcome)
 
     b = engine.b
 
-    def total(v, eps=0.0):
+    def total(v, eps=0.0, vals=None):
         chi = v @ b.T
-        vals = engine.objective(chi)
+        vals = engine.objective(chi) if vals is None else vals
         if eps:
             vals = np.sqrt(vals * vals + eps * eps) - eps
         return float(np.sum(engine.sign * (np.sum(np.abs(chi) ** 2, axis=-1) * vals)))
@@ -302,6 +302,24 @@ def sequential_restart(engine, k: int):
             slope = f / root
             g = (root - eps - slope * f)[:, None] * chi + slope[:, None] * g
         return 2.0 * engine.sign * (g @ b.conj())
+
+    def tangent(v, z):
+        return z - v @ ((v.conj().T @ z + z.conj().T @ v) / 2.0)
+
+    def real(z):
+        return z.view(np.float64).ravel()
+
+    def lbfgs(pairs, gamma, q):
+        # two-loop recursion over the (s, y, 1 / <s, y>) pairs, newest first
+        alpha = []
+        q = q.copy()
+        for s, y, rho in pairs:
+            alpha.append(rho * np.sum(s * q))
+            q -= alpha[-1] * y
+        q *= gamma
+        for (s, y, rho), a in reversed(list(zip(pairs, alpha))):
+            q += (a - rho * np.sum(y * q)) * s
+        return q
 
     def polish(v, iters=60):
         for _ in range(iters):
@@ -325,30 +343,38 @@ def sequential_restart(engine, k: int):
         f = total(v, eps)
         # Zhang-Hager reference and weight, and the stage's best value
         ref, ref_w, low = f, 1.0, f
-        prev_v = prev_xi = step = None
+        prev_v = prev_xi = None
+        pairs, gamma = [], None
         stage_trace = []
         converged = False
         while it < engine.max_iters:
-            grad = gradient(v, eps)
-            xi = grad - v @ ((v.conj().T @ grad + grad.conj().T @ v) / 2.0)
+            xi = tangent(v, gradient(v, eps))
             gnorm2 = float(np.sum(np.abs(xi) ** 2))
             if prev_v is not None:
-                s, y = v - prev_v, xi - prev_xi
-                num = float(np.sum((s.conj() * s).real))
-                den = float(np.sum((s.conj() * y).real))
-                step = num / den if den > 1e-300 and np.isfinite(den) else None
-            # rounding floor: the step predicts a decrease of a few ulps of f
-            floor = (step is not None
-                     and step * gnorm2 <= FLOOR_ULPS * np.finfo(float).eps * abs(f))
+                s, y = real(v) - prev_v, real(xi) - prev_xi
+                sy = np.sum(s * y)
+                if sy > 0.0:
+                    pairs = [(s, y, 1.0 / sy)] + pairs[:LBFGS_MEMORY - 1]
+                    gamma = sy / np.sum(y * y)
+            p, slope, use = xi, gnorm2, False
+            if pairs:
+                d = tangent(v, lbfgs(pairs, gamma, real(xi)).view(np.complex128).reshape(v.shape))
+                ds = float(np.sum(real(xi) * real(d)))
+                if 0.0 < ds < np.inf:
+                    p, slope, use = d, ds, True
+            # rounding floor: the direction predicts a decrease of a few ulps of f
+            floor = use and slope <= FLOOR_ULPS * np.finfo(float).eps * abs(f)
             accepted = False
             if gnorm2 > 0.0 and not floor:
-                t = step if step and 0.0 < step < 1e6 else 1.0 / np.sqrt(gnorm2)
-                for _ in range(LINE_SEARCH_RUNGS):
+                t = 1.0 if use else 1.0 / np.sqrt(gnorm2)
+                for rung in range(LINE_SEARCH_RUNGS):
                     rungs += 1
-                    v_new = _qr_fix(v - t * xi)
-                    f_new = total(v_new, eps)
-                    if f_new <= ref - 1e-4 * t * gnorm2:
-                        prev_v, prev_xi, v, f = v, xi, v_new, f_new
+                    v_new = _qr_fix(v - t * p)
+                    # the first rung's values come from the gradient call
+                    vals = engine.grad(v_new @ b.T)[0] if rung == 0 else None
+                    f_new = total(v_new, eps, vals)
+                    if f_new <= ref - 1e-4 * t * slope:
+                        prev_v, prev_xi, v, f = real(v).copy(), real(xi).copy(), v_new, f_new
                         w = NONMONOTONE_ETA * ref_w + 1.0
                         ref, ref_w = (NONMONOTONE_ETA * ref_w * ref + f) / w, w
                         accepted = True
@@ -360,7 +386,8 @@ def sequential_restart(engine, k: int):
                     rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)))
                 f = total(v, eps)
                 ref, ref_w = f, 1.0
-                prev_v = prev_xi = step = None
+                prev_v = prev_xi = None
+                pairs = []
             if (engine.sign > 0 and f < POLISH_THRESHOLD and not floor
                     and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
                 cand = polish(v)
@@ -368,7 +395,8 @@ def sequential_restart(engine, k: int):
                 if f_cand < f:
                     v, f = cand, f_cand
                     ref, ref_w = f, 1.0
-                    prev_v = prev_xi = step = None
+                    prev_v = prev_xi = None
+                    pairs = []
             raw = f if eps == 0.0 else total(v)
             if raw < best_f:
                 best_f, best_v = raw, v
