@@ -24,7 +24,8 @@ from . import io as fileio
 from .linalg import schmidt
 from .locc import InvalidTree, audit_monotonicity
 from .measures import ENTROPY, MEASURES, P_NUMBER, MeasureSpec, measure_value, p_number_pure
-from .roof import WINDOW, RoofProblem, _check_solver_args, _ensemble_size, rank_of, solve_roof
+from .roof import (STATIONARY, WINDOW, RoofProblem, _check_solver_args, _ensemble_size, rank_of,
+                   solve_roof)
 from .states import DensityOperator, InvariantViolation, PureState
 
 EXIT_OK = 0
@@ -298,9 +299,9 @@ def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
     p.add_argument("--seed", type=int, default=RoofProblem.seed,
                    help="optimizer seed (default %(default)s)")
     p.add_argument("--tol", type=float, default=RoofProblem.tol,
-                   help="a restart stops when its best objective falls by less than "
-                        f"this over {WINDOW} iterations, or sooner when its next step "
-                        "would gain only rounding error (default %(default)s)")
+                   help="a restart stops when its L-BFGS step predicts a decrease below "
+                        f"{STATIONARY:g} times this, or when its best objective falls by "
+                        f"less than this over {WINDOW} iterations (default %(default)s)")
     if direction:
         p.add_argument("--direction", choices=["min", "max"], default="min",
                        help="convex (min) or concave (max) roof (default min)")

@@ -203,5 +203,11 @@ def _node_to_obj(node: LoccNode) -> dict:
 
 
 def save_tree(path, tree: LoccNode, dims: BipartiteDims) -> None:
-    doc = {"dims": list(dims.as_tuple()), "root": _node_to_obj(tree)}
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    """Write ``tree`` as a tree file. A tree too deep to encode raises
+    InvariantViolation("json-depth"), as :func:`load_tree` does on a file
+    too deep to parse, and leaves no file behind."""
+    try:
+        text = json.dumps({"dims": list(dims.as_tuple()), "root": _node_to_obj(tree)})
+    except RecursionError:
+        _fail("json-depth", f"the tree nests too deeply to write to {path}")
+    Path(path).write_text(text, encoding="utf-8")

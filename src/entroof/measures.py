@@ -35,6 +35,14 @@ NEGATIVITY = "negativity"
 CONCURRENCE = "concurrence"
 GEOMETRIC = "geometric"
 
+# Smoothing homotopy of the roof solver (entroof.roof): a stage eps > 0
+# descends sqrt(mu^2 + eps^2) - eps, which is smooth at mu = 0 and
+# indistinguishable from mu for mu >> eps, and the last stage descends the
+# raw objective. Faithful measures with a conic kink at their zeros need
+# the warmup stage: descending the raw objective parks ensemble members on
+# cone apexes and stalls.
+SMOOTHING_STAGES = (1e-3, 0.0)
+
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -283,6 +291,9 @@ class Measure:
     (default 1); ``param`` names the
     MeasureSpec field the kind requires; ``check_dims(spec, dims)`` raises on
     parameters the dimensions rule out; ``aliases`` are extra CLI names.
+    ``smoothing`` is the roof solver's ladder of smoothing stages
+    (default SMOOTHING_STAGES); entropy's x log x kink at zero is not
+    conic, so it descends its raw objective in one stage (0.0,).
     """
 
     value: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]
@@ -291,6 +302,7 @@ class Measure:
     param: str | None = None
     check_dims: Callable[[MeasureSpec, BipartiteDims], None] = lambda spec, dims: None
     aliases: tuple[str, ...] = ()
+    smoothing: tuple[float, ...] = SMOOTHING_STAGES
 
 
 # All suprema are attained by the maximally entangled state (measures in the
@@ -306,7 +318,8 @@ MEASURES: dict[str, Measure] = {
         param="p"),
     ENTROPY: Measure(
         _entropy, _entropy_deriv,
-        sup=lambda spec, d: math.log(d) / math.log(spec.log_base)),
+        sup=lambda spec, d: math.log(d) / math.log(spec.log_base),
+        smoothing=(0.0,)),
     NEGATIVITY: Measure(_negativity, _negativity_deriv, check_dims=_check_negativity_dims),
     CONCURRENCE: Measure(_concurrence, _concurrence_deriv, param="k",
                          check_dims=_check_concurrence_dims),

@@ -14,28 +14,33 @@ a two-loop recursion over the restart's last LBFGS_MEMORY curvature pairs
 a step along -p, the unit step first, under nonmonotone Armijo
 backtracking, is re-orthonormalized by a QR retraction. The pairs are the ambient
 differences of successive iterates and of their tangent gradients; a pair
-with <s, y> <= 0 is skipped. A restart without pairs, or whose p is not a
-descent direction, searches along -xi from the step 1 / |xi|.
+with <s, y> <= 0 is skipped, and the pairs outlive the jumps that replace
+an iterate without a line search (a stall nudge, an accepted polish, a
+smoothing-stage advance), so the step after a jump is again the L-BFGS
+unit step. A restart without pairs, or whose p is not a descent
+direction, searches along -xi from the step 1 / |xi|.
 The Armijo test compares a trial step with the Zhang-Hager reference, an
 average of the restart's recent stage objectives weighted by powers of
 NONMONOTONE_ETA (Zhang & Hager, SIAM J. Optim. 14, 2004; Wen & Yin use it
 on orthogonality constraints, Math. Program. 142, 2013), rather than with
 the current value, so a step that briefly raises the objective is
-kept instead of backtracked. Each restart warms up on a slightly smoothed
-objective and periodically tries an alternating-projection product polish
-(see the constants below); both devices address the conic kinks faithful
-measures have at their zeros.
+kept instead of backtracked. Each restart runs the smoothing stages of its
+measure (``Measure.smoothing``: a warmup on a slightly smoothed objective,
+then the raw one; entropy has only the raw stage) and periodically tries
+an alternating-projection product polish (see the constants below); both
+devices address the conic kinks faithful measures have at their zeros.
 
-A smoothing stage ends by one of two stopping rules. The rounding floor:
-once the L-BFGS direction predicts a decrease <xi, p> of at most
-FLOOR_ULPS ulps of the stage objective, the restart
-has converged to machine precision and stops at once, without a line
-search. The window: the best stage objective since the stage began fell by
-less than ``tol`` (or 1e-3 times the smoothing parameter) over the last
-WINDOW iterations. It reads the best value rather than the current one,
-which a nonmonotone step may have raised. A restart that spends
-``max_iters`` before its last stage ends stops on its budget;
-``RoofResult.restart_stops`` records which rule ended each one.
+A smoothing stage ends by one of two stopping rules. Stationarity: once
+the L-BFGS direction predicts a decrease <xi, p> of at most
+max(FLOOR_ULPS ulps of the stage objective, STATIONARY * tau), with
+tau = max(``tol``, 1e-3 times the smoothing parameter), the restart stops
+the stage at once, without a line search. The window, the fallback for a
+restart without a usable L-BFGS direction: the best stage objective since
+the stage began fell by less than tau over the last WINDOW iterations. It
+reads the best value rather than the current one, which a nonmonotone
+step may have raised. A restart that spends ``max_iters`` before its last
+stage ends stops on its budget; ``RoofResult.restart_stops`` records which
+rule ended each one ("floor" for stationarity).
 
 Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
 the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
@@ -68,6 +73,8 @@ import numpy as np
 from .linalg import _qr_fix, clip_spectrum, eigh_desc, instrument_issue, trace_norm
 from .measures import (
     ENTROPY,
+    MEASURES,
+    SMOOTHING_STAGES,
     MeasureSpec,
     make_gradient,
     make_objective,
@@ -80,19 +87,15 @@ from .states import BipartiteDims, DensityOperator, InvariantViolation, PureStat
 
 STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
 WINDOW = 20              # iterations over which the stopping rule measures progress
-# Rounding-floor stop: a row whose L-BFGS direction -p predicts a decrease
-# <xi, p> (the unit step's) of at most FLOOR_ULPS ulps of its stage
-# objective f has converged to machine precision. Backtracking could only
-# trade rounding noise there, so the row ends its stage at once instead of
-# waiting out the WINDOW.
+# Stationarity stop: a row whose L-BFGS direction -p predicts a decrease
+# <xi, p> (the unit step's) of at most max(FLOOR_ULPS ulps of its stage
+# objective f, STATIONARY * tau), tau = max(tol, 1e-3 eps) being the WINDOW
+# rule's threshold, ends its stage at once, without a line search, instead
+# of waiting out the WINDOW. The ulps term is the rounding floor.
 FLOOR_ULPS = 16
+STATIONARY = 1e-2
 MEMBER_DROP = 1e-14      # ensemble members below this weight are dropped
 ISOMETRY_ATOL = 1e-10
-# Smoothing homotopy: the warmup stage descends sqrt(mu^2 + eps^2) - eps,
-# which is smooth at mu = 0 and indistinguishable from mu for mu >> eps.
-# Faithful measures have conic kinks exactly at their zeros; descending the
-# raw objective there parks ensemble members on cone apexes and stalls.
-SMOOTHING_STAGES = (1e-3, 0.0)
 # Product-polish candidates: when the average is small, alternating
 # projections (rank-one-truncate members / refit the nearest isometry by
 # Procrustes) can land exactly on an all-product decomposition, finishing
@@ -202,8 +205,10 @@ class RoofResult:
     a heuristic optimality indicator, never a rigorous bound.
     ``restart_values``, ``restart_iterations`` and ``restart_stops`` hold
     each restart's best objective, its number of iterations and why it
-    stopped, in restart order: "floor" (its last stage reached the rounding
-    floor), "window" (its last stage's best objective improved by less
+    stopped, in restart order: "floor" (its last stage reached stationarity:
+    the L-BFGS direction predicted a decrease of at most STATIONARY times
+    the window's threshold, or of rounding error), "window" (its last
+    stage's best objective improved by less
     than ``tol`` over WINDOW iterations) or "budget" (it spent
     ``max_iters`` without converging). ``restart_rungs`` holds each
     restart's line-search rungs summed over its iterations, as a search of
@@ -320,10 +325,12 @@ class _Rows(SimpleNamespace):
             for name, value in vars(self).items()})
 
     def reset(self, rows: np.ndarray) -> None:
-        """Restart the reference of ``rows`` at (f, 1) and drop their step memory."""
+        """Restart the reference of ``rows`` at (f, 1) after a jump of their
+        iterates, and clear ``moved`` so that the jump is never stored as a
+        curvature pair; the pairs already stored, with ``rho`` and
+        ``gamma``, are kept."""
         self.ref[rows], self.ref_w[rows] = self.f[rows], 1.0
         self.moved[rows] = False
-        self.rho[rows], self.gamma[rows] = 0.0, 0.0
 
     def push(self, cur: np.ndarray) -> None:
         """Store each moved row's pair (s, y) = ``cur`` - ``prev``, from the
@@ -364,13 +371,15 @@ class _Engine:
 
     ``grad`` is the gradient of ``objective`` as described at
     :func:`solve_roof_custom`; by default the objective's own ``grad``.
-    Restarts run in lockstep, ``chunk`` of them at a time, as one stack of
-    isometries (R, m, r); ``chunk`` keeps the line search's stacked member
-    vectors (LINE_SEARCH_RUNGS * chunk * m * n) within MAX_WORK_ENTRIES.
+    ``stages`` is the ladder of smoothing parameters each restart descends
+    (see ``Measure.smoothing``). Restarts run in lockstep, ``chunk`` of them
+    at a time, as one stack of isometries (R, m, r); ``chunk`` keeps the line
+    search's stacked member vectors (LINE_SEARCH_RUNGS * chunk * m * n)
+    within MAX_WORK_ENTRIES.
     """
 
     def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed,
-                 grad=None):
+                 grad=None, stages=SMOOTHING_STAGES):
         self.b = _eigen_factor(rho)
         self.bc = self.b.conj()
         self.n, self.r = self.b.shape
@@ -389,6 +398,7 @@ class _Engine:
         self.restarts = restarts
         self.max_iters = max_iters
         self.tol = tol
+        self.stages = tuple(stages)
         self.seed = int(seed) & (2**64 - 1)
         # at least 6: SCREEN_CANDIDATES * m * n fits the limit (checked
         # above) and SCREEN_CANDIDATES > 6 * LINE_SEARCH_RUNGS
@@ -533,21 +543,24 @@ class _Engine:
         accepted step (``_Rows.push``), then takes the L-BFGS direction
         (``_Rows.two_loop``) with the unit step, or -xi with the step
         1 / |xi| where the row has no pairs or the direction does not
-        descend; the Armijo test and the rounding floor read the slope
+        descend; the Armijo test and the stationarity stop read the slope
         <xi, p>. The reference starts at (f, 1) and after an accepted step
         f_new becomes ref' = (eta ref_w ref + f_new) / ref_w', ref_w' =
         eta ref_w + 1 (eta = NONMONOTONE_ETA): an average of the stage
         objectives since its last reset, weighted by eta^age. Wherever f
         is replaced other than by a line search (the stall nudge, an
         accepted polish and a stage advance), ``_Rows.reset`` restarts it
-        at (f, 1) and drops the step memory. An accepted step may raise f,
-        so the WINDOW rule reads low, which only falls. A stage converges
-        at the rounding floor (FLOOR_ULPS), where the row skips its line
-        search, stall nudge and polish, or by the WINDOW rule. A row
-        leaves the batch (``_Rows.keep``) when its last stage converges or
-        its iteration budget is spent.
+        at (f, 1); the row keeps its curvature pairs, but the jump itself
+        is not stored as one. An accepted step may raise f, so the WINDOW
+        rule reads low, which only falls. With tau = max(tol, 1e-3 eps), a
+        stage converges on stationarity, an L-BFGS slope of at most
+        max(FLOOR_ULPS ulps of |f|, STATIONARY * tau), where the row skips
+        its line search, stall nudge and polish, or when low fell by less
+        than tau over WINDOW iterations. A row leaves the batch
+        (``_Rows.keep``) when its last stage converges or its iteration
+        budget is spent.
         """
-        stages = np.array(SMOOTHING_STAGES)
+        stages = np.array(self.stages)
         rng = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
         v = np.stack([self._initial_point(k, g) for k, g in zip(ks, rng)])
         f, raw = self.totals(v, stages[0])
@@ -591,7 +604,9 @@ class _Engine:
             lbfgs = (ds > 0.0) & (ds < np.inf)
             p = np.where(lbfgs[:, None, None], d, xi)
             slope = np.where(lbfgs, ds, gnorm2)
-            floor = lbfgs & (slope <= FLOOR_ULPS * np.finfo(float).eps * np.abs(f))
+            tau = np.maximum(self.tol, eps * 1e-3)
+            floor = lbfgs & (slope <= np.maximum(FLOOR_ULPS * np.finfo(float).eps * np.abs(f),
+                                                 STATIONARY * tau))
             accepted = np.zeros(len(v), dtype=bool)
             search = np.flatnonzero((gnorm2 > 0.0) & ~floor)
             if search.size:
@@ -614,7 +629,7 @@ class _Engine:
             stalled = np.flatnonzero(~(accepted | floor))
             if stalled.size:
                 # likely a non-smooth point (degenerate Schmidt values):
-                # nudge the iterate and reset the step memory
+                # nudge the iterate and restart its reference
                 for i in stalled:
                     rows.stalls[i].append(it)
                 noise = np.stack([ginibre(rows.rng[i], *v.shape[1:]) for i in stalled])
@@ -639,12 +654,11 @@ class _Engine:
             trace[-1][rows.pos] = rows.best_f
             rows.lows[:, it % (WINDOW + 1)] = rows.low
             it += 1
-            # stopping rules: the rounding floor, or progress of the stage's
-            # best objective over the last WINDOW iterations
+            # stopping rules: stationarity, or progress of the stage's best
+            # objective over the last WINDOW iterations
             window = it - 1 - rows.start >= WINDOW
-            converged = floor | (window & (rows.lows[:, it % (WINDOW + 1)] - rows.low
-                                           < np.maximum(self.tol, eps * 1e-3)))
-            last = rows.stage == len(SMOOTHING_STAGES) - 1
+            converged = floor | (window & (rows.lows[:, it % (WINDOW + 1)] - rows.low < tau))
+            last = rows.stage == len(stages) - 1
             spent = it >= self.max_iters
             advance = np.flatnonzero(converged & ~last & (not spent))
             if advance.size:
@@ -689,8 +703,9 @@ def solve_roof_custom(
     :func:`entroof.measures.decreasing_counterpart` carry one. Both are
     called on stacks over restarts and line-search steps; a restart's
     result is independent of the others when each entry of a stack comes
-    out as it would from a call on that entry alone. See :func:`solve_roof`
-    for the MeasureSpec-driven interface.
+    out as it would from a call on that entry alone. Every restart runs
+    the default smoothing stages SMOOTHING_STAGES. See :func:`solve_roof`
+    for the MeasureSpec-driven interface, which runs the measure's own.
     """
     _check_solver_args(direction, restarts, max_iters, tol)
     grad = getattr(objective, "grad", None)
@@ -698,15 +713,15 @@ def solve_roof_custom(
         raise ValueError("objective needs a gradient: set objective.grad to a function "
                          "chi -> (values, d(|chi|^2 values)/d conj(chi))")
     return _solve(rho, objective, grad, objective, direction, ensemble_size, restarts,
-                  max_iters, tol, seed)
+                  max_iters, tol, seed, SMOOTHING_STAGES)
 
 
 def _solve(rho, objective, grad, member_value, direction, ensemble_size, restarts, max_iters,
-           tol, seed) -> RoofResult:
+           tol, seed, stages) -> RoofResult:
     """Run the engine and build the result; ``value`` is the weighted
     ``member_value`` of the returned ensemble's normalized members."""
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
-                  grad)
+                  grad, stages)
     outcomes = eng.run()
     finals = np.array([o.best_f for o in outcomes])
     best = int(np.argmin(finals))
@@ -752,6 +767,7 @@ def solve_roof(problem: RoofProblem) -> RoofResult:
         problem.max_iters,
         problem.tol,
         problem.seed,
+        MEASURES[spec.kind].smoothing,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import entroof.cli as cli
 import entroof.io as fileio
 import entroof.roof as roof
-from entroof import BipartiteDims, DensityOperator, PureState, RoofProblem
+from entroof import BipartiteDims, DensityOperator, InvariantViolation, PureState, RoofProblem
 from entroof.linalg import clip_spectrum
 from entroof.locc import LoccNode
 from entroof.measures import MEASURES, MeasureSpec
@@ -414,6 +415,19 @@ def test_locc_deep_tree_file_exit_2(capsys, files, tmp_path):
     code, _, err = run(capsys, ["locc", str(path), files["bell"], "--measure", "e"])
     assert code == 2
     assert "json-depth" in err
+
+
+def test_save_tree_too_deep_fails_like_load_tree(tmp_path):
+    # run_tree accepts a chain past the recursion limit; writing it must
+    # fail with load_tree's documented invariant, not a bare RecursionError
+    tree = LoccNode("A")
+    for _ in range(sys.getrecursionlimit() + 200):
+        tree = LoccNode("A", kraus=(np.eye(2),), children=(tree,))
+    path = tmp_path / "deep.json"
+    with pytest.raises(InvariantViolation) as err:
+        fileio.save_tree(path, tree, DIMS22)
+    assert err.value.invariant == "json-depth"
+    assert not path.exists()
 
 
 def test_locc_malformed_operator_deep_in_tree_exit_2(capsys, files, tmp_path):

@@ -23,6 +23,7 @@ from entroof import (
 from entroof.linalg import schmidt_lambdas
 from entroof.measures import (
     MEASURES,
+    SMOOTHING_STAGES,
     MeasureSpec,
     decreasing_counterpart,
     make_gradient,
@@ -47,6 +48,7 @@ from entroof.sampling import (
     random_separable_density,
 )
 from entroof.states import PureState
+from entroof.twoqubit import concurrence
 
 from util import (
     DIMS22,
@@ -492,11 +494,11 @@ def test_restart_stop_reasons():
     assert res.converged
     assert abs(res.value - 0.25) < 1e-12
     # "budget" exactly when a restart spends max_iters without converging
-    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(2), 4)
-    problem = RoofProblem(rho=rho, measure=S_SPEC, restarts=5, max_iters=93, seed=1)
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(10), 4)
+    problem = RoofProblem(rho=rho, measure=S_SPEC, restarts=5, max_iters=150, seed=1)
     res = solve_roof(problem)
-    engine = _Engine(rho, make_objective(S_SPEC, rho.dims), "minimize", None, 5, 93,
-                     problem.tol, 1)
+    engine = _Engine(rho, make_objective(S_SPEC, rho.dims), "minimize", None, 5, 150,
+                     problem.tol, 1, stages=MEASURES["entropy"].smoothing)
     outcomes = engine.run()
     assert tuple(o.stop for o in outcomes) == res.restart_stops
     assert {"budget", "window"} <= set(res.restart_stops)
@@ -558,6 +560,46 @@ def test_default_2x4_e_solve_reaches_best_known():
     assert res.value <= 0.08635 + 1e-4
 
 
+@pytest.mark.parametrize("rank, seed", [(2, 2), (4, 0)])
+def test_default_2x2_e_solve_keeps_its_unit_steps(rank, seed):
+    # curvature pairs outlive the stage advance, stall nudges and polish, so
+    # the step after each of them is the L-BFGS unit step and not 1 / |xi|,
+    # which near convergence backtracks for 16-22 rungs
+    rho = random_density(DIMS22, np.random.default_rng(seed), rank)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC))
+    assert sum(res.restart_rungs) <= 1.1 * sum(res.restart_iterations)
+
+
+def test_default_2x2_e_solve_stops_on_stationarity():
+    # every restart ends its last stage on the L-BFGS stationarity test,
+    # before a WINDOW of iterations without progress, at C / sqrt(2)
+    rho = random_density(DIMS22, np.random.default_rng(0), 4)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC))
+    assert res.restart_stops == ("floor",) * RoofProblem.restarts
+    assert abs(res.value - concurrence(rho) / np.sqrt(2)) <= 1e-10
+
+
+def test_entropy_descends_one_unsmoothed_stage(monkeypatch):
+    # entropy's kink at zero is not conic, so it skips the smoothing stage
+    # every other measure keeps; a custom objective runs the default ladder
+    assert MEASURES["entropy"].smoothing == (0.0,)
+    assert all(m.smoothing == SMOOTHING_STAGES for k, m in MEASURES.items() if k != "entropy")
+    seen = []
+    contrib = _Engine.member_contrib
+
+    def spy(self, chi, eps=0.0, vals=None):
+        seen.append(float(np.max(eps)))
+        return contrib(self, chi, eps, vals)
+
+    monkeypatch.setattr(_Engine, "member_contrib", spy)
+    rho = random_density(DIMS22, np.random.default_rng(1), 3)
+    solve_roof(RoofProblem(rho=rho, measure=S_SPEC, restarts=2, seed=0))
+    assert seen and max(seen) == 0.0
+    seen.clear()
+    solve_roof_custom(rho, make_objective(S_SPEC, DIMS22), restarts=2, seed=0)
+    assert max(seen) == SMOOTHING_STAGES[0]
+
+
 def test_restart_depends_only_on_seed_and_index():
     rho = random_density(BipartiteDims(2, 3), np.random.default_rng(47))
     base = dict(rho=rho, measure=S_SPEC, max_iters=60, seed=19)
@@ -585,7 +627,7 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
     cases = [
         dict(rho=separable, measure=E_SPEC, ensemble_size=rank_of(separable), seed=0),
         dict(rho=entangled, measure=MeasureSpec("geometric", ranks=(1, 1)), ensemble_size=3,
-             max_iters=200, seed=1),
+             max_iters=200, seed=0),
     ]
     for base in cases:
         five = solve_roof(RoofProblem(restarts=5, **base))
@@ -600,7 +642,8 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
         problem = RoofProblem(restarts=5, **base)
         engine = _Engine(problem.rho, make_objective(problem.measure, problem.rho.dims),
                          "minimize", problem.ensemble_size, 5, problem.max_iters,
-                         problem.tol, problem.seed)
+                         problem.tol, problem.seed,
+                         stages=MEASURES[problem.measure.kind].smoothing)
         engine.chunk = 2
         chunked = engine.run()
         assert tuple(o.best_f for o in chunked) == five.restart_values
@@ -613,8 +656,8 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
 
 def test_lockstep_batch_matches_sequential_restarts():
     # every restart of the lockstep batch equals, bit for bit, the same
-    # restart descended alone one iterate at a time: smoothing stages,
-    # L-BFGS steps, backtracking, stalls, polish, budgets and
+    # restart descended alone one iterate at a time: one and two smoothing
+    # stages, L-BFGS steps, backtracking, stalls, polish, budgets and
     # both stopping rules
     def constant(s):
         return np.full(s.shape[:-1], 0.25)
@@ -624,16 +667,19 @@ def test_lockstep_batch_matches_sequential_restarts():
     separable = random_separable_density(DIMS22, np.random.default_rng(107))
     mixed = random_density(DIMS22, rng, 3)
     entangled = random_density(BipartiteDims(2, 3), rng, 3)
+    one = MEASURES["entropy"].smoothing
     cases = [
-        (mixed, make_objective(S_SPEC, DIMS22), "minimize", None, 6, 2000),
-        (mixed, make_objective(E_SPEC, DIMS22), "maximize", None, 3, 2000),
-        (separable, make_objective(E_SPEC, DIMS22), "minimize", rank_of(separable), 4, 2000),
-        (entangled, make_objective(S_SPEC, entangled.dims), "minimize", None, 3, 40),
-        (mixed, constant, "minimize", None, 2, 2000),
+        (mixed, make_objective(S_SPEC, DIMS22), "minimize", None, 6, 2000, one),
+        (mixed, make_objective(E_SPEC, DIMS22), "maximize", None, 3, 2000, SMOOTHING_STAGES),
+        (separable, make_objective(E_SPEC, DIMS22), "minimize", rank_of(separable), 4, 2000,
+         SMOOTHING_STAGES),
+        (entangled, make_objective(S_SPEC, entangled.dims), "minimize", None, 3, 27, one),
+        (mixed, constant, "minimize", None, 2, 2000, SMOOTHING_STAGES),
     ]
     stops, stalled = set(), False
-    for rho, objective, direction, m, restarts, max_iters in cases:
-        engine = _Engine(rho, objective, direction, m, restarts, max_iters, 1e-9, 5)
+    for rho, objective, direction, m, restarts, max_iters, stages in cases:
+        engine = _Engine(rho, objective, direction, m, restarts, max_iters, 1e-9, 5,
+                         stages=stages)
         for k, got in enumerate(engine.run()):
             want = sequential_restart(engine, k)
             assert got[0] == want[0]
@@ -645,16 +691,12 @@ def test_lockstep_batch_matches_sequential_restarts():
     assert stalled
 
 
-def test_window_reads_the_stage_best(monkeypatch):
+def test_window_reads_the_stage_best():
     # accepted nonmonotone steps raise the stage objective, once to within
     # tol of its value WINDOW iterations earlier while the stage's best
     # value fell by more than tol over those iterations: the window must
     # not report convergence there
-    import entroof.roof as roof_module
-
-    # one unsmoothed stage, so the stage objective is the raw one
-    monkeypatch.setattr(roof_module, "SMOOTHING_STAGES", (0.0,))
-    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(4), 4)
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(1), 4)
     base = make_objective(S_SPEC, rho.dims)
     values = []  # values[j]: the stage objective after iteration j - 1
 
@@ -667,16 +709,19 @@ def test_window_reads_the_stage_best(monkeypatch):
         return base(states)
 
     objective.grad = gradient
-    res = solve_roof_custom(rho, objective, restarts=1, seed=0)
     tol = RoofProblem.tol
+    # one unsmoothed stage, so the stage objective is the raw one
+    engine = _Engine(rho, objective, "minimize", None, 1, RoofProblem.max_iters, tol, 0,
+                     stages=(0.0,))
+    (outcome,) = engine.run()
     f = np.array(values)
     low = np.minimum.accumulate(f)
-    stalls = set(res.stall_iterations)
+    stalls = set(outcome.stalls)
     assert [j for j in range(1, f.size) if f[j] > f[j - 1] + tol and j - 1 not in stalls]
     fooled = [j for j in range(WINDOW + 1, f.size)
               if f[j - WINDOW] - f[j] < tol <= low[j - WINDOW] - low[j]]
     assert fooled
-    assert res.restart_iterations[0] > fooled[0]
+    assert outcome.iterations > fooled[0]
 
 
 def test_restart_chunk_bounded_before_allocation():

@@ -282,7 +282,7 @@ def sequential_restart(engine, k: int):
     """
     from entroof.linalg import _qr_fix
     from entroof.roof import (FLOOR_ULPS, LBFGS_MEMORY, LINE_SEARCH_RUNGS, NONMONOTONE_ETA,
-                              POLISH_EVERY, POLISH_THRESHOLD, SMOOTHING_STAGES, STALL_NUDGE,
+                              POLISH_EVERY, POLISH_THRESHOLD, STALL_NUDGE, STATIONARY,
                               WINDOW, _Outcome)
 
     b = engine.b
@@ -339,12 +339,14 @@ def sequential_restart(engine, k: int):
     trace, stalls = [], []
     it = rungs = 0
     converged = False
-    for eps in SMOOTHING_STAGES:
+    # curvature pairs survive every jump: stage advance, stall nudge, polish
+    pairs, gamma = [], None
+    for eps in engine.stages:
         f = total(v, eps)
         # Zhang-Hager reference and weight, and the stage's best value
         ref, ref_w, low = f, 1.0, f
         prev_v = prev_xi = None
-        pairs, gamma = [], None
+        tau = max(engine.tol, eps * 1e-3)
         stage_trace = []
         converged = False
         while it < engine.max_iters:
@@ -362,8 +364,10 @@ def sequential_restart(engine, k: int):
                 ds = float(np.sum(real(xi) * real(d)))
                 if 0.0 < ds < np.inf:
                     p, slope, use = d, ds, True
-            # rounding floor: the direction predicts a decrease of a few ulps of f
-            floor = use and slope <= FLOOR_ULPS * np.finfo(float).eps * abs(f)
+            # stationarity: the direction predicts a decrease of a few ulps
+            # of f or of a small fraction of the window's threshold tau
+            floor = use and slope <= max(FLOOR_ULPS * np.finfo(float).eps * abs(f),
+                                         STATIONARY * tau)
             accepted = False
             if gnorm2 > 0.0 and not floor:
                 t = 1.0 if use else 1.0 / np.sqrt(gnorm2)
@@ -387,7 +391,6 @@ def sequential_restart(engine, k: int):
                 f = total(v, eps)
                 ref, ref_w = f, 1.0
                 prev_v = prev_xi = None
-                pairs = []
             if (engine.sign > 0 and f < POLISH_THRESHOLD and not floor
                     and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
                 cand = polish(v)
@@ -396,7 +399,6 @@ def sequential_restart(engine, k: int):
                     v, f = cand, f_cand
                     ref, ref_w = f, 1.0
                     prev_v = prev_xi = None
-                    pairs = []
             raw = f if eps == 0.0 else total(v)
             if raw < best_f:
                 best_f, best_v = raw, v
@@ -405,8 +407,7 @@ def sequential_restart(engine, k: int):
             stage_trace.append(low)
             it += 1
             j = len(stage_trace) - 1
-            if floor or (j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j]
-                         < max(engine.tol, eps * 1e-3)):
+            if floor or (j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j] < tau):
                 converged = True
                 break
         if not converged:
