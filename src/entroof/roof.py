@@ -56,9 +56,10 @@ All restarts of a solve descend in lockstep as one stack of isometries
 two tangent projections and a few stacked line-search calls for the whole
 batch, and a restart leaves the batch when it converges or spends its
 budget. Runs are deterministic: restart k draws from a generator seeded by
-(seed, k), and stacked numpy calls act on each isometry as single calls
-do, so a restart's outcome does not depend on the other restarts in its
-batch. Results are merged by best value with ties broken by restart index.
+(seed, k), its start is the random isometry that generator draws first,
+and stacked numpy calls act on each isometry as single calls do, so a
+restart's outcome does not depend on the other restarts in its batch.
+Results are merged by best value with ties broken by restart index.
 """
 
 from __future__ import annotations
@@ -103,22 +104,18 @@ ISOMETRY_ATOL = 1e-10
 # Candidates are only ever accepted when they improve the objective.
 POLISH_EVERY = 25
 POLISH_THRESHOLD = 0.05
-# Odd-numbered restarts screen a batch of candidate isometries and descend
-# from the best; even-numbered ones start from a single random draw. The
-# mix keeps start diversity while avoiding the worst basins.
-SCREEN_CANDIDATES = 256
 # Backtracking ladder of the line search: steps t, t/2, ..., t/2^39.
 LINE_SEARCH_RUNGS = 40
 # Age discount of the line search's Zhang-Hager reference (see _Engine._descend)
 NONMONOTONE_ETA = 0.85
 # Curvature pairs (s, y) each restart keeps for its L-BFGS direction
 LBFGS_MEMORY = 5
-# Largest complex array one solve may allocate: the screened candidates'
-# member vectors (SCREEN_CANDIDATES * m * n), or the line search's member
+# Largest complex array one solve may allocate: the line search's member
 # vectors for a chunk of restarts, at most LINE_SEARCH_RUNGS * chunk * m * n;
-# the chunk is sized to fit. The limit admits the default m = 2r up to a
-# 22x22 full-rank state (256 * 2r * n <= 2^27) and m = r^2 up to 8x8; larger
-# ensembles are rejected before any allocation.
+# the chunk is sized to fit. An ensemble size whose single restart does not
+# fit (LINE_SEARCH_RUNGS * m * n above the limit) is rejected before any
+# allocation; the limit admits the default m = 2r up to a 35x35 full-rank
+# state (40 * 2r * n <= 2^27) and m = r^2 up to 12x12.
 MAX_WORK_ENTRIES = 2**27
 
 
@@ -373,9 +370,10 @@ class _Engine:
     :func:`solve_roof_custom`; by default the objective's own ``grad``.
     ``stages`` is the ladder of smoothing parameters each restart descends
     (see ``Measure.smoothing``). Restarts run in lockstep, ``chunk`` of them
-    at a time, as one stack of isometries (R, m, r); ``chunk`` keeps the line
-    search's stacked member vectors (LINE_SEARCH_RUNGS * chunk * m * n)
-    within MAX_WORK_ENTRIES.
+    at a time, as one stack of isometries (R, m, r); ``chunk``, the one
+    memory rule, keeps the line search's stacked member vectors
+    (LINE_SEARCH_RUNGS * chunk * m * n) within MAX_WORK_ENTRIES, and an
+    ensemble size that does not fit even at ``chunk`` = 1 is rejected.
     """
 
     def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed,
@@ -387,7 +385,7 @@ class _Engine:
         m = _ensemble_size(self.r, m)
         if m < self.r:
             raise ValueError(f"ensemble size m = {m} below rank(rho) = {self.r}")
-        entries = SCREEN_CANDIDATES * m * self.n
+        entries = LINE_SEARCH_RUNGS * m * self.n
         if entries > MAX_WORK_ENTRIES:
             raise ValueError(f"ensemble size m = {m} needs arrays of {entries} complex "
                              f"entries, above the limit {MAX_WORK_ENTRIES}")
@@ -400,8 +398,6 @@ class _Engine:
         self.tol = tol
         self.stages = tuple(stages)
         self.seed = int(seed) & (2**64 - 1)
-        # at least 6: SCREEN_CANDIDATES * m * n fits the limit (checked
-        # above) and SCREEN_CANDIDATES > 6 * LINE_SEARCH_RUNGS
         self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * m * self.n))
 
     def member_contrib(self, chi: np.ndarray, eps=0.0, vals=None) -> tuple[np.ndarray, np.ndarray]:
@@ -454,7 +450,7 @@ class _Engine:
         live = np.arange(len(v))
         for _ in range(iters):
             c = (v @ self.b.T).reshape(-1, self.da, self.db)
-            u, s, vh = np.linalg.svd(c)
+            u, s, vh = np.linalg.svd(c, full_matrices=False)
             tau = (s[:, 0, None, None] * u[:, :, :1] @ vh[:, :1, :]).reshape(-1, self.m, self.n)
             u2, _, w2 = np.linalg.svd(tau @ self.bc, full_matrices=False)
             v_new = u2 @ w2
@@ -465,14 +461,6 @@ class _Engine:
                 return out
         out[live] = v
         return out
-
-    def _initial_point(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        if k % 2 == 0:
-            return random_isometry(self.m, self.r, rng)
-        vs = _qr_fix(ginibre(rng, SCREEN_CANDIDATES, self.m, self.r))
-        totals = np.sum(self.member_contrib(
-            np.einsum("smr,nr->smn", vs, self.b))[0], axis=-1)
-        return vs[int(np.argmin(totals))].copy()  # a view would keep all of vs alive
 
     def _line_search(self, v, p, ref, t, slope, eps):
         """Nonmonotone Armijo backtracking for a stack of iterates along the
@@ -504,10 +492,10 @@ class _Engine:
         lo = 1
         while rows.size and lo < LINE_SEARCH_RUNGS:
             # halve step by step from each row's last rung, as a sequential
-            # search would; a block stacks at most as many isometries as
-            # start screening, which sets the solve's peak memory
-            size = min(2 * ladder.shape[1], LINE_SEARCH_RUNGS - lo,
-                       max(1, SCREEN_CANDIDATES // rows.size))
+            # search would; a block stacks fewer than LINE_SEARCH_RUNGS
+            # trial isometries per row, so ``chunk`` keeps it within
+            # MAX_WORK_ENTRIES
+            size = min(2 * ladder.shape[1], LINE_SEARCH_RUNGS - lo)
             halves = np.full((rows.size, size + 1), 0.5)
             halves[:, 0] = ladder[:, -1]
             ladder = np.multiply.accumulate(halves, axis=1)[:, 1:]
@@ -533,11 +521,11 @@ class _Engine:
     def _descend(self, ks: range) -> list:
         """Descend restarts ``ks`` in lockstep, one row of a :class:`_Rows` each.
 
-        Restart k draws from a generator seeded by (seed, k) and every step
-        treats each row of the stack as a descent of that restart alone
-        would treat its iterate (``tests/util.py::sequential_restart``), so
-        a restart's outcome does not depend on which restarts share its
-        batch.
+        Restart k draws from a generator seeded by (seed, k), starts at the
+        random isometry it draws first, and every step treats each row of
+        the stack as a descent of that restart alone would treat its
+        iterate (``tests/util.py::sequential_restart``), so a restart's
+        outcome does not depend on which restarts share its batch.
 
         Each iteration first stores the row's curvature pair from its last
         accepted step (``_Rows.push``), then takes the L-BFGS direction
@@ -562,7 +550,7 @@ class _Engine:
         """
         stages = np.array(self.stages)
         rng = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
-        v = np.stack([self._initial_point(k, g) for k, g in zip(ks, rng)])
+        v = np.stack([random_isometry(self.m, self.r, g) for g in rng])
         f, raw = self.totals(v, stages[0])
         n = len(ks)
         size = 2 * self.m * self.r  # real coordinates of one isometry

@@ -458,6 +458,20 @@ def test_ensemble_size_bound_checked_before_allocation():
     objective = make_objective(E_SPEC, big.dims)
     for m, want in ((None, _ensemble_size(64, None)), (64 * 64, 64 * 64)):
         assert _Engine(big, objective, "minimize", m, 1, 1, 1e-9, 0).m == want
+    # the largest m whose one restart's line-search stack fits is admitted
+    # and the next is rejected, both before any allocation
+    objective = make_objective(E_SPEC, DIMS22)
+    top = MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * DIMS22.total)
+    tracemalloc.start()
+    try:
+        engine = _Engine(rho, objective, "minimize", top, 32, 1, 1e-9, 0)
+        with pytest.raises(ValueError, match="limit"):
+            _Engine(rho, objective, "minimize", top + 1, 32, 1, 1e-9, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert engine.m == top and engine.chunk == 1
 
 
 def test_stall_metadata_recorded():
@@ -610,10 +624,10 @@ def test_restart_depends_only_on_seed_and_index():
 
 def test_batch_composition_cannot_change_a_restart(monkeypatch):
     # a separable input, where the product polish fires and restarts
-    # finish at different iterations, and an entangled 2x3 input with a
-    # minimal ensemble whose line searches stall at the top-1 ties of the
-    # geometric measure: restart k must come out the same whichever
-    # restarts share its lockstep batch
+    # finish at different iterations, and two entangled 2x3 inputs with a
+    # minimal ensemble under the geometric measure, the last of whose line
+    # searches stall at its top-1 ties: restart k must come out the same
+    # whichever restarts share its lockstep batch
     polished = []
     polish = _Engine.product_polish
 
@@ -624,10 +638,12 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
     monkeypatch.setattr(_Engine, "product_polish", counting_polish)
     separable = random_separable_density(DIMS22, np.random.default_rng(107))
     entangled = random_density(BipartiteDims(2, 3), np.random.default_rng(25), 3)
+    tied = random_density(BipartiteDims(2, 3), np.random.default_rng(5), 2)
+    geometric = MeasureSpec("geometric", ranks=(1, 1))
     cases = [
         dict(rho=separable, measure=E_SPEC, ensemble_size=rank_of(separable), seed=0),
-        dict(rho=entangled, measure=MeasureSpec("geometric", ranks=(1, 1)), ensemble_size=3,
-             max_iters=200, seed=0),
+        dict(rho=entangled, measure=geometric, ensemble_size=3, max_iters=200, seed=0),
+        dict(rho=tied, measure=geometric, ensemble_size=2, max_iters=200, seed=1),
     ]
     for base in cases:
         five = solve_roof(RoofProblem(restarts=5, **base))
@@ -650,8 +666,7 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
         assert tuple(o.iterations for o in chunked) == five.restart_iterations
         assert tuple(o.rungs for o in chunked) == five.restart_rungs
     assert polished
-    stalled = solve_roof(RoofProblem(restarts=5, **cases[1]))
-    assert stalled.stall_iterations
+    assert any(o.stalls for o in chunked)  # the tied input's restarts stall
 
 
 def test_lockstep_batch_matches_sequential_restarts():
@@ -743,6 +758,23 @@ def test_restart_chunk_bounded_before_allocation():
         assert 1 <= engine.chunk < 32 if m else engine.chunk == 32
         assert LINE_SEARCH_RUNGS * engine.chunk * engine.m * engine.n <= MAX_WORK_ENTRIES
         assert peak < 1_000_000
+
+
+def test_product_polish_allocates_about_its_member_vectors():
+    # one polish call on 32 isometries of a 2x100 rank-4 state: its
+    # right singular vectors must not grow with dim_b^2
+    rho = random_density(BipartiteDims(2, 100), np.random.default_rng(59), 4)
+    engine = _Engine(rho, make_objective(E_SPEC, rho.dims), "minimize", None, 32, 1, 1e-9, 0)
+    rng = np.random.default_rng(61)
+    v = np.stack([random_isometry(engine.m, engine.r, rng) for _ in range(32)])
+    members = v.shape[0] * engine.m * engine.n * 16  # bytes of the complex member vectors
+    tracemalloc.start()
+    try:
+        engine.product_polish(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * members
 
 
 # --- exact gradient --------------------------------------------------------------

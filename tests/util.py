@@ -10,7 +10,7 @@ from entroof.linalg import apply_local
 from entroof.locc import PRUNE_TOL, PURE_RANK_ATOL, LoccNode
 from entroof.measures import measure_value
 from entroof.roof import RoofProblem, solve_roof
-from entroof.sampling import ginibre, random_instrument, random_unitary
+from entroof.sampling import ginibre, random_instrument, random_isometry, random_unitary
 
 DIMS22 = BipartiteDims(2, 2)
 
@@ -324,7 +324,7 @@ def sequential_restart(engine, k: int):
     def polish(v, iters=60):
         for _ in range(iters):
             c = (v @ b.T).reshape(-1, engine.da, engine.db)
-            u, s, vh = np.linalg.svd(c)
+            u, s, vh = np.linalg.svd(c, full_matrices=False)
             tau = (s[:, 0, None, None] * u[:, :, :1] @ vh[:, :1, :]).reshape(-1, engine.n)
             u2, _, w2 = np.linalg.svd(tau @ b.conj(), full_matrices=False)
             v_new = u2 @ w2
@@ -334,7 +334,7 @@ def sequential_restart(engine, k: int):
         return v
 
     rng = np.random.default_rng(np.random.SeedSequence([engine.seed, k]))
-    v = engine._initial_point(k, rng)
+    v = random_isometry(engine.m, engine.r, rng)
     best_f, best_v = total(v), v
     trace, stalls = [], []
     it = rungs = 0
