@@ -4,11 +4,13 @@ Every command writes one JSON report to stdout. The report has two
 top-level sections: ``deterministic`` (command echo, input digests, fully
 materialized configuration including the seed, and results) and
 ``timings``. Identical inputs and seed reproduce the deterministic section
-byte for byte; timings are excluded from that guarantee. ``--out PATH``
-duplicates the report to a file.
+byte for byte; timings are excluded from that guarantee. Objects are
+indented, one key per line, and each array element takes one line.
+``--out PATH`` duplicates the report to a file.
 
-Exit codes: 0 success, 2 malformed input file, 3 invalid parameters,
-4 internal consistency failure, 5 invalid LOCC tree.
+Exit codes: 0 success, 2 malformed input file, 3 invalid parameters
+(including an ``--out`` path that cannot be written), 4 internal
+consistency failure, 5 invalid LOCC tree.
 """
 
 from __future__ import annotations
@@ -124,12 +126,34 @@ def _input_doc(path) -> dict:
     return {"path": str(path), "sha256": fileio.sha256_file(path)}
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _layout(value, indent: str = "") -> str:
+    """JSON text of a report: objects indented by two spaces, one key per
+    line and keys sorted, as ``json.dumps(indent=2)`` writes them, but each
+    array element on one line of the C encoder's compact text."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        opening, closing = "{", "}"
+        lines = (f"{_encode(k)}: {_layout(v, inner)}" for k, v in sorted(value.items()))
+    elif isinstance(value, (list, tuple)) and value:
+        opening, closing = "[", "]"
+        lines = map(_encode, value)
+    else:
+        return _encode(value)
+    return f"{opening}\n{inner}" + f",\n{inner}".join(lines) + f"\n{indent}{closing}"
+
+
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = _layout(report)
     print(text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise ParamError(f"cannot write --out: {e}") from None
 
 
 def _require_pure(state) -> PureState:
@@ -235,6 +259,15 @@ def cmd_sweep(args) -> tuple[int, dict]:
     return EXIT_OK, det
 
 
+def _issue_doc(issue) -> dict:
+    """A validation issue; a non-finite residual is written as null, which
+    JSON can hold (the message still names it)."""
+    doc = dict(vars(issue))
+    if doc["residual"] is not None and not math.isfinite(doc["residual"]):
+        doc["residual"] = None
+    return doc
+
+
 def cmd_locc(args) -> tuple[int, dict]:
     tree, tree_dims = fileio.load_tree(args.tree)
     state = fileio.load_state(args.state)
@@ -257,7 +290,7 @@ def cmd_locc(args) -> tuple[int, dict]:
         try:
             audit = audit_monotonicity(tree, rho, spec, opts)
         except InvalidTree as e:  # the audit validates the tree before any work
-            det["results"]["validation"] = [dict(vars(i)) for i in e.report.issues]
+            det["results"]["validation"] = [_issue_doc(i) for i in e.report.issues]
             return EXIT_BAD_TREE, det
     det["results"].update({
         "branches": [
@@ -354,6 +387,8 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code, det = args.func(args)
+        timings = {"wall_seconds": time.perf_counter() - start}
+        _emit({"deterministic": det, "timings": timings}, args.out)
     except InvariantViolation as e:
         print(f"error: invariant '{e.invariant}' violated "
               f"(residual {e.residual!r}): {e}", file=sys.stderr)
@@ -361,9 +396,6 @@ def main(argv=None) -> int:
     except ParamError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    timings = {"wall_seconds": time.perf_counter() - start}
-    report = {"deterministic": det, "timings": timings}
-    _emit(report, args.out)
     return code
 
 

@@ -102,18 +102,34 @@ def apply_local(ops: np.ndarray, mats: np.ndarray, dims: tuple[int, int],
     return (ops[..., None, :, :] @ t).reshape(lead + (da * out, da * out))
 
 
-def instrument_issue(ops) -> tuple[str, str, float | None] | None:
-    """The first violation of a Kraus instrument as (invariant, message,
-    residual), or None: operators must be matrices of one shape with sum
-    K^H K = I within KRAUS_ATOL, entrywise. Callers check the input dim."""
+def kraus_shape_issue(ops) -> tuple[str, str, None] | None:
+    """("kraus-shape", message, None) unless the operators are matrices of
+    one shape."""
     shapes = {k.shape for k in ops}
     if len(shapes) != 1 or any(len(s) != 2 for s in shapes):
         return "kraus-shape", f"inconsistent Kraus shapes {sorted(shapes)}", None
-    acc = sum(k.conj().T @ k for k in ops)
-    res = float(np.max(np.abs(acc - np.eye(ops[0].shape[1]))))
-    if not (res <= KRAUS_ATOL):  # written so that a NaN residual fails too
-        return "kraus-completeness", f"sum K^H K deviates from identity by {res:.3e}", res
     return None
+
+
+def completeness_issues(ops: np.ndarray) -> list[tuple[str, str, float] | None]:
+    """Completeness of a stack of instruments ``ops`` (n, k, d_out, d): for
+    each, None when sum K^H K = I within KRAUS_ATOL entrywise, else
+    ("kraus-completeness", message, residual). Overflowing entries give an
+    infinite residual without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # summed over k in operator order: np.sum may pair the terms up
+        acc = sum((ops.conj().swapaxes(-1, -2) @ ops).swapaxes(0, 1))
+        res = np.max(np.abs(acc - np.eye(ops.shape[-1])), axis=(-2, -1))
+    return [None if r <= KRAUS_ATOL  # written so that a NaN residual fails too
+            else ("kraus-completeness", f"sum K^H K deviates from identity by {r:.3e}", r)
+            for r in res.tolist()]
+
+
+def instrument_issue(ops) -> tuple[str, str, float | None] | None:
+    """The first violation of a Kraus instrument as (invariant, message,
+    residual), or None: :func:`kraus_shape_issue`, then
+    :func:`completeness_issues`. Callers check the input dim."""
+    return kraus_shape_issue(ops) or completeness_issues(np.stack(ops)[None])[0]
 
 
 def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,9 +4,8 @@ A protocol is a rooted ordered tree: each internal node holds the Kraus
 operators of the instrument applied by one party at that point, with one
 child per outcome. Kraus operators act on that party's factor only (as
 K x I or I x K, without forming the lifted matrix), so local dimensions may
-change between rounds. Every walk over a tree is a loop, an explicit-stack
-pre-order walk or a level-by-level one, so tree depth is not bounded by
-the recursion limit.
+change between rounds. Every walk over a tree is a level-by-level loop,
+so tree depth is not bounded by the recursion limit.
 
 Branch states are stored unnormalized with the raw instrument maps composed
 down from the root; the trace of a branch is then the joint probability of
@@ -14,6 +13,10 @@ reaching it, probabilities of siblings sum to their parent's, and the
 channel output is the plain sum over leaves. (Equivalently, each child is
 generated from its parent's normalized state and carries its own
 probability weight.)
+
+``validate_tree`` checks a tree one level at a time: the instruments of
+a level that share an operator count and shape are checked for
+completeness in one stacked call.
 
 ``run_tree`` computes the states one tree level at a time: the Kraus
 operators of a level that share a party, input dimensions and shape are
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import apply_local, instrument_issue
+from .linalg import apply_local, completeness_issues, kraus_shape_issue
 from .measures import MeasureSpec, measure_value
 from .roof import RoofProblem, solve_roof
 from .states import BipartiteDims, DensityOperator, InvariantViolation
@@ -117,37 +120,51 @@ def _child_dims(node: LoccNode, dims: tuple[int, int]) -> tuple[int, int]:
 
 
 def validate_tree(tree: LoccNode, dims: BipartiteDims) -> TreeValidationReport:
-    """Collect every structural and completeness violation; never raises."""
+    """Collect every structural and completeness violation; never raises.
+
+    The walk goes a level at a time: the instruments of a level that share
+    an operator count and shape are checked for completeness in one
+    stacked :func:`completeness_issues` call. Issues come in pre-order of
+    their paths, then the leaf-dims issue.
+    """
     issues: list[TreeIssue] = []
     leaf_dims: set[tuple[int, int]] = set()
-    stack = [(tree, (), dims.as_tuple())]
-    while stack:
-        node, path, cur = stack.pop()
-        if node.is_leaf:
-            leaf_dims.add(cur)
-            continue
-        if len(node.children) != len(node.kraus):
-            issues.append(TreeIssue(
-                path, "children-count",
-                f"{len(node.kraus)} Kraus operators vs {len(node.children)} children"))
-            continue
-        issue = instrument_issue(node.kraus)
-        if issue and issue[0] == "kraus-shape":
-            issues.append(TreeIssue(path, *issue))
-            continue
-        acting = cur[0] if node.party == "A" else cur[1]
-        d_in = node.kraus[0].shape[1]
-        if d_in != acting:
-            issues.append(TreeIssue(
-                path, "kraus-dims",
-                f"operators act on dim {d_in}, current {node.party} dim is {acting}"))
-            continue
-        if issue:  # incomplete: reported, and the walk goes on below
-            issues.append(TreeIssue(path, *issue))
-        nxt = _child_dims(node, cur)
-        for i in reversed(range(len(node.children))):
-            stack.append((node.children[i], path + (i,), nxt))
+    level = [(tree, (), dims.as_tuple())]
+    while level:
+        groups: dict[tuple, list] = {}
+        for node, path, cur in level:
+            if node.is_leaf:
+                leaf_dims.add(cur)
+                continue
+            if len(node.children) != len(node.kraus):
+                issues.append(TreeIssue(
+                    path, "children-count",
+                    f"{len(node.kraus)} Kraus operators vs {len(node.children)} children"))
+                continue
+            issue = kraus_shape_issue(node.kraus)
+            if issue:
+                issues.append(TreeIssue(path, *issue))
+                continue
+            acting = cur[0] if node.party == "A" else cur[1]
+            d_in = node.kraus[0].shape[1]
+            if d_in != acting:
+                issues.append(TreeIssue(
+                    path, "kraus-dims",
+                    f"operators act on dim {d_in}, current {node.party} dim is {acting}"))
+                continue
+            groups.setdefault((len(node.kraus), node.kraus[0].shape), []).append(
+                (node, path, cur))
+        level = []
+        for (n_ops, shape), members in groups.items():
+            ops = np.stack([k for node, _, _ in members for k in node.kraus])
+            found = completeness_issues(ops.reshape((len(members), n_ops) + shape))
+            for (node, path, cur), issue in zip(members, found):
+                if issue:  # incomplete: reported, and the walk goes on below
+                    issues.append(TreeIssue(path, *issue))
+                nxt = _child_dims(node, cur)
+                level.extend((c, path + (i,), nxt) for i, c in enumerate(node.children))
 
+    issues.sort(key=lambda issue: issue.path)  # tuple order of paths is pre-order
     if len(leaf_dims) > 1:
         issues.append(TreeIssue(
             (), "leaf-dims", f"leaves end on different dimensions {sorted(leaf_dims)}"))

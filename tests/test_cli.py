@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import entroof.cli as cli
 import entroof.io as fileio
@@ -211,6 +213,60 @@ def test_roof_out_duplicates_report(capsys, files):
     assert out_path.read_text().strip() == out.strip()
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exit_3(capsys, files, target):
+    path = files["tmp"] / "missing" / "x.json" if target == "missing-dir" else files["tmp"]
+    argv = ["measure", files["bell"], "--measure", "e"]
+    _, plain, _ = run(capsys, argv)
+    code, out, err = run(capsys, argv + ["--out", str(path)])
+    assert code == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert report_of(out)["deterministic"] == report_of(plain)["deterministic"]
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([-0.0, 5e-324, 1e308]) | st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20)
+
+
+def _arrays_flat(value) -> bool:
+    """No array holds a non-empty object or array."""
+    if isinstance(value, dict):
+        return all(map(_arrays_flat, value.values()))
+    if isinstance(value, list):
+        return not any(isinstance(v, (dict, list)) and v for v in value)
+    return True
+
+
+@given(JSON_VALUES)
+def test_report_layout_round_trips(value):
+    text = cli._layout(value)
+    canonical = json.dumps(value, sort_keys=True)  # float reprs tell -0.0 from 0.0
+    assert json.dumps(json.loads(text), sort_keys=True) == canonical
+    if _arrays_flat(value):
+        assert text == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_locc_report_has_one_line_per_branch(capsys, files):
+    tree = two_round_tree(np.random.default_rng(5), "A", "B", outcomes=3)
+    fileio.save_tree(files["tmp"] / "three.json", tree, DIMS22)
+    out_path = files["tmp"] / "report.json"
+    code, out, _ = run(capsys, ["locc", str(files["tmp"] / "three.json"), files["bell"],
+                                "--measure", "e", "--restarts", "1", "--out", str(out_path)])
+    assert code == 0
+    assert out_path.read_text() == out
+    branches = report_of(out)["deterministic"]["results"]["branches"]
+    assert len(branches) == 13
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.endswith('"branches": ['))
+    rows = lines[start + 1:start + 1 + len(branches)]
+    assert [json.loads(row.strip().rstrip(",")) for row in rows] == branches
+    assert lines[start + 1 + len(branches)].strip() in ("]", "],")
+
+
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_pure_grid(capsys, files):
@@ -403,6 +459,25 @@ def test_locc_invalid_tree_exit_5(capsys, files):
     assert res["validation"][0]["code"] == "kraus-completeness"
     assert abs(res["validation"][0]["residual"] - 0.75) < 1e-12
     assert "branches" not in res
+
+
+def test_locc_overflowing_kraus_entry_reports_null_residual(capsys, files, tmp_path):
+    # 1e200 is finite, so the file loads; its completeness residual is not
+    big = np.array([[1e200, 0], [0, 0]], dtype=complex)
+    tree = LoccNode("A", kraus=(big, np.array([[0, 0], [0, 1]], dtype=complex)),
+                    children=(leaf(), leaf()))
+    fileio.save_tree(tmp_path / "big.json", tree, DIMS22)
+    code, out, _ = run(capsys, ["locc", str(tmp_path / "big.json"), files["bell"],
+                                "--measure", "e"])
+    assert code == 5
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    issue = json.loads(out, parse_constant=reject)["deterministic"]["results"]["validation"][0]
+    assert issue["code"] == "kraus-completeness"
+    assert issue["residual"] is None
+    assert "inf" in issue["message"]
 
 
 def test_locc_deep_tree_file_exit_2(capsys, files, tmp_path):

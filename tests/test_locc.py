@@ -3,6 +3,7 @@ import sys
 import numpy as np
 import pytest
 
+import entroof.locc as locc
 from entroof import (
     DensityOperator,
     InvariantViolation,
@@ -13,6 +14,7 @@ from entroof import (
     run_tree,
     validate_tree,
 )
+from entroof.linalg import completeness_issues, instrument_issue
 from entroof.locc import LoccNode
 from entroof.measures import MeasureSpec
 from entroof.sampling import (
@@ -109,6 +111,57 @@ def test_leaf_dims_must_agree():
     tree = LoccNode("A", kraus=(PROJ0, PROJ1), children=(grow, stay))
     report = validate_tree(tree, DIMS22)
     assert any(i.code == "leaf-dims" for i in report.issues)
+
+
+def test_issues_in_pre_order_across_levels():
+    # found level by level, reported in pre-order: a completeness issue two
+    # levels down precedes the children-count and kraus-dims issues of its
+    # parent's later siblings, and leaf-dims comes last
+    inc1 = (PROJ0, PROJ1 * 1.1)
+    inc2 = (np.eye(2) * 0.9,)
+    grow = random_instrument(2, 1, RNG, dim_out=3)[0]
+    first = LoccNode("B", kraus=inc1, children=(
+        LoccNode("A", kraus=inc2, children=(leaf(),)),
+        LoccNode("A", kraus=(grow,), children=(leaf(),))))
+    tree = LoccNode("A", kraus=tuple(random_instrument(2, 3, RNG)), children=(
+        first,
+        LoccNode("A", kraus=(PROJ0, PROJ1), children=(leaf(),)),
+        LoccNode("B", kraus=(np.eye(3),), children=(leaf("B"),))))
+    issues = validate_tree(tree, DIMS22).issues
+    assert [(i.path, i.code) for i in issues] == [
+        ((0,), "kraus-completeness"), ((0, 0), "kraus-completeness"),
+        ((1,), "children-count"), ((2,), "kraus-dims"), ((), "leaf-dims")]
+    for issue, ops in zip(issues, (inc1, inc2)):
+        code, message, residual = instrument_issue(ops)
+        assert (issue.code, issue.message) == (code, message)
+        # one node's sum, term by term, as an unstacked check computes it
+        alone = float(np.max(np.abs(sum(k.conj().T @ k for k in ops) - np.eye(2))))
+        for value in (residual, alone):
+            assert np.float64(issue.residual).tobytes() == np.float64(value).tobytes()
+
+
+def test_completeness_checked_once_per_level_group(monkeypatch):
+    # three rounds: groups of one operator count and shape share a call
+    def node(party, outcomes, dim_out, kids):
+        ops = random_instrument(2, outcomes, RNG, dim_out=dim_out)
+        return LoccNode(party, kraus=tuple(ops), children=tuple(kids(i) for i in range(outcomes)))
+
+    def third(outcomes):
+        return node("A", outcomes, 3, lambda _: leaf())
+
+    tree = node("A", 2, 2, lambda i: node("B", 2 + i, 2, lambda j: third(3 if j == 1 else 2)))
+    calls = []
+
+    def spy(ops):
+        calls.append(ops.shape)
+        return completeness_issues(ops)
+
+    monkeypatch.setattr(locc, "completeness_issues", spy)
+    assert validate_tree(tree, DIMS22).ok
+    inner = [(len(path), len(n.kraus), n.kraus[0].shape)
+             for path, n in iter_nodes(tree) if not n.is_leaf]
+    assert len(calls) == len(set(inner)) == 5
+    assert sorted(n for n, *_ in calls) == [1, 1, 1, 2, 3]  # each of the 8 instruments once
 
 
 def test_run_rejects_invalid_tree():
