@@ -83,6 +83,8 @@ def _check_roof_flags(args) -> None:
     """Reject out-of-range roof flags, also where no roof is solved."""
     with _solver_errors():
         _check_solver_args("minimize", args.restarts, RoofProblem.max_iters, args.tol)
+    if args.m is not None and args.m < 1:
+        raise ParamError(f"--m must be >= 1, got {args.m}")
 
 
 def _roof_options(args, rho: DensityOperator | None) -> tuple[dict, dict]:
@@ -172,7 +174,8 @@ def cmd_measure(args) -> tuple[int, dict]:
     psi = _require_pure(fileio.load_state(args.state))
     spec = _spec_from_args(args)
     dec = schmidt(psi)
-    value = measure_value(spec, psi)
+    with _solver_errors():
+        value = measure_value(spec, psi)
     det = {
         "command": "measure",
         "inputs": {"state": _input_doc(args.state)},

@@ -15,10 +15,10 @@ a step along -p, the unit step first, under nonmonotone Armijo
 backtracking, is re-orthonormalized by a QR retraction. The pairs are the ambient
 differences of successive iterates and of their tangent gradients; a pair
 with <s, y> <= 0 is skipped, and the pairs outlive the jumps that replace
-an iterate without a line search (a stall nudge, an accepted polish, a
-smoothing-stage advance), so the step after a jump is again the L-BFGS
-unit step. A restart without pairs, or whose p is not a descent
-direction, searches along -xi from the step 1 / |xi|.
+an iterate without a line search (an accepted polish, a smoothing-stage
+advance), so the step after a jump is again the L-BFGS unit step. A
+restart without pairs, or whose p is not a descent direction, searches
+along -xi from the step 1 / |xi|.
 The Armijo test compares a trial step with the Zhang-Hager reference, an
 average of the restart's recent stage objectives weighted by powers of
 NONMONOTONE_ETA (Zhang & Hager, SIAM J. Optim. 14, 2004; Wen & Yin use it
@@ -30,17 +30,21 @@ then the raw one; entropy has only the raw stage) and periodically tries
 an alternating-projection product polish (see the constants below); both
 devices address the conic kinks faithful measures have at their zeros.
 
-A smoothing stage ends by one of two stopping rules. Stationarity: once
+A smoothing stage ends by one of three stopping rules. Stationarity: once
 the L-BFGS direction predicts a decrease <xi, p> of at most
 max(FLOOR_ULPS ulps of the stage objective, STATIONARY * tau), with
 tau = max(``tol``, 1e-3 times the smoothing parameter), the restart stops
-the stage at once, without a line search. The window, the fallback for a
-restart without a usable L-BFGS direction: the best stage objective since
-the stage began fell by less than tau over the last WINDOW iterations. It
-reads the best value rather than the current one, which a nonmonotone
-step may have raised. A restart that spends ``max_iters`` before its last
-stage ends stops on its budget; ``RoofResult.restart_stops`` records which
-rule ended each one ("floor" for stationarity).
+the stage at once, without a line search. Stall: no rung of the line
+search passes, or the tangent gradient is zero or not finite; optimal
+pure-state ensembles exist, so the restart stops the stage where no step
+descends rather than being pushed off that point. The window, the
+fallback for a restart without a usable L-BFGS direction: the best stage
+objective since the stage began fell by less than tau over the last
+WINDOW iterations. It reads the best value rather than the current one,
+which a nonmonotone step may have raised. A restart that spends
+``max_iters`` before its last stage ends stops on its budget;
+``RoofResult.restart_stops`` records which rule ended each one ("floor"
+for stationarity).
 
 Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
 the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
@@ -55,10 +59,10 @@ All restarts of a solve descend in lockstep as one stack of isometries
 (R, m, r), one row per restart: each step makes one two-loop recursion,
 two tangent projections and a few stacked line-search calls for the whole
 batch, and a restart leaves the batch when it converges or spends its
-budget. Runs are deterministic: restart k draws from a generator seeded by
-(seed, k), its start is the random isometry that generator draws first,
-and stacked numpy calls act on each isometry as single calls do, so a
-restart's outcome does not depend on the other restarts in its batch.
+budget. Runs are deterministic: restart k starts at the random isometry
+drawn by a generator seeded by (seed, k), and stacked numpy calls act on
+each isometry as single calls do, so a restart's outcome does not depend
+on the other restarts in its batch.
 Results are merged by best value with ties broken by restart index.
 """
 
@@ -83,10 +87,9 @@ from .measures import (
     validate_spec_dims,
     von_neumann_entropy,
 )
-from .sampling import ginibre, random_isometry
+from .sampling import random_isometry
 from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
 
-STALL_NUDGE = 1e-10      # iterate perturbation when the line search stalls
 WINDOW = 20              # iterations over which the stopping rule measures progress
 # Stationarity stop: a row whose L-BFGS direction -p predicts a decrease
 # <xi, p> (the unit step's) of at most max(FLOOR_ULPS ulps of its stage
@@ -204,8 +207,9 @@ class RoofResult:
     each restart's best objective, its number of iterations and why it
     stopped, in restart order: "floor" (its last stage reached stationarity:
     the L-BFGS direction predicted a decrease of at most STATIONARY times
-    the window's threshold, or of rounding error), "window" (its last
-    stage's best objective improved by less
+    the window's threshold, or of rounding error), "stall" (no step of its
+    last stage's line search passed, or its tangent gradient was zero or not
+    finite), "window" (its last stage's best objective improved by less
     than ``tol`` over WINDOW iterations) or "budget" (it spent
     ``max_iters`` without converging). ``restart_rungs`` holds each
     restart's line-search rungs summed over its iterations, as a search of
@@ -220,7 +224,6 @@ class RoofResult:
     gap_estimate: float
     restart_values: tuple[float, ...] = field(default=(), compare=False)
     best_restart: int = field(default=0, compare=False)
-    stall_iterations: tuple[int, ...] = field(default=(), compare=False)
     restart_iterations: tuple[int, ...] = field(default=(), compare=False)
     restart_stops: tuple[str, ...] = field(default=(), compare=False)
     restart_rungs: tuple[int, ...] = field(default=(), compare=False)
@@ -277,9 +280,9 @@ def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
 
 
 # One restart's result: its best raw objective and isometry, then its entries
-# of the RoofResult fields objective_trace, converged, stall_iterations,
-# restart_iterations, restart_stops and restart_rungs.
-_Outcome = namedtuple("_Outcome", "best_f best_v trace converged stalls iterations stop rungs")
+# of the RoofResult fields objective_trace, converged, restart_iterations,
+# restart_stops and restart_rungs.
+_Outcome = namedtuple("_Outcome", "best_f best_v trace converged iterations stop rungs")
 
 
 def _real(z: np.ndarray) -> np.ndarray:
@@ -297,9 +300,9 @@ def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
 class _Rows(SimpleNamespace):
     """The restarts of one lockstep descent, one row each.
 
-    Every field is indexed by row: chunk position ``pos``, generator
-    ``rng``, iterate ``v``, stage and raw objectives ``f`` and ``raw``,
-    smoothing ``stage`` and the iteration ``start`` it began at, step
+    Every field is an array indexed by row: chunk position ``pos``, iterate
+    ``v``, stage and raw objectives ``f`` and ``raw``, smoothing ``stage``
+    and the iteration ``start`` it began at, step
     memory (whether the row ``moved`` by a line search since its last
     reset, and ``prev``, the real coordinates (2, 2mr) of the iterate and
     tangent gradient it moved from; the L-BFGS ``pairs`` (LBFGS_MEMORY, 2,
@@ -310,16 +313,13 @@ class _Rows(SimpleNamespace):
     Zhang-Hager reference ``ref`` and weight ``ref_w``, the stage's best
     objective ``low`` with a ring ``lows`` of its last WINDOW + 1 values
     (iteration it in column it mod WINDOW + 1), best raw objective
-    ``best_f`` and its isometry ``best_v``, line-search rungs tried
-    ``rungs`` and stalled iterations ``stalls``.
+    ``best_f`` and its isometry ``best_v``, and line-search rungs tried
+    ``rungs``.
     """
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where ``mask`` is False from every field."""
-        vars(self).update({
-            name: value[mask] if isinstance(value, np.ndarray)
-            else [x for x, k in zip(value, mask) if k]
-            for name, value in vars(self).items()})
+        vars(self).update({name: value[mask] for name, value in vars(self).items()})
 
     def reset(self, rows: np.ndarray) -> None:
         """Restart the reference of ``rows`` at (f, 1) after a jump of their
@@ -521,11 +521,11 @@ class _Engine:
     def _descend(self, ks: range) -> list:
         """Descend restarts ``ks`` in lockstep, one row of a :class:`_Rows` each.
 
-        Restart k draws from a generator seeded by (seed, k), starts at the
-        random isometry it draws first, and every step treats each row of
-        the stack as a descent of that restart alone would treat its
-        iterate (``tests/util.py::sequential_restart``), so a restart's
-        outcome does not depend on which restarts share its batch.
+        Restart k starts at the random isometry drawn by a generator seeded
+        by (seed, k), and every step treats each row of the stack as a
+        descent of that restart alone would treat its iterate
+        (``tests/util.py::sequential_restart``), so a restart's outcome
+        does not depend on which restarts share its batch.
 
         Each iteration first stores the row's curvature pair from its last
         accepted step (``_Rows.push``), then takes the L-BFGS direction
@@ -536,33 +536,33 @@ class _Engine:
         f_new becomes ref' = (eta ref_w ref + f_new) / ref_w', ref_w' =
         eta ref_w + 1 (eta = NONMONOTONE_ETA): an average of the stage
         objectives since its last reset, weighted by eta^age. Wherever f
-        is replaced other than by a line search (the stall nudge, an
-        accepted polish and a stage advance), ``_Rows.reset`` restarts it
-        at (f, 1); the row keeps its curvature pairs, but the jump itself
-        is not stored as one. An accepted step may raise f, so the WINDOW
-        rule reads low, which only falls. With tau = max(tol, 1e-3 eps), a
-        stage converges on stationarity, an L-BFGS slope of at most
-        max(FLOOR_ULPS ulps of |f|, STATIONARY * tau), where the row skips
-        its line search, stall nudge and polish, or when low fell by less
-        than tau over WINDOW iterations. A row leaves the batch
-        (``_Rows.keep``) when its last stage converges or its iteration
-        budget is spent.
+        is replaced other than by a line search (an accepted polish and a
+        stage advance), ``_Rows.reset`` restarts it at (f, 1); the row
+        keeps its curvature pairs, but the jump itself is not stored as
+        one. An accepted step may raise f, so the WINDOW rule reads low,
+        which only falls. With tau = max(tol, 1e-3 eps), a stage converges
+        on stationarity, an L-BFGS slope of at most max(FLOOR_ULPS ulps of
+        |f|, STATIONARY * tau), where the row skips its line search; on a
+        stall, a line search without a passing rung or a tangent gradient
+        that is zero or not finite; or when low fell by less than tau over
+        WINDOW iterations. A row that does not step skips the polish. A row
+        leaves the batch (``_Rows.keep``) when its last stage converges or
+        its iteration budget is spent.
         """
         stages = np.array(self.stages)
-        rng = [np.random.default_rng(np.random.SeedSequence([self.seed, k])) for k in ks]
-        v = np.stack([random_isometry(self.m, self.r, g) for g in rng])
+        seeds = (np.random.SeedSequence([self.seed, k]) for k in ks)
+        v = np.stack([random_isometry(self.m, self.r, np.random.default_rng(s)) for s in seeds])
         f, raw = self.totals(v, stages[0])
         n = len(ks)
         size = 2 * self.m * self.r  # real coordinates of one isometry
-        rows = _Rows(pos=np.arange(n), rng=rng, v=v, f=f, raw=raw, stage=np.zeros(n, dtype=int),
+        rows = _Rows(pos=np.arange(n), v=v, f=f, raw=raw, stage=np.zeros(n, dtype=int),
                      start=np.zeros(n, dtype=int), moved=np.zeros(n, dtype=bool),
                      prev=np.zeros((n, 2, size)), pairs=np.zeros((n, LBFGS_MEMORY, 2, size)),
                      rho=np.zeros((n, LBFGS_MEMORY, 1)), gamma=np.zeros((n, 1)),
                      fresh=np.zeros(n, dtype=bool), fm=np.zeros((n, self.m)),
                      g=np.zeros((n, self.m, self.n), dtype=complex), ref=f.copy(),
                      ref_w=np.ones(n), low=f.copy(), lows=np.zeros((n, WINDOW + 1)),
-                     best_f=raw.copy(), best_v=v.copy(), rungs=np.zeros(n, dtype=int),
-                     stalls=[[] for _ in ks])
+                     best_f=raw.copy(), best_v=v.copy(), rungs=np.zeros(n, dtype=int))
         outcomes: list = [None] * n
         trace: list[np.ndarray] = []  # best_f per iteration, by chunk position
         it = 0
@@ -596,7 +596,7 @@ class _Engine:
             floor = lbfgs & (slope <= np.maximum(FLOOR_ULPS * np.finfo(float).eps * np.abs(f),
                                                  STATIONARY * tau))
             accepted = np.zeros(len(v), dtype=bool)
-            search = np.flatnonzero((gnorm2 > 0.0) & ~floor)
+            search = np.flatnonzero((gnorm2 > 0.0) & (gnorm2 < np.inf) & ~floor)
             if search.size:
                 # the unit step along an L-BFGS direction, else 1 / |xi|
                 t = np.where(lbfgs[search], 1.0, 1.0 / np.sqrt(gnorm2[search]))
@@ -614,18 +614,8 @@ class _Engine:
                 rows.ref_w[moved] = w
                 rows.moved[moved] = True
                 accepted[moved] = True
-            stalled = np.flatnonzero(~(accepted | floor))
-            if stalled.size:
-                # likely a non-smooth point (degenerate Schmidt values):
-                # nudge the iterate and restart its reference
-                for i in stalled:
-                    rows.stalls[i].append(it)
-                noise = np.stack([ginibre(rows.rng[i], *v.shape[1:]) for i in stalled])
-                v[stalled] = _qr_fix(v[stalled] + STALL_NUDGE * noise)
-                f[stalled], raw[stalled] = self.totals(v[stalled], eps[stalled])
-                rows.reset(stalled)
             if self.sign > 0:
-                due = np.flatnonzero((f < POLISH_THRESHOLD) & ~floor
+                due = np.flatnonzero((f < POLISH_THRESHOLD) & accepted
                                      & ((it - rows.start) % POLISH_EVERY == POLISH_EVERY - 1))
                 if due.size:
                     cand = self.product_polish(v[due])
@@ -642,10 +632,10 @@ class _Engine:
             trace[-1][rows.pos] = rows.best_f
             rows.lows[:, it % (WINDOW + 1)] = rows.low
             it += 1
-            # stopping rules: stationarity, or progress of the stage's best
-            # objective over the last WINDOW iterations
+            # stopping rules: no step (stationarity or a stall), or progress
+            # of the stage's best objective over the last WINDOW iterations
             window = it - 1 - rows.start >= WINDOW
-            converged = floor | (window & (rows.lows[:, it % (WINDOW + 1)] - rows.low < tau))
+            converged = ~accepted | (window & (rows.lows[:, it % (WINDOW + 1)] - rows.low < tau))
             last = rows.stage == len(stages) - 1
             spent = it >= self.max_iters
             advance = np.flatnonzero(converged & ~last & (not spent))
@@ -659,10 +649,11 @@ class _Engine:
             if done.any():
                 for i in np.flatnonzero(done):
                     conv = bool(converged[i] and last[i])
-                    stop = "budget" if not conv else "floor" if floor[i] else "window"
+                    stop = ("budget" if not conv else "floor" if floor[i]
+                            else "stall" if not accepted[i] else "window")
                     outcomes[rows.pos[i]] = _Outcome(
-                        float(rows.best_f[i]), rows.best_v[i].copy(), None, conv,
-                        rows.stalls[i], it, stop, int(rows.rungs[i]))
+                        float(rows.best_f[i]), rows.best_v[i].copy(), None, conv, it, stop,
+                        int(rows.rungs[i]))
                 rows.keep(~done)
         table = np.array(trace)
         return [o._replace(trace=table[:o.iterations, i].tolist())
@@ -727,7 +718,6 @@ def _solve(rho, objective, grad, member_value, direction, ensemble_size, restart
         gap_estimate=gap,
         restart_values=tuple(eng.sign * f for f in finals),
         best_restart=best,
-        stall_iterations=tuple(top.stalls),
         restart_iterations=tuple(o.iterations for o in outcomes),
         restart_stops=tuple(o.stop for o in outcomes),
         restart_rungs=tuple(o.rungs for o in outcomes),

@@ -45,6 +45,10 @@ def files(tmp_path):
     fileio.save_tree(tmp_path / "meas.json", meas, DIMS22)
     paths["meas"] = str(tmp_path / "meas.json")
 
+    ident = LoccNode("A", kraus=(np.eye(2),), children=(leaf(),))
+    fileio.save_tree(tmp_path / "ident.json", ident, DIMS22)
+    paths["ident"] = str(tmp_path / "ident.json")
+
     bad = LoccNode("A", kraus=(np.eye(2) / 2,), children=(leaf(),))
     fileio.save_tree(tmp_path / "bad.json", bad, DIMS22)
     paths["bad"] = str(tmp_path / "bad.json")
@@ -134,6 +138,18 @@ def test_measure_invalid_params(capsys, files):
     # density file where a pure state is required
     code, _, _ = run(capsys, ["measure", files["mixed"], "--measure", "e"])
     assert code == 3
+
+
+@pytest.mark.parametrize("params", [
+    ["--measure", "concurrence", "--k", "5"],
+    ["--measure", "geometric", "--ranks", "3,3"],
+])
+def test_measure_parameter_out_of_range_for_dims_exit_3(capsys, files, params):
+    # valid on their own, these parameters exceed the 2x2 state's local dims
+    code, out, err = run(capsys, ["measure", files["bell"], *params])
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_argparse_errors_map_to_exit_3(capsys, files):
@@ -377,9 +393,12 @@ def test_roof_ensemble_size_bound_exit_3(capsys, files):
     ["locc", "{meas}", "{bell}", "--measure", "e", "--m", "1"],
     ["locc", "{meas}", "{bell}", "--measure", "geometric", "--ranks", "1,2"],
     ["locc", "{meas}", "{bell}", "--measure", "e", "--direction", "max"],
-    # a pure-state sweep solves no roof but checks the roof flags all the same
+    # a pure-state sweep, and an audit whose branches and output are all
+    # pure, solve no roof but check the roof flags all the same
     ["sweep", "{bell}", "--p-grid", "1.5:2:0.5", "--restarts", "0"],
     ["sweep", "{bell}", "--p-grid", "1.5:2:0.5", "--tol", "0"],
+    ["sweep", "{bell}", "--p-grid", "1.5:2:0.5", "--m", "0"],
+    ["locc", "{ident}", "{bell}", "--measure", "e", "--m", "-5"],
 ])
 def test_roof_flag_errors_exit_3(capsys, files, argv):
     code, out, err = run(capsys, [a.format(**files) for a in argv])

@@ -282,8 +282,7 @@ def sequential_restart(engine, k: int):
     """
     from entroof.linalg import _qr_fix
     from entroof.roof import (FLOOR_ULPS, LBFGS_MEMORY, LINE_SEARCH_RUNGS, NONMONOTONE_ETA,
-                              POLISH_EVERY, POLISH_THRESHOLD, STALL_NUDGE, STATIONARY,
-                              WINDOW, _Outcome)
+                              POLISH_EVERY, POLISH_THRESHOLD, STATIONARY, WINDOW, _Outcome)
 
     b = engine.b
 
@@ -333,13 +332,13 @@ def sequential_restart(engine, k: int):
             v = v_new
         return v
 
-    rng = np.random.default_rng(np.random.SeedSequence([engine.seed, k]))
-    v = random_isometry(engine.m, engine.r, rng)
+    v = random_isometry(engine.m, engine.r,
+                        np.random.default_rng(np.random.SeedSequence([engine.seed, k])))
     best_f, best_v = total(v), v
-    trace, stalls = [], []
+    trace = []
     it = rungs = 0
     converged = False
-    # curvature pairs survive every jump: stage advance, stall nudge, polish
+    # curvature pairs survive every jump: stage advance, polish
     pairs, gamma = [], None
     for eps in engine.stages:
         f = total(v, eps)
@@ -369,7 +368,7 @@ def sequential_restart(engine, k: int):
             floor = use and slope <= max(FLOOR_ULPS * np.finfo(float).eps * abs(f),
                                          STATIONARY * tau)
             accepted = False
-            if gnorm2 > 0.0 and not floor:
+            if 0.0 < gnorm2 < np.inf and not floor:
                 t = 1.0 if use else 1.0 / np.sqrt(gnorm2)
                 for rung in range(LINE_SEARCH_RUNGS):
                     rungs += 1
@@ -384,14 +383,7 @@ def sequential_restart(engine, k: int):
                         accepted = True
                         break
                     t *= 0.5
-            if not accepted and not floor:
-                stalls.append(it)
-                v = _qr_fix(v + STALL_NUDGE * (
-                    rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)))
-                f = total(v, eps)
-                ref, ref_w = f, 1.0
-                prev_v = prev_xi = None
-            if (engine.sign > 0 and f < POLISH_THRESHOLD and not floor
+            if (engine.sign > 0 and f < POLISH_THRESHOLD and accepted
                     and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
                 cand = polish(v)
                 f_cand = total(cand, eps)
@@ -407,10 +399,12 @@ def sequential_restart(engine, k: int):
             stage_trace.append(low)
             it += 1
             j = len(stage_trace) - 1
-            if floor or (j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j] < tau):
+            # stationarity and a stall (no step taken) end the stage
+            if not accepted or (j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j] < tau):
                 converged = True
                 break
         if not converged:
             break
-    stop = "budget" if not converged else "floor" if floor else "window"
-    return _Outcome(best_f, best_v, trace, converged, stalls, it, stop, rungs)
+    stop = ("budget" if not converged else "floor" if floor
+            else "stall" if not accepted else "window")
+    return _Outcome(best_f, best_v, trace, converged, it, stop, rungs)
