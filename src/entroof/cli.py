@@ -26,7 +26,7 @@ from . import io as fileio
 from .linalg import schmidt
 from .locc import InvalidTree, audit_monotonicity
 from .measures import ENTROPY, MEASURES, P_NUMBER, MeasureSpec, measure_value, p_number_pure
-from .roof import (STATIONARY, WINDOW, RoofProblem, _check_solver_args, _ensemble_size, rank_of,
+from .roof import (STATIONARY, RoofProblem, _check_solver_args, _ensemble_size, rank_of,
                    solve_roof)
 from .states import DensityOperator, InvariantViolation, PureState
 
@@ -336,8 +336,7 @@ def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
                    help="optimizer seed (default %(default)s)")
     p.add_argument("--tol", type=float, default=RoofProblem.tol,
                    help="a restart stops when its L-BFGS step predicts a decrease below "
-                        f"{STATIONARY:g} times this, or when its best objective falls by "
-                        f"less than this over {WINDOW} iterations (default %(default)s)")
+                        f"{STATIONARY:g} times this (default %(default)s)")
     if direction:
         p.add_argument("--direction", choices=["min", "max"], default="min",
                        help="convex (min) or concave (max) roof (default min)")

@@ -314,8 +314,12 @@ def _evaluate(
     gaps = np.zeros(len(mats))
     if pure.any():
         psi = vecs[pure, :, -1]
-        # one norm per row: the stacked norm sums in another order
-        psi = psi / np.array([np.linalg.norm(v) for v in psi])[:, None]
+        # each row's two dots are the ones np.linalg.norm takes of a complex
+        # vector, so a row's norm is bitwise norm(row), which the stacked
+        # norm(psi, axis=1) is not
+        re, im = psi.real, psi.imag
+        sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+        psi = psi / np.sqrt(sq[:, :, 0])
         values[pure] = measure_value(spec, psi, bdims)
     for i in np.flatnonzero(~pure):
         rho = DensityOperator(mats[i] / np.trace(mats[i]).real, bdims)

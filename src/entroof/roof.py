@@ -30,18 +30,14 @@ then the raw one; entropy has only the raw stage) and periodically tries
 an alternating-projection product polish (see the constants below); both
 devices address the conic kinks faithful measures have at their zeros.
 
-A smoothing stage ends by one of three stopping rules. Stationarity: once
-the L-BFGS direction predicts a decrease <xi, p> of at most
-max(FLOOR_ULPS ulps of the stage objective, STATIONARY * tau), with
-tau = max(``tol``, 1e-3 times the smoothing parameter), the restart stops
-the stage at once, without a line search. Stall: no rung of the line
-search passes, or the tangent gradient is zero or not finite; optimal
+A smoothing stage ends on the first iteration that takes no step, by one
+of two stopping rules. Stationarity: the L-BFGS direction predicts a
+decrease <xi, p> of at most max(FLOOR_ULPS ulps of the stage objective,
+STATIONARY * tau), with tau = max(``tol``, 1e-3 times the smoothing
+parameter); the restart skips the line search. Stall: no rung of the line
+search passes, or the tangent gradient is zero or not finite. Optimal
 pure-state ensembles exist, so the restart stops the stage where no step
-descends rather than being pushed off that point. The window, the
-fallback for a restart without a usable L-BFGS direction: the best stage
-objective since the stage began fell by less than tau over the last
-WINDOW iterations. It reads the best value rather than the current one,
-which a nonmonotone step may have raised. A restart that spends
+descends rather than being pushed off that point. A restart that spends
 ``max_iters`` before its last stage ends stops on its budget;
 ``RoofResult.restart_stops`` records which rule ended each one ("floor"
 for stationarity).
@@ -90,12 +86,10 @@ from .measures import (
 from .sampling import random_isometry
 from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
 
-WINDOW = 20              # iterations over which the stopping rule measures progress
 # Stationarity stop: a row whose L-BFGS direction -p predicts a decrease
 # <xi, p> (the unit step's) of at most max(FLOOR_ULPS ulps of its stage
-# objective f, STATIONARY * tau), tau = max(tol, 1e-3 eps) being the WINDOW
-# rule's threshold, ends its stage at once, without a line search, instead
-# of waiting out the WINDOW. The ulps term is the rounding floor.
+# objective f, STATIONARY * tau), tau = max(tol, 1e-3 eps), ends its stage
+# at once, without a line search. The ulps term is the rounding floor.
 FLOOR_ULPS = 16
 STATIONARY = 1e-2
 MEMBER_DROP = 1e-14      # ensemble members below this weight are dropped
@@ -206,11 +200,10 @@ class RoofResult:
     ``restart_values``, ``restart_iterations`` and ``restart_stops`` hold
     each restart's best objective, its number of iterations and why it
     stopped, in restart order: "floor" (its last stage reached stationarity:
-    the L-BFGS direction predicted a decrease of at most STATIONARY times
-    the window's threshold, or of rounding error), "stall" (no step of its
-    last stage's line search passed, or its tangent gradient was zero or not
-    finite), "window" (its last stage's best objective improved by less
-    than ``tol`` over WINDOW iterations) or "budget" (it spent
+    the L-BFGS direction predicted a decrease of at most STATIONARY * tau,
+    tau = max(``tol``, 1e-3 times the smoothing parameter), or of rounding
+    error), "stall" (no rung of its last stage's line search passed, or its
+    tangent gradient was zero or not finite) or "budget" (it spent
     ``max_iters`` without converging). ``restart_rungs`` holds each
     restart's line-search rungs summed over its iterations, as a search of
     that restart alone tries them: the accepted rung's index + 1, or
@@ -310,9 +303,7 @@ class _Rows(SimpleNamespace):
     an empty one, and the newest pair's ``gamma`` = <s, y> / <y, y>), the
     gradient of the iterate where it is ``fresh`` from the line search
     (member values ``fm`` and ``g``, as ``grad`` returns them),
-    Zhang-Hager reference ``ref`` and weight ``ref_w``, the stage's best
-    objective ``low`` with a ring ``lows`` of its last WINDOW + 1 values
-    (iteration it in column it mod WINDOW + 1), best raw objective
+    Zhang-Hager reference ``ref`` and weight ``ref_w``, best raw objective
     ``best_f`` and its isometry ``best_v``, and line-search rungs tried
     ``rungs``.
     """
@@ -539,15 +530,14 @@ class _Engine:
         is replaced other than by a line search (an accepted polish and a
         stage advance), ``_Rows.reset`` restarts it at (f, 1); the row
         keeps its curvature pairs, but the jump itself is not stored as
-        one. An accepted step may raise f, so the WINDOW rule reads low,
-        which only falls. With tau = max(tol, 1e-3 eps), a stage converges
-        on stationarity, an L-BFGS slope of at most max(FLOOR_ULPS ulps of
-        |f|, STATIONARY * tau), where the row skips its line search; on a
-        stall, a line search without a passing rung or a tangent gradient
-        that is zero or not finite; or when low fell by less than tau over
-        WINDOW iterations. A row that does not step skips the polish. A row
-        leaves the batch (``_Rows.keep``) when its last stage converges or
-        its iteration budget is spent.
+        one. A stage converges on the first iteration where the row takes
+        no step: on stationarity, an L-BFGS slope of at most
+        max(FLOOR_ULPS ulps of |f|, STATIONARY * tau) with
+        tau = max(tol, 1e-3 eps), where the row skips its line search; or
+        on a stall, a line search without a passing rung or a tangent
+        gradient that is zero or not finite. Such a row skips the polish.
+        A row leaves the batch (``_Rows.keep``) when its last stage
+        converges or its iteration budget is spent.
         """
         stages = np.array(self.stages)
         seeds = (np.random.SeedSequence([self.seed, k]) for k in ks)
@@ -561,8 +551,8 @@ class _Engine:
                      rho=np.zeros((n, LBFGS_MEMORY, 1)), gamma=np.zeros((n, 1)),
                      fresh=np.zeros(n, dtype=bool), fm=np.zeros((n, self.m)),
                      g=np.zeros((n, self.m, self.n), dtype=complex), ref=f.copy(),
-                     ref_w=np.ones(n), low=f.copy(), lows=np.zeros((n, WINDOW + 1)),
-                     best_f=raw.copy(), best_v=v.copy(), rungs=np.zeros(n, dtype=int))
+                     ref_w=np.ones(n), best_f=raw.copy(), best_v=v.copy(),
+                     rungs=np.zeros(n, dtype=int))
         outcomes: list = [None] * n
         trace: list[np.ndarray] = []  # best_f per iteration, by chunk position
         it = 0
@@ -627,15 +617,12 @@ class _Engine:
                     rows.reset(took)
             better = raw < rows.best_f
             rows.best_f[better], rows.best_v[better] = raw[better], v[better]
-            np.minimum(rows.low, f, out=rows.low)
             trace.append(np.full(n, np.nan))
             trace[-1][rows.pos] = rows.best_f
-            rows.lows[:, it % (WINDOW + 1)] = rows.low
             it += 1
-            # stopping rules: no step (stationarity or a stall), or progress
-            # of the stage's best objective over the last WINDOW iterations
-            window = it - 1 - rows.start >= WINDOW
-            converged = ~accepted | (window & (rows.lows[:, it % (WINDOW + 1)] - rows.low < tau))
+            # a stage ends on the first iteration without a step:
+            # stationarity or a stall
+            converged = ~accepted
             last = rows.stage == len(stages) - 1
             spent = it >= self.max_iters
             advance = np.flatnonzero(converged & ~last & (not spent))
@@ -643,14 +630,12 @@ class _Engine:
                 rows.stage[advance] += 1
                 f[advance] = self.totals(v[advance], stages[rows.stage[advance]])[0]
                 rows.reset(advance)
-                rows.low[advance] = f[advance]
                 rows.start[advance] = it
             done = (converged & last) | spent
             if done.any():
                 for i in np.flatnonzero(done):
                     conv = bool(converged[i] and last[i])
-                    stop = ("budget" if not conv else "floor" if floor[i]
-                            else "stall" if not accepted[i] else "window")
+                    stop = "budget" if not conv else "floor" if floor[i] else "stall"
                     outcomes[rows.pos[i]] = _Outcome(
                         float(rows.best_f[i]), rows.best_v[i].copy(), None, conv, it, stop,
                         int(rows.rungs[i]))

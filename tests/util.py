@@ -282,7 +282,7 @@ def sequential_restart(engine, k: int):
     """
     from entroof.linalg import _qr_fix
     from entroof.roof import (FLOOR_ULPS, LBFGS_MEMORY, LINE_SEARCH_RUNGS, NONMONOTONE_ETA,
-                              POLISH_EVERY, POLISH_THRESHOLD, STATIONARY, WINDOW, _Outcome)
+                              POLISH_EVERY, POLISH_THRESHOLD, STATIONARY, _Outcome)
 
     b = engine.b
 
@@ -342,11 +342,11 @@ def sequential_restart(engine, k: int):
     pairs, gamma = [], None
     for eps in engine.stages:
         f = total(v, eps)
-        # Zhang-Hager reference and weight, and the stage's best value
-        ref, ref_w, low = f, 1.0, f
+        # Zhang-Hager reference and weight
+        ref, ref_w = f, 1.0
         prev_v = prev_xi = None
         tau = max(engine.tol, eps * 1e-3)
-        stage_trace = []
+        stage_its = 0  # iterations in this stage, for the polish cadence
         converged = False
         while it < engine.max_iters:
             xi = tangent(v, gradient(v, eps))
@@ -364,7 +364,7 @@ def sequential_restart(engine, k: int):
                 if 0.0 < ds < np.inf:
                     p, slope, use = d, ds, True
             # stationarity: the direction predicts a decrease of a few ulps
-            # of f or of a small fraction of the window's threshold tau
+            # of f or of a small fraction of tau
             floor = use and slope <= max(FLOOR_ULPS * np.finfo(float).eps * abs(f),
                                          STATIONARY * tau)
             accepted = False
@@ -384,7 +384,7 @@ def sequential_restart(engine, k: int):
                         break
                     t *= 0.5
             if (engine.sign > 0 and f < POLISH_THRESHOLD and accepted
-                    and len(stage_trace) % POLISH_EVERY == POLISH_EVERY - 1):
+                    and stage_its % POLISH_EVERY == POLISH_EVERY - 1):
                 cand = polish(v)
                 f_cand = total(cand, eps)
                 if f_cand < f:
@@ -395,16 +395,13 @@ def sequential_restart(engine, k: int):
             if raw < best_f:
                 best_f, best_v = raw, v
             trace.append(best_f)
-            low = min(low, f)
-            stage_trace.append(low)
+            stage_its += 1
             it += 1
-            j = len(stage_trace) - 1
             # stationarity and a stall (no step taken) end the stage
-            if not accepted or (j >= WINDOW and stage_trace[j - WINDOW] - stage_trace[j] < tau):
+            if not accepted:
                 converged = True
                 break
         if not converged:
             break
-    stop = ("budget" if not converged else "floor" if floor
-            else "stall" if not accepted else "window")
+    stop = "budget" if not converged else "floor" if floor else "stall"
     return _Outcome(best_f, best_v, trace, converged, it, stop, rungs)
