@@ -152,9 +152,10 @@ def _qr_fix(x: np.ndarray) -> np.ndarray:
     """QR orthonormalization with the R diagonal made real positive, of a
     single matrix or a stack (..., m, r)."""
     q, r = np.linalg.qr(x)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.where(np.abs(d) > 0, np.abs(d), 1.0)
-    ph = np.where(np.abs(d) > 0, d / mag, 1.0)
+    d = r.diagonal(axis1=-2, axis2=-1)
+    mag = np.abs(d)
+    nonzero = mag > 0
+    ph = np.where(nonzero, d / np.where(nonzero, mag, 1.0), 1.0)
     return q * ph[..., None, :]
 
 

@@ -326,15 +326,15 @@ class _Rows(SimpleNamespace):
         as its newest, skipping pairs with <s, y> <= 0; the oldest pair
         leaves a full memory."""
         pairs = cur - self.prev
-        sy = np.sum(pairs[:, 0] * pairs[:, 1], axis=-1, keepdims=True)
+        sy = (pairs[:, 0] * pairs[:, 1]).sum(axis=-1, keepdims=True)
         keep = self.moved & (sy[:, 0] > 0.0)
         rows = slice(None)
         if not keep.all():
-            rows = np.flatnonzero(keep)
+            rows = keep.nonzero()[0]
             pairs, sy = pairs[rows], sy[rows]
         self.pairs[rows, 1:], self.rho[rows, 1:] = self.pairs[rows, :-1], self.rho[rows, :-1]
         self.pairs[rows, 0], self.rho[rows, 0] = pairs, 1.0 / sy
-        self.gamma[rows] = sy / np.sum(pairs[:, 1] * pairs[:, 1], axis=-1, keepdims=True)
+        self.gamma[rows] = sy / (pairs[:, 1] * pairs[:, 1]).sum(axis=-1, keepdims=True)
 
     def two_loop(self, q: np.ndarray) -> np.ndarray:
         """H q for the L-BFGS inverse-Hessian estimate H of each row, for q
@@ -399,11 +399,11 @@ class _Engine:
         ``eps`` is the smoothing stage: a float, or an array over the stack
         axes of members (..., m, n), one stage per isometry.
         """
-        w = np.sum(np.abs(chi) ** 2, axis=-1)
+        w = (np.abs(chi) ** 2).sum(axis=-1)
         vals = self.objective(chi) if vals is None else vals
         raw = self.sign * (w * vals)
         e = np.asarray(eps)[..., None]
-        if not np.any(e):
+        if not e.any():
             return raw, raw
         vals = np.where(e > 0, np.sqrt(vals * vals + e * e) - e, vals)
         return self.sign * (w * vals), raw
@@ -411,7 +411,7 @@ class _Engine:
     def totals(self, v: np.ndarray, eps=0.0) -> tuple[np.ndarray, np.ndarray]:
         """Stage and raw objective of each isometry in a stack (..., m, r)."""
         stage, raw = self.member_contrib(v @ self.b.T, eps)
-        return np.sum(stage, axis=-1), np.sum(raw, axis=-1)
+        return stage.sum(axis=-1), raw.sum(axis=-1)
 
     def _gradient(self, chi: np.ndarray, eps, fg=None) -> np.ndarray:
         """d total / d Re V + i d total / d Im V at the members chi = V B^T,
@@ -419,7 +419,7 @@ class _Engine:
         ``fg`` is ``grad(chi)`` when already known."""
         f, g = self.grad(chi) if fg is None else fg
         e = np.asarray(eps)[..., None]
-        if np.any(e):
+        if e.any():
             # d/dchi^* of |chi|^2 s(f), s(f) = sqrt(f^2 + eps^2) - eps:
             # s(f) chi + s'(f) (g - f chi); rows at eps = 0 keep g
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -475,10 +475,13 @@ class _Engine:
         vals, g = self.grad(chi)
         stage, raw_new = self.member_contrib(chi, eps[:, None], vals)
         v_new, vals, g = vs[:, 0], vals[:, 0], g[:, 0]
-        f_new, raw_new = np.sum(stage[:, 0], axis=-1), np.sum(raw_new[:, 0], axis=-1)
+        f_new, raw_new = stage[:, 0].sum(axis=-1), raw_new[:, 0].sum(axis=-1)
         took = f_new <= ref - 1e-4 * t * slope
-        ok, tried = took.copy(), np.where(took, 1, LINE_SEARCH_RUNGS)
-        rows = np.flatnonzero(~took)
+        tried = np.where(took, 1, LINE_SEARCH_RUNGS)
+        if took.all():
+            return took, v_new, f_new, raw_new, tried, (took, vals, g)
+        ok = took.copy()
+        rows = (~took).nonzero()[0]
         ladder = t[rows, None]  # rungs of the current block, one row per iterate
         lo = 1
         while rows.size and lo < LINE_SEARCH_RUNGS:
@@ -554,7 +557,8 @@ class _Engine:
                      ref_w=np.ones(n), best_f=raw.copy(), best_v=v.copy(),
                      rungs=np.zeros(n, dtype=int))
         outcomes: list = [None] * n
-        trace: list[np.ndarray] = []  # best_f per iteration, by chunk position
+        table = np.empty((self.max_iters, n))  # best_f per iteration, by chunk position
+        ulps = FLOOR_ULPS * np.finfo(float).eps
         it = 0
         while rows.pos.size:
             # v, f and raw are the record's own arrays: writing them writes the rows
@@ -562,51 +566,61 @@ class _Engine:
             # the gradient at v, from the line search that accepted v where
             # it took its first rung
             chi = v @ self.b.T
-            stale = np.flatnonzero(~rows.fresh)
-            if stale.size:
-                sel = slice(None) if stale.size == len(v) else stale
-                rows.fm[sel], rows.g[sel] = self.grad(chi[sel])
+            if not rows.fresh.all():
+                stale = ~rows.fresh if rows.fresh.any() else slice(None)
+                rows.fm[stale], rows.g[stale] = self.grad(chi[stale])
             grad = self._gradient(chi, eps, (rows.fm, rows.g))
-            rows.fresh[:] = False
             xi = _tangent(v, grad)
-            gnorm2 = np.sum(np.abs(xi) ** 2, axis=(-2, -1))
-            # real coordinates of (v, xi): the pair (s, y) of a row that
-            # moved is their change since its last step
-            cur = np.stack((_real(v), _real(xi)), axis=1)
+            gnorm2 = (np.abs(xi) ** 2).sum(axis=(-2, -1))
+            # real coordinates (rows, 2, 2mr) of (v, xi): the pair (s, y) of
+            # a row that moved is their change since its last step
+            cur = np.concatenate((v, xi), axis=-2).view(np.float64).reshape(len(v), 2, -1)
             if rows.moved.any():
                 rows.push(cur)
             # the L-BFGS direction -p where it descends, <xi, p> > 0; a row
             # without pairs has p = 0 there and searches along -xi
             d = _tangent(v, rows.two_loop(cur[:, 1]).view(np.complex128).reshape(xi.shape))
-            ds = (cur[:, 1] * _real(d)).sum(axis=-1)
+            ds = (cur[:, 1] * d.view(np.float64).reshape(len(d), -1)).sum(axis=-1)
             lbfgs = (ds > 0.0) & (ds < np.inf)
             p = np.where(lbfgs[:, None, None], d, xi)
             slope = np.where(lbfgs, ds, gnorm2)
             tau = np.maximum(self.tol, eps * 1e-3)
-            floor = lbfgs & (slope <= np.maximum(FLOOR_ULPS * np.finfo(float).eps * np.abs(f),
-                                                 STATIONARY * tau))
+            floor = lbfgs & (slope <= np.maximum(ulps * np.abs(f), STATIONARY * tau))
+            search = (gnorm2 > 0.0) & (gnorm2 < np.inf) & ~floor
+            every = search.all()
             accepted = np.zeros(len(v), dtype=bool)
-            search = np.flatnonzero((gnorm2 > 0.0) & (gnorm2 < np.inf) & ~floor)
-            if search.size:
+            rows.fresh[:] = False
+            if every or search.any():
+                # where every row searches, whole arrays stand in for the subset
+                sel = slice(None) if every else search.nonzero()[0]
                 # the unit step along an L-BFGS direction, else 1 / |xi|
-                t = np.where(lbfgs[search], 1.0, 1.0 / np.sqrt(gnorm2[search]))
+                t = np.where(lbfgs[sel], 1.0, 1.0 / np.sqrt(gnorm2[sel]))
                 ok, v_new, f_new, raw_new, tried, (took, fm, g) = self._line_search(
-                    v[search], p[search], rows.ref[search], t, slope[search], eps[search])
-                rows.rungs[search] += tried
-                rows.fresh[search[took]] = True
-                rows.fm[search[took]], rows.g[search[took]] = fm[took], g[took]
-                moved = search[ok]
-                rows.prev[moved] = cur[moved]
-                v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
+                    v[sel], p[sel], rows.ref[sel], t, slope[sel], eps[sel])
+                rows.rungs[sel] += tried
+                if every and took.all():
+                    # every row took its first rung
+                    rows.fresh[:], rows.moved[:], accepted = True, True, took
+                    rows.fm, rows.g, rows.prev = fm, g, cur
+                    rows.v, rows.f, rows.raw = v, f, raw = v_new, f_new, raw_new
+                    moved = slice(None)
+                else:
+                    search = np.arange(len(v)) if every else sel
+                    rows.fresh[search[took]] = True
+                    rows.fm[search[took]], rows.g[search[took]] = fm[took], g[took]
+                    moved = search[ok]
+                    rows.prev[moved] = cur[moved]
+                    v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
+                    rows.moved[moved] = True
+                    accepted[moved] = True
                 w = NONMONOTONE_ETA * rows.ref_w[moved] + 1.0
                 rows.ref[moved] = (NONMONOTONE_ETA * rows.ref_w[moved] * rows.ref[moved]
                                    + f[moved]) / w
                 rows.ref_w[moved] = w
-                rows.moved[moved] = True
-                accepted[moved] = True
-            if self.sign > 0:
-                due = np.flatnonzero((f < POLISH_THRESHOLD) & accepted
-                                     & ((it - rows.start) % POLISH_EVERY == POLISH_EVERY - 1))
+            low = f < POLISH_THRESHOLD if self.sign > 0 else None
+            if low is not None and low.any():
+                due = (low & accepted
+                       & ((it - rows.start) % POLISH_EVERY == POLISH_EVERY - 1)).nonzero()[0]
                 if due.size:
                     cand = self.product_polish(v[due])
                     f_cand, raw_cand = self.totals(cand, eps[due])
@@ -616,16 +630,18 @@ class _Engine:
                     rows.fresh[took] = False
                     rows.reset(took)
             better = raw < rows.best_f
-            rows.best_f[better], rows.best_v[better] = raw[better], v[better]
-            trace.append(np.full(n, np.nan))
-            trace[-1][rows.pos] = rows.best_f
+            np.copyto(rows.best_f, raw, where=better)
+            np.copyto(rows.best_v, v, where=better[:, None, None])
+            table[it, rows.pos] = rows.best_f
             it += 1
+            spent = it >= self.max_iters
+            if accepted.all() and not spent:
+                continue
             # a stage ends on the first iteration without a step:
             # stationarity or a stall
             converged = ~accepted
             last = rows.stage == len(stages) - 1
-            spent = it >= self.max_iters
-            advance = np.flatnonzero(converged & ~last & (not spent))
+            advance = (converged & ~last & (not spent)).nonzero()[0]
             if advance.size:
                 rows.stage[advance] += 1
                 f[advance] = self.totals(v[advance], stages[rows.stage[advance]])[0]
@@ -633,14 +649,13 @@ class _Engine:
                 rows.start[advance] = it
             done = (converged & last) | spent
             if done.any():
-                for i in np.flatnonzero(done):
+                for i in done.nonzero()[0]:
                     conv = bool(converged[i] and last[i])
                     stop = "budget" if not conv else "floor" if floor[i] else "stall"
                     outcomes[rows.pos[i]] = _Outcome(
                         float(rows.best_f[i]), rows.best_v[i].copy(), None, conv, it, stop,
                         int(rows.rungs[i]))
                 rows.keep(~done)
-        table = np.array(trace)
         return [o._replace(trace=table[:o.iterations, i].tolist())
                 for i, o in enumerate(outcomes)]
 
