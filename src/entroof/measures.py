@@ -104,14 +104,14 @@ def _gram2(c: np.ndarray, da: int, db: int):
     """d = 2 Gram matrix of c (..., da, db): the rows x, y of C (columns if da > db),
     g00 = |x|^2, g11 = |y|^2, g01 = <y, x>, and eigenvalues hi >= lo >= 0."""
     x, y = (c[..., 0, :], c[..., 1, :]) if da <= db else (c[..., :, 0], c[..., :, 1])
-    g00 = np.sum(np.abs(x) ** 2, axis=-1)
-    g11 = np.sum(np.abs(y) ** 2, axis=-1)
+    g00 = (np.abs(x) ** 2).sum(axis=-1)
+    g11 = (np.abs(y) ** 2).sum(axis=-1)
     # a named conjugate fixes the operand order: numpy may evaluate
     # x * <large temporary> in place as temporary * x, and complex
     # products are not bitwise commutative, so results would depend on
     # the stack size
     y_conj = y.conj()
-    g01 = np.sum(x * y_conj, axis=-1)
+    g01 = (x * y_conj).sum(axis=-1)
     tr = g00 + g11
     det = g00 * g11 - np.abs(g01) ** 2
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
@@ -174,7 +174,7 @@ KINK_FLOOR = 1e-12
 
 
 def _entropy(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
-    return -np.sum(_xlog(lams, spec.log_base), axis=-1)
+    return -_xlog(lams, spec.log_base).sum(axis=-1)
 
 
 def _entropy_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
@@ -377,32 +377,35 @@ def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
     """
     validate_spec_dims(spec, dims)
     measure = MEASURES[spec.kind]
-    da, db = dims.as_tuple()
+    da, db, d = *dims.as_tuple(), dims.d
+    # the d = 2 rows of G, or its columns, gain a new axis at ``part`` of g
+    part, axis = ((..., None, slice(None)), -2) if da <= db else ((..., None), -1)
 
     def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = chi.reshape(chi.shape[:-1] + (da, db))
-        if dims.d == 2:
+        if d == 2:
             x, y, g00, g11, g01, hi, lo = _gram2(c, da, db)
-            mu = np.stack([hi, lo], axis=-1)
+            mu = np.concatenate((hi[..., None], lo[..., None]), axis=-1)
         else:
             ch = c.conj().swapaxes(-1, -2)
             mu, u = np.linalg.eigh(c @ ch if da <= db else ch @ c)
-            mu = np.maximum(mu[..., ::-1], 0.0)
-            u = u[..., ::-1]
-        lams = mu / np.maximum(np.sum(mu, axis=-1, keepdims=True), 1e-300)
-        f = measure.value(spec, lams, dims.d)
-        fp = measure.deriv(spec, lams, dims.d)
-        coef = f[..., None] + fp - np.sum(lams * fp, axis=-1, keepdims=True)
-        if dims.d == 2:
+            mu, u = mu[..., ::-1], u[..., ::-1]
+            np.maximum(mu, 0.0, out=mu)
+        lams = mu / np.maximum(mu.sum(axis=-1, keepdims=True), 1e-300)
+        f = measure.value(spec, lams, d)
+        fp = measure.deriv(spec, lams, d)
+        coef = f[..., None] + fp
+        coef -= (lams * fp).sum(axis=-1, keepdims=True)
+        if d == 2:
             tie = hi == lo
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slope = np.where(tie, 0.0, (coef[..., 0] - coef[..., 1]) / (hi - lo))
+            slope = np.where(tie, 0.0,
+                             (coef[..., 0] - coef[..., 1]) / np.where(tie, 1.0, hi - lo))
             base = np.where(tie, 0.5 * (coef[..., 0] + coef[..., 1]), coef[..., 1])
             p00, p11 = base + slope * (g00 - lo), base + slope * (g11 - lo)
             p01 = slope * g01
-            g = np.stack([p00[..., None] * x + p01[..., None] * y,
-                          p01.conj()[..., None] * x + p11[..., None] * y],
-                         axis=-2 if da <= db else -1)
+            g = np.concatenate(((p00[..., None] * x + p01[..., None] * y)[part],
+                                (p01.conj()[..., None] * x + p11[..., None] * y)[part]),
+                               axis=axis)
         else:
             proj = (u * coef[..., None, :]) @ u.conj().swapaxes(-1, -2)
             g = proj @ c if da <= db else c @ proj

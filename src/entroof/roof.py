@@ -286,8 +286,14 @@ def _real(z: np.ndarray) -> np.ndarray:
 def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Projection of ambient z onto the tangent space of the isometries v,
     z - v sym(v^H z), for stacks (..., m, r)."""
-    vh = v.conj().swapaxes(-1, -2)
-    return z - v @ ((vh @ z + z.conj().swapaxes(-1, -2) @ v) / 2.0)
+    a = v.conj().swapaxes(-1, -2) @ z
+    return z - v @ ((a + a.conj().swapaxes(-1, -2)) / 2.0)
+
+
+# Slots of the L-BFGS memory, newest first: _NEWER[i, j] = 1 where slot j
+# holds a newer pair than slot i
+_EYE = np.eye(LBFGS_MEMORY)
+_NEWER = np.tri(LBFGS_MEMORY, k=-1)
 
 
 class _Rows(SimpleNamespace):
@@ -298,14 +304,17 @@ class _Rows(SimpleNamespace):
     and the iteration ``start`` it began at, step
     memory (whether the row ``moved`` by a line search since its last
     reset, and ``prev``, the real coordinates (2, 2mr) of the iterate and
-    tangent gradient it moved from; the L-BFGS ``pairs`` (LBFGS_MEMORY, 2,
-    2mr) of (s, y), newest first, with ``rho`` = 1 / <s, y> per slot, 0 in
-    an empty one, and the newest pair's ``gamma`` = <s, y> / <y, y>), the
+    tangent gradient it moved from; the L-BFGS ``pairs`` (2, LBFGS_MEMORY,
+    2mr), the s and then the y of each slot, newest first, with ``rho`` =
+    1 / <s, y> per slot, 0 in an empty one, and the newest pair's
+    ``gamma`` = <s, y> / <y, y>), the
     gradient of the iterate where it is ``fresh`` from the line search
     (member values ``fm`` and ``g``, as ``grad`` returns them),
     Zhang-Hager reference ``ref`` and weight ``ref_w``, best raw objective
     ``best_f`` and its isometry ``best_v``, and line-search rungs tried
-    ``rungs``.
+    ``rungs``. The L-BFGS product is the compact form of Byrd, Nocedal &
+    Schnabel (Math. Program. 63, 1994): a few small matmuls per step
+    instead of the two-loop recursion's 2 LBFGS_MEMORY stacked reductions.
     """
 
     def keep(self, mask: np.ndarray) -> None:
@@ -326,32 +335,47 @@ class _Rows(SimpleNamespace):
         as its newest, skipping pairs with <s, y> <= 0; the oldest pair
         leaves a full memory."""
         pairs = cur - self.prev
-        sy = (pairs[:, 0] * pairs[:, 1]).sum(axis=-1, keepdims=True)
-        keep = self.moved & (sy[:, 0] > 0.0)
+        sy = (pairs[:, 0] * pairs[:, 1]).sum(axis=-1)
+        keep = self.moved & (sy > 0.0)
         rows = slice(None)
         if not keep.all():
             rows = keep.nonzero()[0]
             pairs, sy = pairs[rows], sy[rows]
-        self.pairs[rows, 1:], self.rho[rows, 1:] = self.pairs[rows, :-1], self.rho[rows, :-1]
-        self.pairs[rows, 0], self.rho[rows, 0] = pairs, 1.0 / sy
-        self.gamma[rows] = sy / (pairs[:, 1] * pairs[:, 1]).sum(axis=-1, keepdims=True)
+        self.pairs[rows, :, 1:], self.rho[rows, 1:] = self.pairs[rows, :, :-1], self.rho[rows, :-1]
+        self.pairs[rows, :, 0], self.rho[rows, 0] = pairs, 1.0 / sy
+        self.gamma[rows] = sy / (pairs[:, 1] * pairs[:, 1]).sum(axis=-1)
 
-    def two_loop(self, q: np.ndarray) -> np.ndarray:
+    def inverse_hessian(self, q: np.ndarray) -> np.ndarray:
         """H q for the L-BFGS inverse-Hessian estimate H of each row, for q
-        (rows, 2mr): the two-loop recursion over the row's pairs, newest
-        first, from H0 = gamma I. A slot beyond a row's pairs has rho = 0
-        and leaves q unchanged; a row without pairs has gamma = 0, so H = 0."""
-        pairs, rho = self.pairs.swapaxes(0, 1), self.rho.swapaxes(0, 1)
-        s, y = pairs[:, :, 0], pairs[:, :, 1]  # slot-major: s[j] is slot j of every row
-        alpha = []
-        q = q.copy()
-        for s_j, y_j, rho_j in zip(s, y, rho):
-            alpha.append(rho_j * (s_j * q).sum(axis=-1, keepdims=True))
-            q -= alpha[-1] * y_j
-        q *= self.gamma
-        for s_j, y_j, rho_j, alpha_j in zip(s[::-1], y[::-1], rho[::-1], alpha[::-1]):
-            q += (alpha_j - rho_j * (y_j * q).sum(axis=-1, keepdims=True)) * s_j
-        return q
+        (rows, 2mr), from H0 = gamma I: the two-loop recursion's result in
+        compact form. With the stored s_i, y_i as rows of S and Y, newest
+        first, a = S q, b = Y q, and K the inverse of the lower triangle
+        (slot j newer than or equal to slot i) of S Y^T,
+        H q = gamma q + S^T delta - gamma Y^T alpha, alpha = K a,
+        delta = K^T (D alpha + gamma (Y Y^T alpha - b)), D = diag(<s_i, y_i>).
+        K = (I + T)^-1 diag(rho), T = diag(rho) times the strictly newer part
+        of S Y^T, is a finite Neumann series, as T is nilpotent. A slot
+        beyond a row's pairs has rho = 0 and adds nothing; a row without
+        pairs has gamma = 0, so H = 0."""
+        w = self.pairs.reshape(len(q), 2 * LBFGS_MEMORY, -1)  # S, then Y
+        gram = w @ self.pairs[:, 1].swapaxes(-1, -2)  # (S Y^T; Y Y^T)
+        wq = w @ q[:, :, None]  # (a; b)
+        sy, a = gram[:, :LBFGS_MEMORY], wq[:, :LBFGS_MEMORY]
+        gamma = self.gamma[:, None, None]
+        t = self.rho[:, :, None] * (sy * _NEWER)
+        # (I + T)^-1 = (I - T)(I + T^2)(I + T^4)...: the powers T^k with
+        # k >= LBFGS_MEMORY vanish
+        inv, power, span = _EYE - t, t, 2
+        while span < LBFGS_MEMORY:
+            power = power @ power
+            inv = inv @ (_EYE + power)
+            span *= 2
+        k = inv * self.rho[:, None, :]
+        alpha = k @ a
+        delta = k.swapaxes(-1, -2) @ (
+            (sy * _EYE) @ alpha + gamma * (gram[:, LBFGS_MEMORY:] @ alpha - wq[:, LBFGS_MEMORY:]))
+        coef = np.concatenate((delta, -gamma * alpha), axis=1)
+        return self.gamma[:, None] * q + (coef.swapaxes(-1, -2) @ w)[:, 0]
 
 
 class _Engine:
@@ -550,8 +574,8 @@ class _Engine:
         size = 2 * self.m * self.r  # real coordinates of one isometry
         rows = _Rows(pos=np.arange(n), v=v, f=f, raw=raw, stage=np.zeros(n, dtype=int),
                      start=np.zeros(n, dtype=int), moved=np.zeros(n, dtype=bool),
-                     prev=np.zeros((n, 2, size)), pairs=np.zeros((n, LBFGS_MEMORY, 2, size)),
-                     rho=np.zeros((n, LBFGS_MEMORY, 1)), gamma=np.zeros((n, 1)),
+                     prev=np.zeros((n, 2, size)), pairs=np.zeros((n, 2, LBFGS_MEMORY, size)),
+                     rho=np.zeros((n, LBFGS_MEMORY)), gamma=np.zeros(n),
                      fresh=np.zeros(n, dtype=bool), fm=np.zeros((n, self.m)),
                      g=np.zeros((n, self.m, self.n), dtype=complex), ref=f.copy(),
                      ref_w=np.ones(n), best_f=raw.copy(), best_v=v.copy(),
@@ -579,7 +603,7 @@ class _Engine:
                 rows.push(cur)
             # the L-BFGS direction -p where it descends, <xi, p> > 0; a row
             # without pairs has p = 0 there and searches along -xi
-            d = _tangent(v, rows.two_loop(cur[:, 1]).view(np.complex128).reshape(xi.shape))
+            d = _tangent(v, rows.inverse_hessian(cur[:, 1]).view(np.complex128).reshape(xi.shape))
             ds = (cur[:, 1] * d.view(np.float64).reshape(len(d), -1)).sum(axis=-1)
             lbfgs = (ds > 0.0) & (ds < np.inf)
             p = np.where(lbfgs[:, None, None], d, xi)

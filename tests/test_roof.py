@@ -677,10 +677,11 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
         assert tuple(o.rungs for o in chunked) == five.restart_rungs
     assert polished
     # the tied input's last restart stalls at a top-1 tie and stops there,
-    # after few line-search rungs
+    # after few line-search rungs, no higher than 0.729459590124348 up to
+    # the rounding of the L-BFGS product
     assert chunked[4].stop == "stall"
     assert chunked[4].rungs < 200
-    assert chunked[4].best_f <= 0.729459590124348
+    assert chunked[4].best_f <= 0.729459590124348 + 1e-14
 
 
 def test_lockstep_batch_matches_sequential_restarts():

@@ -303,22 +303,33 @@ def sequential_restart(engine, k: int):
         return 2.0 * engine.sign * (g @ b.conj())
 
     def tangent(v, z):
-        return z - v @ ((v.conj().T @ z + z.conj().T @ v) / 2.0)
+        a = v.conj().T @ z
+        return z - v @ ((a + a.conj().T) / 2.0)
 
     def real(z):
         return z.view(np.float64).ravel()
 
-    def lbfgs(pairs, gamma, q):
-        # two-loop recursion over the (s, y, 1 / <s, y>) pairs, newest first
-        alpha = []
-        q = q.copy()
-        for s, y, rho in pairs:
-            alpha.append(rho * np.sum(s * q))
-            q -= alpha[-1] * y
-        q *= gamma
-        for (s, y, rho), a in reversed(list(zip(pairs, alpha))):
-            q += (a - rho * np.sum(y * q)) * s
-        return q
+    def lbfgs(s, y, rho, gamma, q):
+        # the two-loop recursion's H q in compact form, over the memory's
+        # rows s, y (newest first, zero past the stored pairs) with rho =
+        # 1 / <s, y> (0 there): alpha = K S q, delta = K^T (D alpha + gamma
+        # (Y Y^T alpha - Y q)), K = (D + lower triangle of S Y^T)^-1
+        # = (I + T)^-1 diag(rho) by a finite Neumann series
+        w = np.concatenate((s, y))
+        gram = w @ y.T
+        wq = w @ q
+        sy, a = gram[:LBFGS_MEMORY], wq[:LBFGS_MEMORY]
+        t = rho[:, None] * (sy * np.tri(LBFGS_MEMORY, k=-1))
+        inv, power, span = np.eye(LBFGS_MEMORY) - t, t, 2
+        while span < LBFGS_MEMORY:
+            power = power @ power
+            inv = inv @ (np.eye(LBFGS_MEMORY) + power)
+            span *= 2
+        k = inv * rho
+        alpha = k @ a
+        delta = k.T @ ((sy * np.eye(LBFGS_MEMORY)) @ alpha
+                       + gamma * (gram[LBFGS_MEMORY:] @ alpha - wq[LBFGS_MEMORY:]))
+        return gamma * q + np.concatenate((delta, -gamma * alpha)) @ w
 
     def polish(v, iters=60):
         for _ in range(iters):
@@ -338,8 +349,12 @@ def sequential_restart(engine, k: int):
     trace = []
     it = rungs = 0
     converged = False
-    # curvature pairs survive every jump: stage advance, polish
-    pairs, gamma = [], None
+    # curvature pairs survive every jump: stage advance, polish; the
+    # memory holds LBFGS_MEMORY slots, newest first
+    size = 2 * engine.m * engine.r
+    mem_s, mem_y, mem_rho = (np.zeros((LBFGS_MEMORY, size)), np.zeros((LBFGS_MEMORY, size)),
+                             np.zeros(LBFGS_MEMORY))
+    stored, gamma = 0, 0.0
     for eps in engine.stages:
         f = total(v, eps)
         # Zhang-Hager reference and weight
@@ -355,11 +370,14 @@ def sequential_restart(engine, k: int):
                 s, y = real(v) - prev_v, real(xi) - prev_xi
                 sy = np.sum(s * y)
                 if sy > 0.0:
-                    pairs = [(s, y, 1.0 / sy)] + pairs[:LBFGS_MEMORY - 1]
-                    gamma = sy / np.sum(y * y)
+                    for mem in (mem_s, mem_y, mem_rho):
+                        mem[1:] = mem[:-1].copy()
+                    mem_s[0], mem_y[0], mem_rho[0] = s, y, 1.0 / sy
+                    stored, gamma = stored + 1, sy / np.sum(y * y)
             p, slope, use = xi, gnorm2, False
-            if pairs:
-                d = tangent(v, lbfgs(pairs, gamma, real(xi)).view(np.complex128).reshape(v.shape))
+            if stored:
+                hq = lbfgs(mem_s, mem_y, mem_rho, gamma, real(xi))
+                d = tangent(v, hq.view(np.complex128).reshape(v.shape))
                 ds = float(np.sum(real(xi) * real(d)))
                 if 0.0 < ds < np.inf:
                     p, slope, use = d, ds, True
