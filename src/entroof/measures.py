@@ -169,8 +169,11 @@ def elementary_symmetric(lams: np.ndarray, k: int) -> np.ndarray:
 # Derivatives F'(spec, lams, d) = dF/dlambda_i. Where F' diverges, at a
 # vanishing Schmidt value or at a zero of F, that quantity is clamped at
 # KINK_FLOOR, so the roof gradient stays finite at product states and at
-# rank-deficient spectra.
+# rank-deficient spectra. The p-number's F' = -lambda^(p-1) F^(1-p) then
+# still grows as KINK_FLOOR^(1-p), past the float range from p = 27 on;
+# its magnitude is capped at DERIV_CAP, the 1e24 it reaches at p = 3.
 KINK_FLOOR = 1e-12
+DERIV_CAP = 1e24
 
 
 def _entropy(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
@@ -211,7 +214,11 @@ def _p_number(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
 
 
 def _p_number_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
-    f = np.maximum(_p_number(spec, lams, d), KINK_FLOOR)
+    # lambda <= 1, so |F'| <= F^(1-p), which the floor DERIV_CAP^(-1/(p-1))
+    # keeps at DERIV_CAP (up to rounding); the floor is KINK_FLOOR at p = 3
+    # and lies below it for p < 3
+    f = np.maximum(_p_number(spec, lams, d),
+                   max(KINK_FLOOR, DERIV_CAP ** (-1.0 / (spec.p - 1.0))))
     return -lams ** (spec.p - 1.0) * (f ** (1.0 - spec.p))[..., None]
 
 
@@ -287,7 +294,7 @@ class Measure:
     ``value(spec, lams, d)`` maps normalized descending spectra (..., r) to
     values, treating rows shorter than d as zero-padded; ``deriv(spec, lams,
     d)`` gives its partial derivatives (..., r), clamped finite (see
-    KINK_FLOOR); ``sup(spec, d)`` is the supremum over pure states
+    KINK_FLOOR and DERIV_CAP); ``sup(spec, d)`` is the supremum over pure states
     (default 1); ``param`` names the
     MeasureSpec field the kind requires; ``check_dims(spec, dims)`` raises on
     parameters the dimensions rule out; ``aliases`` are extra CLI names.

@@ -9,10 +9,12 @@ The roof value is found by multi-start Riemannian L-BFGS over such
 isometries (Huang, Gallivan & Absil, SIAM J. Optim. 25, 2015): the exact
 gradient of the ensemble-averaged measure in the ambient coordinates of V
 is projected onto the tangent space of the isometry manifold, giving xi;
-a two-loop recursion over the restart's last LBFGS_MEMORY curvature pairs
-(s, y) turns xi into a direction -p, projected onto the tangent space; and
-a step along -p, the unit step first, under nonmonotone Armijo
-backtracking, is re-orthonormalized by a QR retraction. The pairs are the ambient
+the L-BFGS inverse-Hessian estimate over the restart's last LBFGS_MEMORY
+curvature pairs (s, y), applied in the compact form of Byrd, Nocedal &
+Schnabel (Math. Program. 63, 1994), turns xi into a direction -p,
+projected onto the tangent space; and a step along -p, the unit step
+first, under nonmonotone Armijo backtracking, is re-orthonormalized by a
+QR retraction. The pairs are the ambient
 differences of successive iterates and of their tangent gradients; a pair
 with <s, y> <= 0 is skipped, and the pairs outlive the jumps that replace
 an iterate without a line search (an accepted polish, a smoothing-stage
@@ -52,10 +54,10 @@ the line search evaluates its first trial step through the gradient, so
 an iterate accepted there comes with its gradient.
 
 All restarts of a solve descend in lockstep as one stack of isometries
-(R, m, r), one row per restart: each step makes one two-loop recursion,
-two tangent projections and a few stacked line-search calls for the whole
-batch, and a restart leaves the batch when it converges or spends its
-budget. Runs are deterministic: restart k starts at the random isometry
+(R, m, r), one row per restart: each step makes one compact L-BFGS
+product, two tangent projections and a few stacked line-search calls for
+the whole batch, on whole arrays where every row takes its first rung,
+and a restart leaves the batch when it converges or spends its budget. Runs are deterministic: restart k starts at the random isometry
 drawn by a generator seeded by (seed, k), and stacked numpy calls act on
 each isometry as single calls do, so a restart's outcome does not depend
 on the other restarts in its batch.
@@ -276,11 +278,6 @@ def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
 # of the RoofResult fields objective_trace, converged, restart_iterations,
 # restart_stops and restart_rungs.
 _Outcome = namedtuple("_Outcome", "best_f best_v trace converged iterations stop rungs")
-
-
-def _real(z: np.ndarray) -> np.ndarray:
-    """Real coordinates of a stack of complex arrays (R, ...), as (R, 2 size)."""
-    return np.ascontiguousarray(z).view(np.float64).reshape(len(z), -1)
 
 
 def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -547,7 +544,7 @@ class _Engine:
 
         Each iteration first stores the row's curvature pair from its last
         accepted step (``_Rows.push``), then takes the L-BFGS direction
-        (``_Rows.two_loop``) with the unit step, or -xi with the step
+        (``_Rows.inverse_hessian``) with the unit step, or -xi with the step
         1 / |xi| where the row has no pairs or the direction does not
         descend; the Armijo test and the stationarity stop read the slope
         <xi, p>. The reference starts at (f, 1) and after an accepted step
@@ -629,10 +626,10 @@ class _Engine:
                     rows.v, rows.f, rows.raw = v, f, raw = v_new, f_new, raw_new
                     moved = slice(None)
                 else:
-                    search = np.arange(len(v)) if every else sel
-                    rows.fresh[search[took]] = True
-                    rows.fm[search[took]], rows.g[search[took]] = fm[took], g[took]
-                    moved = search[ok]
+                    idx = np.arange(len(v)) if every else sel
+                    rows.fresh[idx[took]] = True
+                    rows.fm[idx[took]], rows.g[idx[took]] = fm[took], g[took]
+                    moved = idx[ok]
                     rows.prev[moved] = cur[moved]
                     v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
                     rows.moved[moved] = True
@@ -641,8 +638,7 @@ class _Engine:
                 rows.ref[moved] = (NONMONOTONE_ETA * rows.ref_w[moved] * rows.ref[moved]
                                    + f[moved]) / w
                 rows.ref_w[moved] = w
-            low = f < POLISH_THRESHOLD if self.sign > 0 else None
-            if low is not None and low.any():
+            if self.sign > 0 and (low := f < POLISH_THRESHOLD).any():
                 due = (low & accepted
                        & ((it - rows.start) % POLISH_EVERY == POLISH_EVERY - 1)).nonzero()[0]
                 if due.size:

@@ -315,6 +315,19 @@ def test_sweep_density_nondecreasing(capsys, files):
         assert b["value"] >= a["value"] - budget
 
 
+def test_sweep_at_large_p_stays_finite(capsys, tmp_path):
+    # at p = 300 the p-number's derivative at product spectra overflowed,
+    # and the sweep printed numpy RuntimeWarnings (errors under this suite)
+    rho = random_density(DIMS22, np.random.default_rng(1), 3)
+    fileio.save_state(tmp_path / "rank3.json", rho)
+    code, out, _ = run(capsys, ["sweep", str(tmp_path / "rank3.json"), "--p-grid", "300:300:1",
+                                "--restarts", "2", "--seed", "1"])
+    assert code == 0
+    rows = report_of(out)["deterministic"]["results"]["rows"]
+    assert [r["p"] for r in rows] == [300.0]
+    assert 0.0 <= rows[0]["value"] <= 1.0
+
+
 def test_sweep_rejects_bad_grid(capsys, files):
     assert run(capsys, ["sweep", files["bell"], "--p-grid", "0.5:2:0.5"])[0] == 3
     assert run(capsys, ["sweep", files["bell"], "--p-grid", "1.5:1.0:0.5"])[0] == 3

@@ -27,6 +27,8 @@ from entroof import (
     von_neumann_entropy,
 )
 from entroof.measures import (
+    DERIV_CAP,
+    KINK_FLOOR,
     MEASURES,
     MeasureSpec,
     elementary_symmetric,
@@ -372,6 +374,30 @@ def test_stacked_measure_value_matches_one_state_calls():
             want = np.array([measure_value(spec, psi) for psi in rows])
             assert got.shape == (2, len(rows) // 2)
             assert np.array_equal(got.ravel(), want), spec
+
+
+def test_p_number_derivative_capped_finite():
+    # F' = -lambda^(p-1) F^(1-p) with F floored at KINK_FLOOR reaches 1e24
+    # at a product spectrum for p = 3, 1e300 at p = 26 and overflows from
+    # p = 27 on; its magnitude is capped at DERIV_CAP, and at p <= 3 the
+    # formula is the floored one, bitwise
+    lams = np.array([[1.0, 0.0], [0.5, 0.5]])
+    deriv = MEASURES["p-number"].deriv
+    for p in (3.0, 26.0, 27.0, 300.0):
+        spec = MeasureSpec("p-number", p=p)
+        got = deriv(spec, lams, 2)
+        assert np.all(np.isfinite(got)), (p, got)
+        assert np.max(np.abs(got)) <= DERIV_CAP * (1 + 1e-12)
+        assert got[0, 1] == 0.0
+        f = value_from_lambdas(spec, lams, DIMS22)
+        # (0.5, 0.5) is far from the cap: F' there is the plain formula
+        assert np.array_equal(got[1], -lams[1] ** (p - 1) * f[1] ** (1 - p))
+        if p == 3.0:
+            assert got[0, 0] == -DERIV_CAP
+            floored = np.maximum(f, KINK_FLOOR)
+            assert np.array_equal(got, -lams ** (p - 1) * (floored ** (1 - p))[:, None])
+        else:
+            assert got[0, 0] == pytest.approx(-DERIV_CAP, rel=1e-12)
 
 
 def test_gram_spectra_matches_svd():

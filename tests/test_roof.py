@@ -30,11 +30,13 @@ from entroof.measures import (
     make_objective,
 )
 from entroof.roof import (
+    LBFGS_MEMORY,
     LINE_SEARCH_RUNGS,
     MAX_WORK_ENTRIES,
     _eigen_factor,
     _Engine,
     _ensemble_size,
+    _Rows,
     rank_of,
 )
 from entroof.sampling import (
@@ -697,6 +699,7 @@ def test_lockstep_batch_matches_sequential_restarts():
     separable = random_separable_density(DIMS22, np.random.default_rng(107))
     mixed = random_density(DIMS22, rng, 3)
     entangled = random_density(BipartiteDims(2, 3), rng, 3)
+    full33 = random_density(BipartiteDims(3, 3), rng)
     one = MEASURES["entropy"].smoothing
     cases = [
         (mixed, make_objective(S_SPEC, DIMS22), "minimize", None, 6, 2000, one),
@@ -705,18 +708,87 @@ def test_lockstep_batch_matches_sequential_restarts():
          SMOOTHING_STAGES),
         (entangled, make_objective(S_SPEC, entangled.dims), "minimize", None, 3, 27, one),
         (mixed, constant, "minimize", None, 2, 2000, SMOOTHING_STAGES),
+        # the eigh gradient, and iterations where every row takes its
+        # first rung, so the batch updates whole arrays
+        (full33, make_objective(S_SPEC, full33.dims), "minimize", None, 3, 12, one),
     ]
     stops = set()
+    whole = []
+    line_search = _Engine._line_search
+
+    def recording_line_search(self, v, *args):
+        out = line_search(self, v, *args)
+        whole.append(len(v) == self.restarts and out[-1][0].all())
+        return out
+
     for rho, objective, direction, m, restarts, max_iters, stages in cases:
         engine = _Engine(rho, objective, direction, m, restarts, max_iters, 1e-9, 5,
                          stages=stages)
-        for k, got in enumerate(engine.run()):
+        whole.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Engine, "_line_search", recording_line_search)
+            outcomes = engine.run()
+        if rho is full33:  # d = 3: the gradient takes a batched eigh
+            assert sum(whole) >= 5
+        for k, got in enumerate(outcomes):
             want = sequential_restart(engine, k)
             assert got[0] == want[0]
             np.testing.assert_array_equal(got[1], want[1])
             assert got[2:] == want[2:]
             stops.add(got.stop)
     assert stops == {"floor", "stall", "budget"}
+
+
+def _two_loop(pairs, q):
+    """H q by the two-loop recursion over (s, y) pairs, newest first, from
+    H0 = gamma I with the newest pair's gamma = <s, y> / <y, y>; no pairs
+    give H = 0."""
+    if not pairs:
+        return np.zeros_like(q)
+    alpha = []
+    q = q.copy()
+    for s, y in pairs:
+        alpha.append(np.dot(s, q) / np.dot(s, y))
+        q -= alpha[-1] * y
+    s, y = pairs[0]
+    q *= np.dot(s, y) / np.dot(y, y)
+    for (s, y), a in reversed(list(zip(pairs, alpha))):
+        q += (a - np.dot(y, q) / np.dot(s, y)) * s
+    return q
+
+
+def test_compact_lbfgs_product_matches_two_loop():
+    # rows that push 0 to 8 pairs (their memory keeps the newest
+    # LBFGS_MEMORY), one of them with <s, y> < 0, which is skipped; the
+    # pairs are curvature pairs y = A s of a row's SPD matrix A
+    rng = np.random.default_rng(83)
+    size = 36
+    counts = {1: [6], 2: [0, 4], 32: [i % 9 for i in range(32)]}
+    stored = set()
+    for n, pushes in counts.items():
+        rows = _Rows(prev=np.zeros((n, 2, size)), moved=np.zeros(n, dtype=bool),
+                     pairs=np.zeros((n, 2, LBFGS_MEMORY, size)),
+                     rho=np.zeros((n, LBFGS_MEMORY)), gamma=np.zeros(n))
+        g = rng.normal(size=(n, size, size))
+        spd = g @ g.swapaxes(-1, -2) / size + np.eye(size)
+        kept: list[list] = [[] for _ in range(n)]
+        for step in range(max(pushes)):
+            s = rng.normal(size=(n, size))
+            y = np.einsum("nij,nj->ni", spd, s) * (-1.0 if step == 2 else 1.0)
+            rows.moved = step < np.array(pushes)
+            rows.push(np.stack((s, y), axis=1))
+            for i in np.flatnonzero(rows.moved & (np.sum(s * y, axis=-1) > 0)):
+                kept[i] = [(s[i], y[i])] + kept[i][:LBFGS_MEMORY - 1]
+        q = rng.normal(size=(n, size))
+        got = rows.inverse_hessian(q)
+        for i in range(n):
+            want = _two_loop(kept[i], q[i])
+            stored.add(len(kept[i]))
+            if not kept[i]:
+                assert np.all(got[i] == 0.0)
+            else:
+                assert np.linalg.norm(got[i] - want) <= 1e-12 * np.linalg.norm(want)
+    assert stored == set(range(LBFGS_MEMORY + 1))
 
 
 def test_restart_chunk_bounded_before_allocation():
