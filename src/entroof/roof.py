@@ -57,10 +57,11 @@ All restarts of a solve descend in lockstep as one stack of isometries
 (R, m, r), one row per restart: each step makes one compact L-BFGS
 product, two tangent projections and a few stacked line-search calls for
 the whole batch, on whole arrays where every row takes its first rung,
-and a restart leaves the batch when it converges or spends its budget. Runs are deterministic: restart k starts at the random isometry
-drawn by a generator seeded by (seed, k), and stacked numpy calls act on
-each isometry as single calls do, so a restart's outcome does not depend
-on the other restarts in its batch.
+and a restart leaves the batch when it converges or spends its budget.
+Runs are deterministic: restart k starts at the random isometry drawn by
+a generator seeded by (seed, k), and stacked numpy calls act on each
+isometry as single calls do, so a restart's outcome does not depend on
+the other restarts in its batch.
 Results are merged by best value with ties broken by restart index.
 """
 
@@ -622,7 +623,7 @@ class _Engine:
                 if every and took.all():
                     # every row took its first rung
                     rows.fresh[:], rows.moved[:], accepted = True, True, took
-                    rows.fm, rows.g, rows.prev = fm, g, cur
+                    rows.fm[:], rows.g[:], rows.prev = fm, g, cur
                     rows.v, rows.f, rows.raw = v, f, raw = v_new, f_new, raw_new
                     moved = slice(None)
                 else:
