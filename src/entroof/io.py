@@ -109,9 +109,9 @@ def load_state(path) -> PureState | DensityOperator:
     return DensityOperator(pairs_to_array(doc["data"], 2), dims)
 
 
-def _cast_kraus(ops: list, where) -> list[np.ndarray]:
+def _cast_kraus(ops: list, label) -> list[np.ndarray]:
     """Read-only complex matrices of the Kraus pair lists ``ops``, in
-    order; ``where(j)`` names operator j and its node in error messages.
+    order; ``label(j)`` names operator j and its node in error messages.
 
     Operators of one (rows, columns) shape are cast together; a group the
     shared cast rejects is cast one operator at a time, so that the error
@@ -140,7 +140,7 @@ def _cast_kraus(ops: list, where) -> list[np.ndarray]:
             try:
                 out[j] = pairs_to_array(ops[j], 2)
             except InvariantViolation as e:
-                _fail(e.invariant, f"{where(j)}: {e}")
+                _fail(e.invariant, f"{label(j)}: {e}")
             out[j].setflags(write=False)
     return out
 
@@ -153,8 +153,7 @@ def _parse_tree(root) -> LoccNode:
     ops: list = []
 
     def where(k: int) -> str:
-        """The label root.i.j... of the node at pre-order index k, built
-        only for an error message."""
+        # the label root.i.j... of node k, built only for an error message
         steps = []
         while k:
             k, i = up[k]

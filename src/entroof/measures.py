@@ -385,7 +385,8 @@ def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
     validate_spec_dims(spec, dims)
     measure = MEASURES[spec.kind]
     da, db, d = *dims.as_tuple(), dims.d
-    # the d = 2 rows of G, or its columns, gain a new axis at ``part`` of g
+    # the d = 2 gradient's two rows of C (columns when da > db): indexing
+    # with ``part`` adds the axis they are joined along, as np.stack would
     part, axis = ((..., None, slice(None)), -2) if da <= db else ((..., None), -1)
 
     def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -310,9 +310,9 @@ class _Rows(SimpleNamespace):
     (member values ``fm`` and ``g``, as ``grad`` returns them),
     Zhang-Hager reference ``ref`` and weight ``ref_w``, best raw objective
     ``best_f`` and its isometry ``best_v``, and line-search rungs tried
-    ``rungs``. The L-BFGS product is the compact form of Byrd, Nocedal &
-    Schnabel (Math. Program. 63, 1994): a few small matmuls per step
-    instead of the two-loop recursion's 2 LBFGS_MEMORY stacked reductions.
+    ``rungs``. The L-BFGS product (``inverse_hessian``) takes the compact
+    form of Byrd, Nocedal & Schnabel (Math. Program. 63, 1994): a few small
+    matmuls per step for the whole batch.
     """
 
     def keep(self, mask: np.ndarray) -> None:

@@ -316,8 +316,8 @@ def test_sweep_density_nondecreasing(capsys, files):
 
 
 def test_sweep_at_large_p_stays_finite(capsys, tmp_path):
-    # at p = 300 the p-number's derivative at product spectra overflowed,
-    # and the sweep printed numpy RuntimeWarnings (errors under this suite)
+    # at p = 300 the p-number's derivative at product spectra must stay
+    # finite: an overflow prints numpy RuntimeWarnings, errors under this suite
     rho = random_density(DIMS22, np.random.default_rng(1), 3)
     fileio.save_state(tmp_path / "rank3.json", rho)
     code, out, _ = run(capsys, ["sweep", str(tmp_path / "rank3.json"), "--p-grid", "300:300:1",
