@@ -565,6 +565,8 @@ class _Engine:
         converges or its iteration budget is spent.
         """
         stages = np.array(self.stages)
+        # each stage's stationarity threshold STATIONARY * tau, tau = max(tol, 1e-3 eps)
+        stationary = STATIONARY * np.maximum(self.tol, stages * 1e-3)
         seeds = (np.random.SeedSequence([self.seed, k]) for k in ks)
         v = np.stack([random_isometry(self.m, self.r, np.random.default_rng(s)) for s in seeds])
         f, raw = self.totals(v, stages[0])
@@ -606,8 +608,7 @@ class _Engine:
             lbfgs = (ds > 0.0) & (ds < np.inf)
             p = np.where(lbfgs[:, None, None], d, xi)
             slope = np.where(lbfgs, ds, gnorm2)
-            tau = np.maximum(self.tol, eps * 1e-3)
-            floor = lbfgs & (slope <= np.maximum(ulps * np.abs(f), STATIONARY * tau))
+            floor = lbfgs & (slope <= np.maximum(ulps * np.abs(f), stationary[rows.stage]))
             search = (gnorm2 > 0.0) & (gnorm2 < np.inf) & ~floor
             every = search.all()
             accepted = np.zeros(len(v), dtype=bool)
