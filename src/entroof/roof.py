@@ -581,7 +581,9 @@ class _Engine:
                      ref_w=np.ones(n), best_f=raw.copy(), best_v=v.copy(),
                      rungs=np.zeros(n, dtype=int))
         outcomes: list = [None] * n
-        table = np.empty((self.max_iters, n))  # best_f per iteration, by chunk position
+        # best_f per iteration, by chunk position; the table doubles as
+        # iterations outgrow it, so a large max_iters reserves nothing
+        table = np.empty((min(self.max_iters, 256), n))
         ulps = FLOOR_ULPS * np.finfo(float).eps
         it = 0
         while rows.pos.size:
@@ -654,6 +656,8 @@ class _Engine:
             better = raw < rows.best_f
             np.copyto(rows.best_f, raw, where=better)
             np.copyto(rows.best_v, v, where=better[:, None, None])
+            if it == len(table):
+                table = np.concatenate((table, np.empty_like(table)))
             table[it, rows.pos] = rows.best_f
             it += 1
             spent = it >= self.max_iters

@@ -253,6 +253,10 @@ def test_trace_monotone():
     res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=2, seed=9))
     tr = np.array(res.objective_trace)
     assert np.all(np.diff(tr) <= 0)
+    # a budget far beyond the iterations taken reserves no trace storage
+    huge = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=2, seed=9,
+                                  max_iters=10**12))
+    assert huge.objective_trace == res.objective_trace
     res = concave_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=2, seed=9))
     tr = np.array(res.objective_trace)
     assert np.all(np.diff(tr) >= 0)
