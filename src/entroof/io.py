@@ -19,9 +19,7 @@ violated invariant and its residual.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
-import itertools
 import json
 from pathlib import Path
 
@@ -109,16 +107,15 @@ def load_state(path) -> PureState | DensityOperator:
     return DensityOperator(pairs_to_array(doc["data"], 2), dims)
 
 
-def _cast_kraus(ops: list, label) -> list[np.ndarray]:
-    """Read-only complex matrices of the Kraus pair lists ``ops``, in
-    order; ``label(j)`` names operator j and its node in error messages.
+def _cast_kraus(ops: list[tuple[str, int, object]]) -> list[np.ndarray]:
+    """Complex matrices of the Kraus pair lists (node, index, data), in order.
 
     Operators of one (rows, columns) shape are cast together; a group the
     shared cast rejects is cast one operator at a time, so that the error
     names the first malformed operator and its node.
     """
     groups: dict[tuple, list[int]] = {}
-    for j, data in enumerate(ops):
+    for j, (_, _, data) in enumerate(ops):
         try:
             key = (len(data), len(data[0]))
         except (TypeError, KeyError, IndexError):  # not a list of lists
@@ -127,72 +124,52 @@ def _cast_kraus(ops: list, label) -> list[np.ndarray]:
     out: list = [None] * len(ops)
     for key, members in groups.items():
         try:
-            arr = _pairs_array([ops[j] for j in members]) if key else None
+            arr = _pairs_array([ops[j][2] for j in members]) if key else None
         except InvariantViolation:
             arr = None
         if arr is not None and arr.ndim == 4 and arr.shape[3] == 2:
             mats = arr[..., 0] + 1j * arr[..., 1]
-            mats.setflags(write=False)  # and so every matrix of it
             for j, m in zip(members, mats):
                 out[j] = m
             continue
         for j in members:
+            where, i, data = ops[j]
             try:
-                out[j] = pairs_to_array(ops[j], 2)
+                out[j] = pairs_to_array(data, 2)
             except InvariantViolation as e:
-                _fail(e.invariant, f"{label(j)}: {e}")
-            out[j].setflags(write=False)
+                _fail(e.invariant, f"Kraus operator {i} of the node at {where}: {e}")
     return out
 
 
 def _parse_tree(root) -> LoccNode:
     """The tree under a root object, read by an explicit-stack walk."""
-    nodes: list[tuple[object, int, int]] = []  # pre-order (party, operators, children)
-    up: list[tuple[int, int]] = []  # pre-order (parent, position among its children)
-    first: list[int] = []  # pre-order index of each node's first operator in ``ops``
-    ops: list = []
-
-    def where(k: int) -> str:
-        # the label root.i.j... of node k, built only for an error message
-        steps = []
-        while k:
-            k, i = up[k]
-            steps.append(str(i))
-        return ".".join(["root", *reversed(steps)])
-
-    def op_where(j: int) -> str:
-        k = bisect.bisect_right(first, j) - 1
-        return f"Kraus operator {j - first[k]} of the node at {where(k)}"
-
-    stack = [(root, 0, 0)]
+    objs: list[tuple[dict, str]] = []   # pre-order
+    ops: list[tuple[str, int, object]] = []
+    stack = [(root, "root")]
     while stack:
-        obj, parent, pos = stack.pop()
-        k = len(up)
-        up.append((parent, pos))
+        obj, where = stack.pop()
         if not isinstance(obj, dict):
-            _fail("tree-node", f"node at {where(k)} must be an object")
-        kraus, children = obj.get("kraus", []), obj.get("children", [])
-        if not (isinstance(kraus, list) and isinstance(children, list)):
-            key = "children" if isinstance(kraus, list) else "kraus"
-            _fail("tree-node", f"'{key}' of the node at {where(k)} must be a list")
-        nodes.append((obj.get("party", "A"), len(kraus), len(children)))
-        first.append(len(ops))
-        ops += kraus
-        n = len(children)
-        stack += zip(reversed(children), itertools.repeat(k, n), range(n - 1, -1, -1))
-    kraus = _cast_kraus(ops, op_where)
+            _fail("tree-node", f"node at {where} must be an object")
+        for key in ("kraus", "children"):
+            if not isinstance(obj.get(key, []), list):
+                _fail("tree-node", f"'{key}' of the node at {where} must be a list")
+        objs.append((obj, where))
+        ops.extend((where, i, k) for i, k in enumerate(obj.get("kraus", [])))
+        children = obj.get("children", [])
+        stack.extend((children[i], f"{where}.{i}") for i in reversed(range(len(children))))
+    kraus = _cast_kraus(ops)
     # a node's subtree follows it in pre-order, so walking backwards finds
     # each node's children finished, first child on top of the stack
     done: list[LoccNode] = []
-    for k in reversed(range(len(nodes))):
-        party, n_ops, n_kids = nodes[k]
+    for obj, where in reversed(objs):
+        n_ops, n_kids = len(obj.get("kraus", [])), len(obj.get("children", []))
         kids = done[len(done) - n_kids:][::-1]
         del done[len(done) - n_kids:]
         try:
-            done.append(LoccNode(party=party, children=tuple(kids),
+            done.append(LoccNode(party=obj.get("party", "A"), children=tuple(kids),
                                  kraus=tuple(kraus[len(kraus) - n_ops:])))
         except ValueError as e:  # the party label
-            _fail("party", f"node at {where(k)}: {e}")
+            _fail("party", f"node at {where}: {e}")
         del kraus[len(kraus) - n_ops:]
     return done[0]
 

@@ -75,13 +75,9 @@ class LoccNode:
 
     def __post_init__(self):
         object.__setattr__(self, "party", _party(self.party))
-        ops = tuple(self.kraus)
-        # operators a tree file loads as read-only complex128 are kept as they are
-        if ops and not all(type(k) is np.ndarray and k.dtype == np.complex128
-                           and not k.flags.writeable for k in ops):
-            ops = tuple(np.asarray(k, dtype=np.complex128) for k in ops)
-            for k in ops:
-                k.setflags(write=False)
+        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus)
+        for k in ops:
+            k.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "children", tuple(self.children))
 

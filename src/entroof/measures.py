@@ -385,15 +385,12 @@ def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
     validate_spec_dims(spec, dims)
     measure = MEASURES[spec.kind]
     da, db, d = *dims.as_tuple(), dims.d
-    # the d = 2 gradient's two rows of C (columns when da > db): indexing
-    # with ``part`` adds the axis they are joined along, as np.stack would
-    part, axis = ((..., None, slice(None)), -2) if da <= db else ((..., None), -1)
 
     def gradient(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = chi.reshape(chi.shape[:-1] + (da, db))
         if d == 2:
             x, y, g00, g11, g01, hi, lo = _gram2(c, da, db)
-            mu = np.concatenate((hi[..., None], lo[..., None]), axis=-1)
+            mu = np.stack([hi, lo], axis=-1)
         else:
             ch = c.conj().swapaxes(-1, -2)
             mu, u = np.linalg.eigh(c @ ch if da <= db else ch @ c)
@@ -406,14 +403,14 @@ def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
         coef -= (lams * fp).sum(axis=-1, keepdims=True)
         if d == 2:
             tie = hi == lo
-            slope = np.where(tie, 0.0,
-                             (coef[..., 0] - coef[..., 1]) / np.where(tie, 1.0, hi - lo))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                slope = np.where(tie, 0.0, (coef[..., 0] - coef[..., 1]) / (hi - lo))
             base = np.where(tie, 0.5 * (coef[..., 0] + coef[..., 1]), coef[..., 1])
             p00, p11 = base + slope * (g00 - lo), base + slope * (g11 - lo)
             p01 = slope * g01
-            g = np.concatenate(((p00[..., None] * x + p01[..., None] * y)[part],
-                                (p01.conj()[..., None] * x + p11[..., None] * y)[part]),
-                               axis=axis)
+            g = np.stack([p00[..., None] * x + p01[..., None] * y,
+                          p01.conj()[..., None] * x + p11[..., None] * y],
+                         axis=-2 if da <= db else -1)
         else:
             proj = (u * coef[..., None, :]) @ u.conj().swapaxes(-1, -2)
             g = proj @ c if da <= db else c @ proj

@@ -581,9 +581,7 @@ class _Engine:
                      ref_w=np.ones(n), best_f=raw.copy(), best_v=v.copy(),
                      rungs=np.zeros(n, dtype=int))
         outcomes: list = [None] * n
-        # best_f per iteration, by chunk position; the table doubles as
-        # iterations outgrow it, so a large max_iters reserves nothing
-        table = np.empty((min(self.max_iters, 256), n))
+        trace: list[np.ndarray] = []  # best_f per iteration, by chunk position
         ulps = FLOOR_ULPS * np.finfo(float).eps
         it = 0
         while rows.pos.size:
@@ -623,21 +621,17 @@ class _Engine:
                 ok, v_new, f_new, raw_new, tried, (took, fm, g) = self._line_search(
                     v[sel], p[sel], rows.ref[sel], t, slope[sel], eps[sel])
                 rows.rungs[sel] += tried
-                if every and took.all():
-                    # every row took its first rung
-                    rows.fresh[:], rows.moved[:], accepted = True, True, took
-                    rows.fm[:], rows.g[:], rows.prev = fm, g, cur
-                    rows.v, rows.f, rows.raw = v, f, raw = v_new, f_new, raw_new
-                    moved = slice(None)
+                if every and took.all():  # and every row took its first rung
+                    hit = moved = took = ok = slice(None)
                 else:
-                    idx = np.arange(len(v)) if every else sel
-                    rows.fresh[idx[took]] = True
-                    rows.fm[idx[took]], rows.g[idx[took]] = fm[took], g[took]
-                    moved = idx[ok]
-                    rows.prev[moved] = cur[moved]
-                    v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
-                    rows.moved[moved] = True
-                    accepted[moved] = True
+                    idx = np.arange(len(v))[sel]
+                    hit, moved = idx[took], idx[ok]
+                rows.fresh[hit] = True
+                rows.fm[hit], rows.g[hit] = fm[took], g[took]
+                rows.prev[moved] = cur[moved]
+                v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
+                rows.moved[moved] = True
+                accepted[moved] = True
                 w = NONMONOTONE_ETA * rows.ref_w[moved] + 1.0
                 rows.ref[moved] = (NONMONOTONE_ETA * rows.ref_w[moved] * rows.ref[moved]
                                    + f[moved]) / w
@@ -656,9 +650,8 @@ class _Engine:
             better = raw < rows.best_f
             np.copyto(rows.best_f, raw, where=better)
             np.copyto(rows.best_v, v, where=better[:, None, None])
-            if it == len(table):
-                table = np.concatenate((table, np.empty_like(table)))
-            table[it, rows.pos] = rows.best_f
+            trace.append(np.full(n, np.nan))
+            trace[-1][rows.pos] = rows.best_f
             it += 1
             spent = it >= self.max_iters
             if accepted.all() and not spent:
@@ -682,6 +675,7 @@ class _Engine:
                         float(rows.best_f[i]), rows.best_v[i].copy(), None, conv, it, stop,
                         int(rows.rungs[i]))
                 rows.keep(~done)
+        table = np.array(trace)
         return [o._replace(trace=table[:o.iterations, i].tolist())
                 for i, o in enumerate(outcomes)]
 
