@@ -30,7 +30,9 @@ rank-one branches exactly through the pure-state formulas. Each mixed
 branch gets its own numerical convex roof, whose gap estimate accompanies
 each inequality so that near-zero violations can be attributed to the
 optimizer. Stacking does not change a single bit of the values: every
-branch takes the matrix operations its own evaluation would take.
+branch takes the matrix operations its own evaluation would take. The
+root branch is the input itself, so the end-to-end comparison reads the
+input's value from it and evaluates only the channel output.
 """
 
 from __future__ import annotations
@@ -328,13 +330,6 @@ def _evaluate(
     return values, pure, gaps
 
 
-def _evaluate_state(rho: DensityOperator, spec: MeasureSpec,
-                    roof_opts: dict) -> tuple[float, float]:
-    """(value, gap) of one state: :func:`_evaluate` on a one-row stack."""
-    values, _, gaps = _evaluate(rho.matrix[None], rho.dims.as_tuple(), spec, roof_opts)
-    return values.item(), gaps.item()
-
-
 def audit_monotonicity(
     tree: LoccNode,
     rho: DensityOperator,
@@ -349,9 +344,10 @@ def audit_monotonicity(
     :class:`RoofProblem` for branches that need a numerical roof (keys:
     ensemble_size, restarts, max_iters, tol, seed). Branches with
     probability below PRUNE_TOL are skipped and listed in ``pruned`` (the
-    measure of a zero-probability branch is undefined). ``end_to_end=False``
-    skips the channel-output comparison, which needs a roof solve whenever
-    the output is mixed. Raises :class:`InvalidTree` if the tree fails
+    measure of a zero-probability branch is undefined). The end-to-end
+    input value and gap are the root node's. ``end_to_end=False`` skips
+    the channel-output comparison, which needs a roof solve whenever the
+    output is mixed. Raises :class:`InvalidTree` if the tree fails
     validation.
     """
     roof_opts = dict(roof_opts or {})
@@ -394,12 +390,13 @@ def audit_monotonicity(
 
     end = None
     if end_to_end:
-        in_val, in_gap = _evaluate_state(rho, spec, roof_opts)
-        out_val, out_gap = _evaluate_state(output, spec, roof_opts)
-        slack = in_val - out_val
+        root = values[()]  # the root branch is the input itself
+        out = _evaluate(output.matrix[None], output.dims.as_tuple(), spec, roof_opts)
+        out_val, out_gap = out[0].item(), out[2].item()
+        slack = root.value - out_val
         end = EndToEnd(
-            in_val, in_gap, out_val, out_gap, slack,
-            flagged=slack < -(in_gap + out_gap + VIOLATION_MARGIN))
+            root.value, root.gap, out_val, out_gap, slack,
+            flagged=slack < -(root.gap + out_gap + VIOLATION_MARGIN))
     return MonotonicityAudit(
         nodes=tuple(values[p] for p in sorted(values)),
         inequalities=tuple(inequalities),

@@ -166,7 +166,8 @@ def elementary_symmetric(lams: np.ndarray, k: int) -> np.ndarray:
     return e[..., k]
 
 
-# Derivatives F'(spec, lams, d) = dF/dlambda_i. Where F' diverges, at a
+# Derivatives F'(spec, lams, d, f) = dF/dlambda_i, given f = F(spec, lams, d)
+# so that no derivative recomputes its measure. Where F' diverges, at a
 # vanishing Schmidt value or at a zero of F, that quantity is clamped at
 # KINK_FLOOR, so the roof gradient stays finite at product states and at
 # rank-deficient spectra. The p-number's F' = -lambda^(p-1) F^(1-p) then
@@ -180,7 +181,7 @@ def _entropy(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return -_xlog(lams, spec.log_base).sum(axis=-1)
 
 
-def _entropy_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+def _entropy_deriv(spec: MeasureSpec, lams: np.ndarray, d: int, f: np.ndarray) -> np.ndarray:
     return -(np.log(np.maximum(lams, KINK_FLOOR)) + 1.0) / math.log(spec.log_base)
 
 
@@ -203,8 +204,8 @@ def _e(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return np.sqrt(_pair_sum(lams))
 
 
-def _e_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
-    return -lams / np.maximum(_e(spec, lams, d), KINK_FLOOR)[..., None]
+def _e_deriv(spec: MeasureSpec, lams: np.ndarray, d: int, f: np.ndarray) -> np.ndarray:
+    return -lams / np.maximum(f, KINK_FLOOR)[..., None]
 
 
 def _p_number(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
@@ -213,12 +214,11 @@ def _p_number(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return np.where(deficit == 0.0, 0.0, deficit ** (1.0 / spec.p))
 
 
-def _p_number_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+def _p_number_deriv(spec: MeasureSpec, lams: np.ndarray, d: int, f: np.ndarray) -> np.ndarray:
     # lambda <= 1, so |F'| <= F^(1-p), which the floor DERIV_CAP^(-1/(p-1))
     # keeps at DERIV_CAP (up to rounding); the floor is KINK_FLOOR at p = 3
     # and lies below it for p < 3
-    f = np.maximum(_p_number(spec, lams, d),
-                   max(KINK_FLOOR, DERIV_CAP ** (-1.0 / (spec.p - 1.0))))
+    f = np.maximum(f, max(KINK_FLOOR, DERIV_CAP ** (-1.0 / (spec.p - 1.0))))
     return -lams ** (spec.p - 1.0) * (f ** (1.0 - spec.p))[..., None]
 
 
@@ -227,7 +227,8 @@ def _negativity(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return _pair_sum(np.sqrt(np.maximum(lams, 0.0))) / (d - 1)
 
 
-def _negativity_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+def _negativity_deriv(spec: MeasureSpec, lams: np.ndarray, d: int,
+                      f: np.ndarray) -> np.ndarray:
     s = np.sum(np.sqrt(np.maximum(lams, 0.0)), axis=-1, keepdims=True)
     return s / np.sqrt(np.maximum(lams, KINK_FLOOR)) / (d - 1)
 
@@ -242,13 +243,14 @@ def _concurrence(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return ratio ** (1.0 / k)
 
 
-def _concurrence_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+def _concurrence_deriv(spec: MeasureSpec, lams: np.ndarray, d: int,
+                       f: np.ndarray) -> np.ndarray:
     # de_k/dlambda_i is e_{k-1} of the spectrum with lambda_i left out
     k = spec.k
     r = lams.shape[-1]
     norm = math.comb(d, k) / d**k
     without = elementary_symmetric(lams[..., None, :] * (1.0 - np.eye(r)), k - 1)
-    f = np.maximum(_concurrence(spec, lams, d), KINK_FLOOR)
+    f = np.maximum(f, KINK_FLOOR)
     return (f ** (1.0 - k))[..., None] * without / (k * norm)
 
 
@@ -261,7 +263,7 @@ def _geometric(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
     return np.sum(lams[..., :min(k1, lams.shape[-1])], axis=-1)
 
 
-def _geometric_deriv(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
+def _geometric_deriv(spec: MeasureSpec, lams: np.ndarray, d: int, f: np.ndarray) -> np.ndarray:
     # top-k sum: ties between the k-th and (k+1)-th value take the order
     # given, one element of the subdifferential
     top = np.arange(lams.shape[-1]) < spec.ranks[0]
@@ -293,7 +295,8 @@ class Measure:
 
     ``value(spec, lams, d)`` maps normalized descending spectra (..., r) to
     values, treating rows shorter than d as zero-padded; ``deriv(spec, lams,
-    d)`` gives its partial derivatives (..., r), clamped finite (see
+    d, f)`` gives its partial derivatives (..., r) from those spectra and
+    their values f = ``value(spec, lams, d)``, clamped finite (see
     KINK_FLOOR and DERIV_CAP); ``sup(spec, d)`` is the supremum over pure states
     (default 1); ``param`` names the
     MeasureSpec field the kind requires; ``check_dims(spec, dims)`` raises on
@@ -304,7 +307,7 @@ class Measure:
     """
 
     value: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]
-    deriv: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]
+    deriv: Callable[[MeasureSpec, np.ndarray, int, np.ndarray], np.ndarray]
     sup: Callable[[MeasureSpec, int], float] = lambda spec, d: 1.0
     param: str | None = None
     check_dims: Callable[[MeasureSpec, BipartiteDims], None] = lambda spec, dims: None
@@ -398,7 +401,7 @@ def make_gradient(spec: MeasureSpec, dims: BipartiteDims):
             np.maximum(mu, 0.0, out=mu)
         lams = mu / np.maximum(mu.sum(axis=-1, keepdims=True), 1e-300)
         f = measure.value(spec, lams, d)
-        fp = measure.deriv(spec, lams, d)
+        fp = measure.deriv(spec, lams, d, f)
         coef = f[..., None] + fp
         coef -= (lams * fp).sum(axis=-1, keepdims=True)
         if d == 2:
@@ -604,8 +607,9 @@ def measure_value(spec: MeasureSpec, psi: PureState | np.ndarray,
     of normalized amplitude vectors with their ``dims``, giving an array
     (...). A stack takes one SVD for all its rows; the one-state call is
     its one-row case, so every row gets the value its own call would give,
-    bitwise. Singular values below RANK_RTOL times the largest are dropped,
-    and the rows are evaluated in groups of equal kept rank.
+    bitwise. Singular values below RANK_RTOL times the largest are set to
+    zero, which the spectral functions read as a dropped value (bitwise up
+    to d = 7; numpy's pairwise sums may round differently from d = 8 on).
 
     Unequal geometric ranks have no spectral form; they fall back to
     alternating maximization (a certified lower bound), row by row.
@@ -622,10 +626,5 @@ def measure_value(spec: MeasureSpec, psi: PureState | np.ndarray,
     # the full SVD, as in linalg.schmidt: singular values alone come out of
     # another LAPACK path and differ in the last bits
     s = np.linalg.svd(states.reshape(-1, da, db), full_matrices=False)[1]
-    kept = np.sum(s >= RANK_RTOL * s[:, :1], axis=-1)
-    values = np.empty(len(states))
-    for r in set(kept.tolist()):  # np.unique's first call costs 15 ms and 1.7 MB
-        rows = kept == r
-        lams = s[rows, :r] * s[rows, :r]
-        values[rows] = value_from_lambdas(spec, lams, dims)
-    return values.reshape(psi.shape[:-1])
+    s[s < RANK_RTOL * s[:, :1]] = 0.0
+    return value_from_lambdas(spec, s * s, dims).reshape(psi.shape[:-1])

@@ -754,6 +754,8 @@ def solve_roof(problem: RoofProblem) -> RoofResult:
     stacked SVD), the route that is accurate near product states.
     """
     spec, dims = problem.measure, problem.rho.dims
+    # the gradient is built here, not read from objective.grad: the layer trace
+    # (perfbench/tracing.py) swaps make_objective for a wrapper without one
     return _solve(
         problem.rho,
         make_objective(spec, dims),

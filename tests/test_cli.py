@@ -24,6 +24,7 @@ from util import (
     iter_nodes,
     leaf,
     mixed_party_tree,
+    shape_mismatch_tree,
     two_round_tree,
 )
 
@@ -490,6 +491,17 @@ def test_locc_invalid_tree_exit_5(capsys, files):
     res = report_of(out)["deterministic"]["results"]
     assert res["validation"][0]["code"] == "kraus-completeness"
     assert abs(res["validation"][0]["residual"] - 0.75) < 1e-12
+    assert "branches" not in res
+
+
+def test_locc_kraus_shape_issue_exit_5(capsys, files, tmp_path):
+    fileio.save_tree(tmp_path / "shape.json", shape_mismatch_tree(), DIMS22)
+    code, out, _ = run(capsys, ["locc", str(tmp_path / "shape.json"), files["bell"],
+                                "--measure", "e"])
+    assert code == 5
+    res = report_of(out)["deterministic"]["results"]
+    assert res["validation"] == [{"path": [0], "code": "kraus-shape", "residual": None,
+                                  "message": "inconsistent Kraus shapes [(2, 2), (3, 2)]"}]
     assert "branches" not in res
 
 

@@ -35,6 +35,7 @@ from util import (
     one_round_tree,
     per_branch_audit,
     per_node_walk,
+    shape_mismatch_tree,
     two_round_tree,
 )
 
@@ -101,6 +102,13 @@ def test_kraus_dim_mismatch():
     tree = LoccNode("A", kraus=(np.eye(3),), children=(leaf(),))
     report = validate_tree(tree, DIMS22)
     assert any(i.code == "kraus-dims" for i in report.issues)
+
+
+def test_kraus_shape_mismatch_reported_and_not_descended():
+    issues = validate_tree(shape_mismatch_tree(), DIMS22).issues
+    assert [(i.path, i.code) for i in issues] == [((0,), "kraus-shape")]
+    assert issues[0].message == "inconsistent Kraus shapes [(2, 2), (3, 2)]"
+    assert issues[0].residual is None
 
 
 def test_leaf_dims_must_agree():
@@ -290,6 +298,31 @@ def test_audit_matches_per_branch_reference(spec):
     if mixed:
         e = audit.end_to_end
         assert (e.input_value, e.input_gap, e.output_value, e.output_gap) == end
+
+
+def test_audit_input_value_is_the_root_node(monkeypatch):
+    # the root branch is the input: a mixed input costs one roof solve,
+    # shared by its node and the end-to-end comparison, so the audit solves
+    # once per mixed branch and once more for the mixed channel output
+    rng = np.random.default_rng(91)
+    tree, rho = mixed_party_tree(rng), mixed_party_input(rng)
+    solve, calls = locc.solve_roof, []
+
+    def counting(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(locc, "solve_roof", counting)
+    opts = {"restarts": 2, "max_iters": 60, "seed": 5}
+    audit = audit_monotonicity(tree, rho, MeasureSpec("entanglement-number"), roof_opts=opts)
+    root = audit.nodes[0]
+    assert root.path == () and root.method == "roof"
+    output = run_tree(tree, rho)[1].matrix
+    assert np.linalg.eigvalsh(output)[-2] > locc.PURE_RANK_ATOL
+    assert len(calls) == sum(n.method == "roof" for n in audit.nodes) + 1
+    end = audit.end_to_end
+    assert np.float64(end.input_value).tobytes() == np.float64(root.value).tobytes()
+    assert np.float64(end.input_gap).tobytes() == np.float64(root.gap).tobytes()
 
 
 def test_audit_bell_computational_measurement():

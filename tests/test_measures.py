@@ -38,12 +38,14 @@ from entroof.measures import (
     value_from_lambdas,
 )
 from entroof.sampling import random_product_state, random_pure_state, random_unitary
+from entroof.states import RANK_RTOL
 
 from util import DIMS22, bell, diag_state, product_01
 
 RNG = np.random.default_rng(2024)
 
-ALL_DIMS = [DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 3), BipartiteDims(4, 4)]
+ALL_DIMS = [DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 3), BipartiteDims(4, 3),
+            BipartiteDims(4, 4)]
 
 
 # --- entanglement number -----------------------------------------------------
@@ -82,7 +84,8 @@ def test_e_and_negativity_near_product_states():
         assert measure_value(e_spec, psi) == pytest.approx(e_want, rel=1e-12)
         assert measure_value(n_spec, psi) == pytest.approx(n_want, rel=1e-12)
         for spec in (e_spec, n_spec):
-            assert np.all(np.isfinite(MEASURES[spec.kind].deriv(spec, lams, 2)))
+            f = value_from_lambdas(spec, lams, DIMS22)
+            assert np.all(np.isfinite(MEASURES[spec.kind].deriv(spec, lams, 2, f)))
 
 
 # --- p-number ----------------------------------------------------------------
@@ -376,6 +379,32 @@ def test_stacked_measure_value_matches_one_state_calls():
             assert np.array_equal(got.ravel(), want), spec
 
 
+def test_measure_value_drops_schmidt_values_below_rank_rtol():
+    # a Schmidt value below RANK_RTOL times the largest counts as zero: the
+    # row's value is, bitwise, that of its spectrum with the value dropped
+    rng = np.random.default_rng(83)
+    for dims in (BipartiteDims(3, 3), BipartiteDims(4, 3), BipartiteDims(4, 4)):
+        d = dims.d
+        specs = [MeasureSpec("entropy"), MeasureSpec("entropy", log_base=math.e),
+                 MeasureSpec("entanglement-number"), MeasureSpec("negativity")]
+        specs += [MeasureSpec("p-number", p=p) for p in (1.5, 2.0, 3.0, 10.0, 50.0)]
+        specs += [MeasureSpec("concurrence", k=k) for k in range(1, d + 1)]
+        specs += [MeasureSpec("geometric", ranks=(k, k)) for k in range(1, d + 1)]
+        for tiny in (1e-26, 1e-30):
+            lams = np.append(rng.random(d - 1) + 0.5, tiny)
+            lams /= lams.sum()
+            u = random_unitary(dims.dim_a, rng)[:, :d]
+            v = random_unitary(dims.dim_b, rng)[:, :d]
+            psi = ((u * np.sqrt(lams)) @ v.T).reshape(1, -1)
+            # the singular values measure_value computes
+            s = np.linalg.svd(psi.reshape(-1, dims.dim_a, dims.dim_b), full_matrices=False)[1]
+            assert s[0, -1] < RANK_RTOL * s[0, 0] <= s[0, -2]
+            kept = s[:, :-1] * s[:, :-1]
+            for spec in specs:
+                want = value_from_lambdas(spec, kept, dims)
+                assert measure_value(spec, psi, dims).tobytes() == want.tobytes(), spec
+
+
 def test_p_number_derivative_capped_finite():
     # F' = -lambda^(p-1) F^(1-p) with F floored at KINK_FLOOR reaches 1e24
     # at a product spectrum for p = 3, 1e300 at p = 26 and overflows from
@@ -385,11 +414,11 @@ def test_p_number_derivative_capped_finite():
     deriv = MEASURES["p-number"].deriv
     for p in (3.0, 26.0, 27.0, 300.0):
         spec = MeasureSpec("p-number", p=p)
-        got = deriv(spec, lams, 2)
+        f = value_from_lambdas(spec, lams, DIMS22)
+        got = deriv(spec, lams, 2, f)
         assert np.all(np.isfinite(got)), (p, got)
         assert np.max(np.abs(got)) <= DERIV_CAP * (1 + 1e-12)
         assert got[0, 1] == 0.0
-        f = value_from_lambdas(spec, lams, DIMS22)
         # (0.5, 0.5) is far from the cap: F' there is the plain formula
         assert np.array_equal(got[1], -lams[1] ** (p - 1) * f[1] ** (1 - p))
         if p == 3.0:

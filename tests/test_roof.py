@@ -530,23 +530,32 @@ def test_custom_objective_needs_gradient():
 
 
 def test_solve_roof_reads_gradient_from_spec(monkeypatch):
-    # wrapping make_objective in a plain function (as an external tracer
-    # does) drops its grad attribute; solve_roof must not depend on it
+    # the layer trace (perfbench/tracing.py) replaces roof.make_objective by
+    # lambda spec, dims: wrapper(make_objective(spec, dims)), a plain
+    # function without the grad attribute; solve_roof must run through it
+    # and give the same result, bitwise
     import entroof.roof as roof_module
 
     rho = random_density(DIMS22, RNG)
     problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=2, max_iters=50, seed=3)
     want = solve_roof(problem)
-    original = roof_module.make_objective
+    original, calls = roof_module.make_objective, []
 
-    def plain(spec, dims):
-        objective = original(spec, dims)
-        return lambda states: objective(states)
+    def traced(objective):
+        def wrapper(states):
+            calls.append(states.shape)
+            return objective(states)
 
-    monkeypatch.setattr(roof_module, "make_objective", plain)
+        return wrapper
+
+    monkeypatch.setattr(roof_module, "make_objective",
+                        lambda spec, dims: traced(original(spec, dims)))
+    assert not hasattr(roof_module.make_objective(E_SPEC, DIMS22), "grad")
     got = solve_roof(problem)
-    assert got.value == want.value
-    assert got.restart_values == want.restart_values
+    assert calls
+    for field in ("value", "restart_values", "restart_iterations", "restart_stops",
+                  "restart_rungs", "objective_trace"):
+        assert getattr(got, field) == getattr(want, field), field
 
 
 def _ginibre_density(dims: BipartiteDims, r: int, seed: int) -> DensityOperator:
@@ -831,7 +840,7 @@ def test_product_polish_allocates_about_its_member_vectors():
 # --- exact gradient --------------------------------------------------------------
 
 GRAD_DIMS = [DIMS22, BipartiteDims(2, 3), BipartiteDims(3, 2), BipartiteDims(3, 3),
-             BipartiteDims(2, 4), BipartiteDims(4, 2)]
+             BipartiteDims(2, 4), BipartiteDims(4, 2), BipartiteDims(4, 3)]
 QUBIT_DIMS = [d for d in GRAD_DIMS if d.d == 2]
 
 

@@ -63,6 +63,17 @@ def two_round_tree(rng: np.random.Generator, first: str, second: str,
     return LoccNode(first, kraus=tuple(kraus), children=tuple(kids))
 
 
+def shape_mismatch_tree() -> LoccNode:
+    """A tree on (2, 2) whose node (0,) holds Kraus operators of shapes 2x2
+    and 3x2 (complete, as sum K^H K = I). Below it sits an incomplete
+    instrument, an issue of its own were the walk to reach it."""
+    proj0, proj1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    below = LoccNode("A", kraus=(np.eye(2, dtype=complex) / 2,), children=(leaf(),))
+    odd = LoccNode("A", kraus=(proj0, np.vstack([proj1, np.zeros((1, 2))])),
+                   children=(below, leaf()))
+    return LoccNode("A", kraus=(proj0, proj1), children=(odd, leaf()))
+
+
 def iter_nodes(tree: LoccNode):
     """Depth-first (path, node) pairs; the root has the empty path."""
     stack = [((), tree)]
@@ -266,7 +277,7 @@ def eigh_gradient(spec, dims):
         mu, u = np.maximum(mu[..., ::-1], 0.0), u[..., ::-1]
         lams = mu / np.maximum(np.sum(mu, axis=-1, keepdims=True), 1e-300)
         f = measure.value(spec, lams, dims.d)
-        fp = measure.deriv(spec, lams, dims.d)
+        fp = measure.deriv(spec, lams, dims.d, f)
         coef = f[..., None] + fp - np.sum(lams * fp, axis=-1, keepdims=True)
         proj = (u * coef[..., None, :]) @ u.conj().swapaxes(-1, -2)
         return f, (proj @ c if da <= db else c @ proj).reshape(chi.shape)
