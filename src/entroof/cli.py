@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -342,7 +343,9 @@ def _add_roof_flags(p: argparse.ArgumentParser, direction: bool = True) -> None:
                        help="convex (min) or concave (max) roof (default min)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="entroof",
         description="Bipartite entanglement measures, convex roofs, and LOCC audits.")
@@ -381,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code == 0 else EXIT_BAD_PARAMS
     start = time.perf_counter()

@@ -49,9 +49,11 @@ the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
 d(|chi|^2 f)/dchi^* (its ``grad``; for built-in measures the derivative of
 a spectral function, :func:`entroof.measures.make_gradient`), and the
 smoothing stage's sqrt(f^2 + eps^2) - eps is applied to it in closed form.
-An iterate's raw (eps = 0) objective comes from its stage evaluation, and
-the line search evaluates its first trial step through the gradient, so
-an iterate accepted there comes with its gradient.
+Each iterate is evaluated once: the starts and the line search's first
+trial step go through the gradient, whose member values give their stage
+and raw (eps = 0) objectives; a restart that takes no step keeps its
+gradient, and a stage advance reads the stored member values. Later rungs
+and polish candidates go through the objective alone.
 
 All restarts of a solve descend in lockstep as one stack of isometries
 (R, m, r), one row per restart: each step makes one compact L-BFGS
@@ -86,7 +88,7 @@ from .measures import (
     validate_spec_dims,
     von_neumann_entropy,
 )
-from .sampling import random_isometry
+from .sampling import ginibre
 from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
 
 # Stationarity stop: a row whose L-BFGS direction -p predicts a decrease
@@ -185,8 +187,8 @@ def _check_solver_args(direction: str, restarts: int, max_iters: int, tol: float
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not (tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -281,10 +283,10 @@ def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
 _Outcome = namedtuple("_Outcome", "best_f best_v trace converged iterations stop rungs")
 
 
-def _tangent(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _tangent(v: np.ndarray, vh: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Projection of ambient z onto the tangent space of the isometries v,
-    z - v sym(v^H z), for stacks (..., m, r)."""
-    a = v.conj().swapaxes(-1, -2) @ z
+    z - v sym(v^H z), for stacks (..., m, r) and vh = v^H."""
+    a = vh @ z
     return z - v @ ((a + a.conj().swapaxes(-1, -2)) / 2.0)
 
 
@@ -306,8 +308,9 @@ class _Rows(SimpleNamespace):
     2mr), the s and then the y of each slot, newest first, with ``rho`` =
     1 / <s, y> per slot, 0 in an empty one, and the newest pair's
     ``gamma`` = <s, y> / <y, y>), the
-    gradient of the iterate where it is ``fresh`` from the line search
-    (member values ``fm`` and ``g``, as ``grad`` returns them),
+    gradient of the iterate where it is ``fresh`` (member values ``fm`` and
+    ``g``, as ``grad`` returns them; kept while the iterate stays put, and
+    cleared where a later rung or an accepted polish replaces it),
     Zhang-Hager reference ``ref`` and weight ``ref_w``, best raw objective
     ``best_f`` and its isometry ``best_v``, and line-search rungs tried
     ``rungs``. The L-BFGS product (``inverse_hessian``) takes the compact
@@ -430,15 +433,17 @@ class _Engine:
         vals = np.where(e > 0, np.sqrt(vals * vals + e * e) - e, vals)
         return self.sign * (w * vals), raw
 
-    def totals(self, v: np.ndarray, eps=0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Stage and raw objective of each isometry in a stack (..., m, r)."""
-        stage, raw = self.member_contrib(v @ self.b.T, eps)
+    def totals(self, v: np.ndarray, eps=0.0, vals=None) -> tuple[np.ndarray, np.ndarray]:
+        """Stage and raw objective of each isometry in a stack (..., m, r),
+        from its members' values ``vals`` when given (see :meth:`member_contrib`)."""
+        stage, raw = self.member_contrib(v @ self.b.T, eps, vals)
         return stage.sum(axis=-1), raw.sum(axis=-1)
 
     def _gradient(self, chi: np.ndarray, eps, fg=None) -> np.ndarray:
         """d total / d Re V + i d total / d Im V at the members chi = V B^T,
         for members (..., m, n) and ``eps`` as in :meth:`member_contrib`;
-        ``fg`` is ``grad(chi)`` when already known."""
+        ``fg`` is ``grad(chi)`` when already known, and then chi is read only
+        at a smoothing stage (eps > 0) and may be None where there is none."""
         f, g = self.grad(chi) if fg is None else fg
         e = np.asarray(eps)[..., None]
         if e.any():
@@ -567,17 +572,19 @@ class _Engine:
         stages = np.array(self.stages)
         # each stage's stationarity threshold STATIONARY * tau, tau = max(tol, 1e-3 eps)
         stationary = STATIONARY * np.maximum(self.tol, stages * 1e-3)
-        seeds = (np.random.SeedSequence([self.seed, k]) for k in ks)
-        v = np.stack([random_isometry(self.m, self.r, np.random.default_rng(s)) for s in seeds])
-        f, raw = self.totals(v, stages[0])
+        # one stacked QR of the (seed, k) draws: bitwise each random_isometry
+        v = _qr_fix(np.stack([ginibre(np.random.default_rng(np.random.SeedSequence(
+            [self.seed, k])), self.m, self.r) for k in ks]))
+        fm, g = self.grad(v @ self.b.T)
+        f, raw = self.totals(v, stages[0], fm)
         n = len(ks)
         size = 2 * self.m * self.r  # real coordinates of one isometry
         rows = _Rows(pos=np.arange(n), v=v, f=f, raw=raw, stage=np.zeros(n, dtype=int),
                      start=np.zeros(n, dtype=int), moved=np.zeros(n, dtype=bool),
                      prev=np.zeros((n, 2, size)), pairs=np.zeros((n, 2, LBFGS_MEMORY, size)),
                      rho=np.zeros((n, LBFGS_MEMORY)), gamma=np.zeros(n),
-                     fresh=np.zeros(n, dtype=bool), fm=np.zeros((n, self.m)),
-                     g=np.zeros((n, self.m, self.n), dtype=complex), ref=f.copy(),
+                     fresh=np.ones(n, dtype=bool), fm=np.array(fm, dtype=float),
+                     g=np.array(g, dtype=complex), ref=f.copy(),
                      ref_w=np.ones(n), best_f=raw.copy(), best_v=v.copy(),
                      rungs=np.zeros(n, dtype=int))
         outcomes: list = [None] * n
@@ -587,14 +594,16 @@ class _Engine:
         while rows.pos.size:
             # v, f and raw are the record's own arrays: writing them writes the rows
             v, f, raw, eps = rows.v, rows.f, rows.raw, stages[rows.stage]
-            # the gradient at v, from the line search that accepted v where
-            # it took its first rung
-            chi = v @ self.b.T
-            if not rows.fresh.all():
+            # the gradient where it is not fresh; only smoothing stages read chi
+            fresh = rows.fresh.all()
+            chi = None if fresh and not eps.any() else v @ self.b.T
+            if not fresh:
                 stale = ~rows.fresh if rows.fresh.any() else slice(None)
                 rows.fm[stale], rows.g[stale] = self.grad(chi[stale])
+                rows.fresh[:] = True
             grad = self._gradient(chi, eps, (rows.fm, rows.g))
-            xi = _tangent(v, grad)
+            vh = v.conj().swapaxes(-1, -2)
+            xi = _tangent(v, vh, grad)
             gnorm2 = (np.abs(xi) ** 2).sum(axis=(-2, -1))
             # real coordinates (rows, 2, 2mr) of (v, xi): the pair (s, y) of
             # a row that moved is their change since its last step
@@ -603,7 +612,8 @@ class _Engine:
                 rows.push(cur)
             # the L-BFGS direction -p where it descends, <xi, p> > 0; a row
             # without pairs has p = 0 there and searches along -xi
-            d = _tangent(v, rows.inverse_hessian(cur[:, 1]).view(np.complex128).reshape(xi.shape))
+            d = _tangent(v, vh,
+                         rows.inverse_hessian(cur[:, 1]).view(np.complex128).reshape(xi.shape))
             ds = (cur[:, 1] * d.view(np.float64).reshape(len(d), -1)).sum(axis=-1)
             lbfgs = (ds > 0.0) & (ds < np.inf)
             p = np.where(lbfgs[:, None, None], d, xi)
@@ -612,7 +622,6 @@ class _Engine:
             search = (gnorm2 > 0.0) & (gnorm2 < np.inf) & ~floor
             every = search.all()
             accepted = np.zeros(len(v), dtype=bool)
-            rows.fresh[:] = False
             if every or search.any():
                 # where every row searches, whole arrays stand in for the subset
                 sel = slice(None) if every else search.nonzero()[0]
@@ -626,7 +635,8 @@ class _Engine:
                 else:
                     idx = np.arange(len(v))[sel]
                     hit, moved = idx[took], idx[ok]
-                rows.fresh[hit] = True
+                    # a later rung's iterate comes without its gradient
+                    rows.fresh[idx[ok & ~took]] = False
                 rows.fm[hit], rows.g[hit] = fm[took], g[took]
                 rows.prev[moved] = cur[moved]
                 v[moved], f[moved], raw[moved] = v_new[ok], f_new[ok], raw_new[ok]
@@ -662,8 +672,10 @@ class _Engine:
             last = rows.stage == len(stages) - 1
             advance = (converged & ~last & (not spent)).nonzero()[0]
             if advance.size:
+                # a row without a step kept its iterate's member values
                 rows.stage[advance] += 1
-                f[advance] = self.totals(v[advance], stages[rows.stage[advance]])[0]
+                f[advance] = self.totals(v[advance], stages[rows.stage[advance]],
+                                         rows.fm[advance])[0]
                 rows.reset(advance)
                 rows.start[advance] = it
             done = (converged & last) | spent

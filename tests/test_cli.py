@@ -210,6 +210,19 @@ def test_roof_deterministic_and_parallel_identical(capsys, files):
     assert det1 == det2 == det3
 
 
+def test_parser_built_once_per_process(capsys, files):
+    # main parses with one parser per process; parsing does not change it
+    cli.build_parser.cache_clear()
+    argv = ["roof", files["mixed"], "--measure", "e", "--restarts", "2", "--seed", "3"]
+    code1, out1, _ = run(capsys, argv)
+    assert run(capsys, argv + ["--restarts", "x"])[0] == 3
+    assert run(capsys, ["roof", "--help"])[0] == 0
+    code2, out2, _ = run(capsys, argv)
+    assert code1 == code2 == 0
+    assert report_of(out1)["deterministic"] == report_of(out2)["deterministic"]
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_roof_requires_density(capsys, files):
     code, _, _ = run(capsys, ["roof", files["bell"], "--measure", "e"])
     assert code == 3
@@ -413,6 +426,10 @@ def test_roof_ensemble_size_bound_exit_3(capsys, files):
     ["sweep", "{bell}", "--p-grid", "1.5:2:0.5", "--tol", "0"],
     ["sweep", "{bell}", "--p-grid", "1.5:2:0.5", "--m", "0"],
     ["locc", "{ident}", "{bell}", "--measure", "e", "--m", "-5"],
+    # a tol that is not finite: every restart would stop at once
+    ["roof", "{mixed}", "--measure", "e", "--tol", "inf"],
+    ["sweep", "{mixed}", "--p-grid", "1.5:2:0.5", "--tol", "inf"],
+    ["locc", "{meas}", "{bell}", "--measure", "e", "--tol", "inf"],
 ])
 def test_roof_flag_errors_exit_3(capsys, files, argv):
     code, out, err = run(capsys, [a.format(**files) for a in argv])

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from entroof import (
     solve_roof_custom,
     von_neumann_entropy,
 )
-from entroof.linalg import schmidt_lambdas
+from entroof.linalg import _qr_fix, schmidt_lambdas
 from entroof.measures import (
     MEASURES,
     SMOOTHING_STAGES,
@@ -428,7 +429,8 @@ def test_channel_entropy_log_base():
 def test_problem_validation():
     rho = random_density(DIMS22, RNG)
     objective = make_objective(E_SPEC, DIMS22)
-    for bad in ({"direction": "sideways"}, {"restarts": 0}, {"max_iters": 0}, {"tol": 0.0}):
+    for bad in ({"direction": "sideways"}, {"restarts": 0}, {"max_iters": 0}, {"tol": 0.0},
+                {"tol": math.inf}, {"tol": math.nan}):
         with pytest.raises(ValueError) as problem_error:
             RoofProblem(rho=rho, measure=E_SPEC, **bad)
         with pytest.raises(ValueError) as custom_error:
@@ -997,6 +999,70 @@ def test_smoothing_stage_evaluates_each_iterate_once(monkeypatch):
     for evaluated in calls:
         assert evaluated
         assert len(set(evaluated)) == len(evaluated)
+
+
+@pytest.mark.parametrize("dims, spec, rank, max_iters", [
+    (DIMS22, E_SPEC, 3, 2000),  # two smoothing stages
+    (BipartiteDims(3, 3), S_SPEC, None, 60),  # the eigh gradient
+])
+def test_engine_evaluates_each_iterate_once(monkeypatch, dims, spec, rank, max_iters):
+    # over a whole solve, no gradient call receives a member stack (m, n)
+    # already evaluated, and the objective sees only the line search's
+    # later rungs (rows, rungs, m, n) and product-polish candidates: a start
+    # and a stage advance read the gradient's member values, and a row that
+    # takes no step keeps its gradient
+    rho = random_density(dims, np.random.default_rng(43), rank)
+    base = make_objective(spec, dims)
+    graded, evaluated, polished = [], [], set()
+    polish = _Engine.product_polish
+
+    def recording_polish(self, v, iters=60):
+        out = polish(self, v, iters)
+        polished.update(c.tobytes() for c in out @ self.b.T)
+        return out
+
+    monkeypatch.setattr(_Engine, "product_polish", recording_polish)
+
+    def objective(states):
+        if states.ndim == 3:
+            evaluated.extend(c.tobytes() for c in states)
+        return base(states)
+
+    def gradient(chi):
+        graded.extend(c.tobytes() for c in chi.reshape(-1, *chi.shape[-2:]))
+        return base.grad(chi)
+
+    objective.grad = gradient
+    stages = MEASURES[spec.kind].smoothing
+    engine = _Engine(rho, objective, "minimize", None, 4, max_iters, 1e-9, 3, stages=stages)
+    outcomes = engine.run()
+    assert len(set(graded)) == len(graded)
+    assert set(evaluated) <= polished
+    if len(stages) > 1:  # every restart advanced to its last stage
+        assert all(o.converged for o in outcomes)
+
+
+@pytest.mark.parametrize("m, r", [(3, 3), (4, 2), (6, 3), (8, 4), (18, 9)])
+def test_stacked_starts_are_each_restarts_random_isometry(monkeypatch, m, r):
+    # the batch's starts come from one stacked QR, bit for bit the
+    # random_isometry of each restart's (seed, k) generator
+    dims = DIMS22 if r <= 4 else BipartiteDims(3, 3)
+    rho = random_density(dims, np.random.default_rng(r), r)
+    for seed in (0, 7, 2**40 + 3):
+        retracted = []
+
+        def recording_qr_fix(x):
+            out = _qr_fix(x)
+            retracted.append(out.copy())  # the descent updates its iterates in place
+            return out
+
+        monkeypatch.setattr("entroof.roof._qr_fix", recording_qr_fix)
+        engine = _Engine(rho, make_objective(S_SPEC, dims), "minimize", m, 32, 1, 1e-9, seed,
+                         stages=(0.0,))
+        engine.run()
+        want = np.stack([random_isometry(m, r, np.random.default_rng(
+            np.random.SeedSequence([seed, k]))) for k in range(32)])
+        np.testing.assert_array_equal(retracted[0], want)
 
 
 def test_rank_of_is_the_engine_rank_on_edge_spectra():

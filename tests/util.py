@@ -356,7 +356,8 @@ def sequential_restart(engine, k: int):
 
     v = random_isometry(engine.m, engine.r,
                         np.random.default_rng(np.random.SeedSequence([engine.seed, k])))
-    best_f, best_v = total(v), v
+    # the start and each stage advance read the gradient's member values
+    best_f, best_v = total(v, vals=engine.grad(v @ b.T)[0]), v
     trace = []
     it = rungs = 0
     converged = False
@@ -367,7 +368,7 @@ def sequential_restart(engine, k: int):
                              np.zeros(LBFGS_MEMORY))
     stored, gamma = 0, 0.0
     for eps in engine.stages:
-        f = total(v, eps)
+        f = total(v, eps, engine.grad(v @ b.T)[0])
         # Zhang-Hager reference and weight
         ref, ref_w = f, 1.0
         prev_v = prev_xi = None
