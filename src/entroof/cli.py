@@ -209,6 +209,7 @@ def cmd_roof(args) -> tuple[int, dict]:
             "reconstruction_residual": residual,
             "objective_trace": list(result.objective_trace),
             "gap_estimate": result.gap_estimate,
+            "lower_bound": result.lower_bound,
             "converged": result.converged,
             "restart_values": list(result.restart_values),
         },
@@ -240,7 +241,10 @@ def cmd_sweep(args) -> tuple[int, dict]:
     if isinstance(state, PureState):
         _check_roof_flags(args)
         mode, roof_config = "pure", None
-        rows = [{"p": p, "value": p_number_pure(state, p), "gap_estimate": 0.0} for p in grid]
+        values = [p_number_pure(state, p) for p in grid]
+        # a pure state's value is exact: its own lower bound, at zero gap
+        rows = [{"p": p, "value": v, "gap_estimate": 0.0, "lower_bound": v}
+                for p, v in zip(grid, values)]
     else:
         mode, rows = "roof", []
         opts, roof_config = _roof_options(args, state)
@@ -248,7 +252,8 @@ def cmd_sweep(args) -> tuple[int, dict]:
             for p in grid:
                 problem = RoofProblem(rho=state, measure=MeasureSpec(P_NUMBER, p=p), **opts)
                 result = solve_roof(problem)
-                rows.append({"p": p, "value": result.value, "gap_estimate": result.gap_estimate})
+                rows.append({"p": p, "value": result.value, "gap_estimate": result.gap_estimate,
+                             "lower_bound": result.lower_bound})
     csv = "p,value\n" + "\n".join(f"{r['p']!r},{r['value']!r}" for r in rows)
     det = {
         "command": "sweep",

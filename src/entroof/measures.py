@@ -304,6 +304,11 @@ class Measure:
     ``smoothing`` is the roof solver's ladder of smoothing stages
     (default SMOOTHING_STAGES); entropy's x log x kink at zero is not
     conic, so it descends its raw objective in one stage (0.0,).
+    ``convex_in_concurrence(spec)`` declares that on two-qubit pure states
+    the measure is a convex, non-decreasing function f of the concurrence
+    C; the convex roof of such a measure is f(C(rho)) (Wootters, PRL 80,
+    2245, 1998), which certifies minimizing two-qubit roofs (see
+    :func:`entroof.twoqubit.roof_lower_bound`).
     """
 
     value: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]
@@ -313,26 +318,32 @@ class Measure:
     check_dims: Callable[[MeasureSpec, BipartiteDims], None] = lambda spec, dims: None
     aliases: tuple[str, ...] = ()
     smoothing: tuple[float, ...] = SMOOTHING_STAGES
+    convex_in_concurrence: Callable[[MeasureSpec], bool] = lambda spec: False
 
 
 # All suprema are attained by the maximally entangled state (measures in the
 # decreasing family) or by a compatible product state (geometric).
+# On two qubits e = C / sqrt(2), negativity = C_2 = C and C_1 = 1; the
+# entropy is h((1 + sqrt(1 - C^2)) / 2), and the p-number is convex in C
+# for p <= 2 only (it grows as C^(2/p) near C = 0).
 MEASURES: dict[str, Measure] = {
     ENTANGLEMENT_NUMBER: Measure(
         _e, _e_deriv,
         sup=lambda spec, d: math.sqrt(1.0 - 1.0 / d),
-        aliases=("e",)),
+        aliases=("e",), convex_in_concurrence=lambda spec: True),
     P_NUMBER: Measure(
         _p_number, _p_number_deriv,
         sup=lambda spec, d: (1.0 - d ** (1.0 - spec.p)) ** (1.0 / spec.p),
-        param="p"),
+        param="p", convex_in_concurrence=lambda spec: spec.p <= 2.0),
     ENTROPY: Measure(
         _entropy, _entropy_deriv,
         sup=lambda spec, d: math.log(d) / math.log(spec.log_base),
-        smoothing=(0.0,)),
-    NEGATIVITY: Measure(_negativity, _negativity_deriv, check_dims=_check_negativity_dims),
+        smoothing=(0.0,), convex_in_concurrence=lambda spec: True),
+    NEGATIVITY: Measure(_negativity, _negativity_deriv, check_dims=_check_negativity_dims,
+                        convex_in_concurrence=lambda spec: True),
     CONCURRENCE: Measure(_concurrence, _concurrence_deriv, param="k",
-                         check_dims=_check_concurrence_dims),
+                         check_dims=_check_concurrence_dims,
+                         convex_in_concurrence=lambda spec: True),
     GEOMETRIC: Measure(_geometric, _geometric_deriv, param="ranks",
                        check_dims=_check_geometric_dims),
 }

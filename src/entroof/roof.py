@@ -44,6 +44,16 @@ descends rather than being pushed off that point. A restart that spends
 ``RoofResult.restart_stops`` records which rule ended each one ("floor"
 for stationarity).
 
+A minimized two-qubit roof of a measure that is a convex, non-decreasing
+function f of the concurrence (``Measure.convex_in_concurrence``) has the
+exact value L = f(C(rho)) (Wootters, PRL 80, 2245, 1998). :func:`solve_roof`
+passes the cut L + ``tol`` to the engine, which ends the whole lockstep
+batch, every restart still descending "certified", at the first iteration
+where some restart's best raw objective is at or below the cut, and then
+launches no later batch. Up to that iteration every restart takes the steps
+it takes without a cut. The result's ``lower_bound`` is L, and its
+``gap_estimate`` the bracket width max(0, value - L).
+
 Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
 the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
 d(|chi|^2 f)/dchi^* (its ``grad``; for built-in measures the derivative of
@@ -90,6 +100,7 @@ from .measures import (
 )
 from .sampling import ginibre
 from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
+from .twoqubit import roof_lower_bound
 
 # Stationarity stop: a row whose L-BFGS direction -p predicts a decrease
 # <xi, p> (the unit step's) of at most max(FLOOR_ULPS ulps of its stage
@@ -200,16 +211,24 @@ class RoofResult:
     supremum when maximizing): their :func:`entroof.measures.measure_value`
     from :func:`solve_roof`, their objective from :func:`solve_roof_custom`.
     ``objective_trace`` is the best restart's best-so-far objective per
-    iteration; ``gap_estimate`` is the spread between the two best restarts,
-    a heuristic optimality indicator, never a rigorous bound.
+    iteration. ``lower_bound`` is a certified lower bound on the roof, or
+    None where no certificate applies: :func:`solve_roof` gives one for a
+    minimized two-qubit roof of a measure convex and non-decreasing in the
+    concurrence, where it is the exact roof f(C(rho)). With a lower bound,
+    ``gap_estimate`` is the bracket width max(0, value - lower_bound), a
+    rigorous bound on the distance from the optimum; without one it is the
+    spread between the two best restarts, a heuristic optimality indicator.
     ``restart_values``, ``restart_iterations`` and ``restart_stops`` hold
     each restart's best objective, its number of iterations and why it
     stopped, in restart order: "floor" (its last stage reached stationarity:
     the L-BFGS direction predicted a decrease of at most STATIONARY * tau,
     tau = max(``tol``, 1e-3 times the smoothing parameter), or of rounding
     error), "stall" (no rung of its last stage's line search passed, or its
-    tangent gradient was zero or not finite) or "budget" (it spent
-    ``max_iters`` without converging). ``restart_rungs`` holds each
+    tangent gradient was zero or not finite), "budget" (it spent
+    ``max_iters`` without converging) or "certified" (a restart of its
+    lockstep batch came within ``tol`` of ``lower_bound``, which stops the
+    whole batch; restarts of later batches are not run, and these tuples
+    then hold fewer than ``restarts`` entries). ``restart_rungs`` holds each
     restart's line-search rungs summed over its iterations, as a search of
     that restart alone tries them: the accepted rung's index + 1, or
     LINE_SEARCH_RUNGS when no rung passes.
@@ -220,6 +239,7 @@ class RoofResult:
     objective_trace: tuple[float, ...]
     converged: bool
     gap_estimate: float
+    lower_bound: float | None = None
     restart_values: tuple[float, ...] = field(default=(), compare=False)
     best_restart: int = field(default=0, compare=False)
     restart_iterations: tuple[int, ...] = field(default=(), compare=False)
@@ -390,10 +410,12 @@ class _Engine:
     memory rule, keeps the line search's stacked member vectors
     (LINE_SEARCH_RUNGS * chunk * m * n) within MAX_WORK_ENTRIES, and an
     ensemble size that does not fit even at ``chunk`` = 1 is rejected.
+    ``cut``, when given, is a raw objective that certifies a batch: the
+    batch stops once one of its restarts reaches it (see :meth:`_descend`).
     """
 
     def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed,
-                 grad=None, stages=SMOOTHING_STAGES):
+                 grad=None, stages=SMOOTHING_STAGES, cut=None):
         self.b = _eigen_factor(rho)
         self.bc = self.b.conj()
         self.n, self.r = self.b.shape
@@ -413,6 +435,7 @@ class _Engine:
         self.max_iters = max_iters
         self.tol = tol
         self.stages = tuple(stages)
+        self.cut = cut
         self.seed = int(seed) & (2**64 - 1)
         self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * m * self.n))
 
@@ -535,9 +558,16 @@ class _Engine:
         return ok, v_new, f_new, raw_new, tried, (took, vals, g)
 
     def run(self) -> list:
-        """Every restart's :data:`_Outcome`, in restart order, ``chunk`` at a time."""
-        return [o for lo in range(0, self.restarts, self.chunk)
-                for o in self._descend(range(lo, min(lo + self.chunk, self.restarts)))]
+        """Every restart's :data:`_Outcome`, in restart order, ``chunk`` at a
+        time; a certified chunk ends the run, and the restarts of later
+        chunks are not run and have no outcome."""
+        outcomes = []
+        for lo in range(0, self.restarts, self.chunk):
+            chunk = self._descend(range(lo, min(lo + self.chunk, self.restarts)))
+            outcomes += chunk
+            if any(o.stop == "certified" for o in chunk):
+                break
+        return outcomes
 
     def _descend(self, ks: range) -> list:
         """Descend restarts ``ks`` in lockstep, one row of a :class:`_Rows` each.
@@ -567,7 +597,11 @@ class _Engine:
         on a stall, a line search without a passing rung or a tangent
         gradient that is zero or not finite. Such a row skips the polish.
         A row leaves the batch (``_Rows.keep``) when its last stage
-        converges or its iteration budget is spent.
+        converges or its iteration budget is spent. With a ``cut``, the
+        whole batch stops, every live row converged and "certified", at the
+        end of the first iteration where some row's best raw objective is
+        at or below it; every row's steps up to there are the ones it takes
+        without a cut.
         """
         stages = np.array(self.stages)
         # each stage's stationarity threshold STATIONARY * tau, tau = max(tol, 1e-3 eps)
@@ -664,13 +698,16 @@ class _Engine:
             trace[-1][rows.pos] = rows.best_f
             it += 1
             spent = it >= self.max_iters
-            if accepted.all() and not spent:
+            # one row at or below the cut certifies the whole batch
+            certified = self.cut is not None and bool((rows.best_f <= self.cut).any())
+            halt = spent or certified
+            if accepted.all() and not halt:
                 continue
             # a stage ends on the first iteration without a step:
             # stationarity or a stall
             converged = ~accepted
             last = rows.stage == len(stages) - 1
-            advance = (converged & ~last & (not spent)).nonzero()[0]
+            advance = (converged & ~last & (not halt)).nonzero()[0]
             if advance.size:
                 # a row without a step kept its iterate's member values
                 rows.stage[advance] += 1
@@ -678,11 +715,12 @@ class _Engine:
                                          rows.fm[advance])[0]
                 rows.reset(advance)
                 rows.start[advance] = it
-            done = (converged & last) | spent
+            done = (converged & last) | halt
             if done.any():
                 for i in done.nonzero()[0]:
-                    conv = bool(converged[i] and last[i])
-                    stop = "budget" if not conv else "floor" if floor[i] else "stall"
+                    conv = certified or bool(converged[i] and last[i])
+                    stop = ("certified" if certified else "budget" if not conv
+                            else "floor" if floor[i] else "stall")
                     outcomes[rows.pos[i]] = _Outcome(
                         float(rows.best_f[i]), rows.best_v[i].copy(), None, conv, it, stop,
                         int(rows.rungs[i]))
@@ -728,26 +766,33 @@ def solve_roof_custom(
 
 
 def _solve(rho, objective, grad, member_value, direction, ensemble_size, restarts, max_iters,
-           tol, seed, stages) -> RoofResult:
+           tol, seed, stages, lower_bound=None) -> RoofResult:
     """Run the engine and build the result; ``value`` is the weighted
-    ``member_value`` of the returned ensemble's normalized members."""
+    ``member_value`` of the returned ensemble's normalized members. A
+    minimizing solve with a ``lower_bound`` stops at the cut
+    ``lower_bound`` + ``tol``, and its gap is the bracket width."""
+    cut = None if lower_bound is None else lower_bound + tol
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
-                  grad, stages)
+                  grad, stages, cut)
     outcomes = eng.run()
     finals = np.array([o.best_f for o in outcomes])
     best = int(np.argmin(finals))
     top = outcomes[best]
-    gap = abs(float(np.min(np.delete(finals, best))) - top.best_f) if restarts > 1 else 0.0
 
     ensemble = ensemble_from_isometry(rho, top.best_v)
     member_vals = member_value(np.array([s.amplitudes for s in ensemble.states]))
     value = float(np.dot(ensemble.weights, member_vals))
+    if lower_bound is not None:
+        gap = max(0.0, value - lower_bound)
+    else:
+        gap = abs(float(np.min(np.delete(finals, best))) - top.best_f) if restarts > 1 else 0.0
     return RoofResult(
         value=value,
         ensemble=ensemble,
         objective_trace=tuple(eng.sign * f for f in top.trace),
         converged=top.converged,
         gap_estimate=gap,
+        lower_bound=lower_bound,
         restart_values=tuple(eng.sign * f for f in finals),
         best_restart=best,
         restart_iterations=tuple(o.iterations for o in outcomes),
@@ -764,8 +809,13 @@ def solve_roof(problem: RoofProblem) -> RoofResult:
     bound on the supremum when maximizing). It is the weighted
     :func:`entroof.measures.measure_value` of the returned members (one
     stacked SVD), the route that is accurate near product states.
+    A minimized two-qubit roof is certified where the measure declares
+    ``Measure.convex_in_concurrence`` (see the module docstring).
     """
     spec, dims = problem.measure, problem.rho.dims
+    lower_bound = None
+    if problem.direction == "minimize" and dims.as_tuple() == (2, 2):
+        lower_bound = roof_lower_bound(problem.rho, spec)
     # the gradient is built here, not read from objective.grad: the layer trace
     # (perfbench/tracing.py) swaps make_objective for a wrapper without one
     return _solve(
@@ -780,6 +830,7 @@ def solve_roof(problem: RoofProblem) -> RoofResult:
         problem.tol,
         problem.seed,
         MEASURES[spec.kind].smoothing,
+        lower_bound,
     )
 
 

@@ -198,6 +198,33 @@ def test_roof_bell_projector(capsys, files):
     assert len(res["ensemble"]["weights"]) == len(res["ensemble"]["states"])
 
 
+def test_roof_and_sweep_report_lower_bound(capsys, files, tmp_path):
+    # a certified two-qubit solve reports its bound and its bracket width as
+    # the gap; a 2x3 solve and the p-number at p > 2 report null; a pure
+    # state's sweep rows are exact
+    from entroof.twoqubit import roof_lower_bound
+
+    rho = fileio.load_state(files["mixed"])
+    code, out, _ = run(capsys, ["roof", files["mixed"], "--measure", "e", "--restarts", "4"])
+    res = report_of(out)["deterministic"]["results"]
+    assert code == 0 and res["converged"] is True
+    assert res["lower_bound"] == roof_lower_bound(rho, MeasureSpec("entanglement-number"))
+    assert res["gap_estimate"] == max(0.0, res["value"] - res["lower_bound"])
+    fileio.save_state(tmp_path / "q23.json",
+                      random_density(BipartiteDims(2, 3), np.random.default_rng(3), 2))
+    code, out, _ = run(capsys, ["roof", str(tmp_path / "q23.json"), "--measure", "e",
+                                "--restarts", "2"])
+    assert code == 0 and report_of(out)["deterministic"]["results"]["lower_bound"] is None
+    code, out, _ = run(capsys, ["sweep", files["mixed"], "--p-grid", "2:2.5:0.5",
+                                "--restarts", "2"])
+    rows = report_of(out)["deterministic"]["results"]["rows"]
+    assert code == 0 and rows[0]["lower_bound"] <= rows[0]["value"] + 1e-12
+    assert rows[1]["lower_bound"] is None
+    _, out, _ = run(capsys, ["sweep", files["bell"], "--p-grid", "1.5:3:0.5"])
+    rows = report_of(out)["deterministic"]["results"]["rows"]
+    assert all(r["lower_bound"] == r["value"] for r in rows)
+
+
 def test_roof_deterministic_and_parallel_identical(capsys, files):
     argv = ["roof", files["mixed"], "--measure", "e",
             "--restarts", "6", "--seed", "11"]

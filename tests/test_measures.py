@@ -461,3 +461,32 @@ def test_measure_spec_validation():
         MeasureSpec("geometric", ranks=(1,))
     with pytest.raises(ValueError):
         MeasureSpec("entropy", log_base=10.0)
+
+
+def _convex_nondecreasing_in_concurrence(spec: MeasureSpec) -> bool:
+    """Whether a measure's two-qubit value f(C), on a 20 001-point grid of the
+    concurrence C in [0, 1], is non-decreasing with second differences of at
+    least -1e-10 (rounding; a concave stretch reads far below)."""
+    c = np.linspace(0.0, 1.0, 20_001)
+    low = c * c / (2.0 * (1.0 + np.sqrt(1.0 - c * c)))
+    f = MEASURES[spec.kind].value(spec, np.stack([1.0 - low, low], axis=-1), 2)
+    return bool(np.all(np.diff(f) >= 0.0) and np.all(np.diff(f, 2) >= -1e-10))
+
+
+def test_convex_in_concurrence_declarations_hold_on_a_grid():
+    # every spec that declares Measure.convex_in_concurrence, which certifies
+    # its two-qubit roofs, passes the grid check; the p-number at p > 2
+    # grows as C^(2/p) near zero and the geometric measure falls, so they
+    # fail it, and they must not declare it
+    specs = [MeasureSpec("entanglement-number"), MeasureSpec("entropy"),
+             MeasureSpec("entropy", log_base=math.e), MeasureSpec("negativity"),
+             MeasureSpec("concurrence", k=1), MeasureSpec("concurrence", k=2),
+             MeasureSpec("geometric", ranks=(1, 1))]
+    specs += [MeasureSpec("p-number", p=p) for p in (1.01, 1.5, 2.0, 2.5, 3.0, 5.0)]
+    declared = [s for s in specs if MEASURES[s.kind].convex_in_concurrence(s)]
+    assert {s.kind for s in declared} == set(MEASURES) - {"geometric"}
+    assert [s.p for s in declared if s.kind == "p-number"] == [1.01, 1.5, 2.0]
+    for spec in declared:
+        assert _convex_nondecreasing_in_concurrence(spec), spec
+    for spec in (MeasureSpec("p-number", p=2.5), MeasureSpec("p-number", p=3.0)):
+        assert not _convex_nondecreasing_in_concurrence(spec)

@@ -50,7 +50,7 @@ from entroof.sampling import (
     random_separable_density,
 )
 from entroof.states import PureState
-from entroof.twoqubit import concurrence
+from entroof.twoqubit import concurrence, entanglement_of_formation, roof_lower_bound
 
 from util import (
     DIMS22,
@@ -60,6 +60,7 @@ from util import (
     fd_gradient,
     sampling_oracle_roof,
     sequential_restart,
+    sequential_start,
     svd_member_e,
 )
 
@@ -207,10 +208,12 @@ def test_determinism_bitwise():
 
 
 def test_serial_parallel_identical(monkeypatch):
-    # restarts descended one per batch come out as in one lockstep batch
+    # restarts descended one per batch come out as in one lockstep batch;
+    # uncertified, since a certified batch ends when any of its restarts
+    # meets the cut (test_certified_restart_is_its_uncut_restart_at_the_stop)
     rho = random_density(DIMS22, RNG)
-    prob = RoofProblem(rho=rho, measure=S_SPEC, restarts=6, seed=13)
-    a = solve_roof(prob)
+    objective = make_objective(S_SPEC, DIMS22)
+    a = solve_roof_custom(rho, objective, restarts=6, seed=13)
     run = _Engine.run
 
     def serial(self):
@@ -218,7 +221,7 @@ def test_serial_parallel_identical(monkeypatch):
         return run(self)
 
     monkeypatch.setattr(_Engine, "run", serial)
-    b = solve_roof(prob)
+    b = solve_roof_custom(rho, objective, restarts=6, seed=13)
     assert a.value == b.value
     assert a.objective_trace == b.objective_trace
     assert a.restart_values == b.restart_values
@@ -238,9 +241,12 @@ def test_result_describes_its_best_restart(monkeypatch, chunk):
             return run(self)
 
         monkeypatch.setattr(_Engine, "run", chunked)
+    # the minimizing solve runs uncertified: a certified first chunk ends the
+    # run (test_certified_chunk_ends_the_run)
     rho = random_density(DIMS22, np.random.default_rng(23), 3)
-    for solve in (solve_roof, concave_roof):
-        res = solve(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, max_iters=300, seed=4))
+    opts = dict(restarts=5, max_iters=300, seed=4)
+    for res in (solve_roof_custom(rho, make_objective(E_SPEC, DIMS22), **opts),
+                concave_roof(RoofProblem(rho=rho, measure=E_SPEC, **opts))):
         for entries in (res.restart_values, res.restart_iterations, res.restart_stops,
                         res.restart_rungs):
             assert len(entries) == 5
@@ -320,11 +326,14 @@ def test_default_ensemble_size_rule():
 
 
 def test_gap_estimate_is_restart_spread():
+    # without a certificate (a certified solve's gap is its bracket width:
+    # test_certified_gap_is_the_bracket_width)
     rho = random_density(DIMS22, RNG)
-    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, seed=8))
+    objective = make_objective(E_SPEC, DIMS22)
+    res = solve_roof_custom(rho, objective, restarts=5, seed=8)
     finals = sorted(res.restart_values)
     assert abs(res.gap_estimate - (finals[1] - finals[0])) < 1e-15
-    single = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=1, seed=8))
+    single = solve_roof_custom(rho, objective, restarts=1, seed=8)
     assert single.gap_estimate == 0.0
 
 
@@ -608,10 +617,10 @@ def test_default_2x2_e_solve_keeps_its_unit_steps(rank, seed):
 
 
 def test_default_2x2_e_solve_stops_on_stationarity():
-    # every restart ends its last stage on the L-BFGS stationarity test,
-    # at C / sqrt(2)
+    # uncertified, every restart ends its last stage on the L-BFGS
+    # stationarity test, at C / sqrt(2)
     rho = random_density(DIMS22, np.random.default_rng(0), 4)
-    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC))
+    res = solve_roof_custom(rho, make_objective(E_SPEC, DIMS22))
     assert res.restart_stops == ("floor",) * RoofProblem.restarts
     assert abs(res.value - concurrence(rho) / np.sqrt(2)) <= 1e-10
 
@@ -650,7 +659,8 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
     # finish at different iterations, and two entangled 2x3 inputs with a
     # minimal ensemble under the geometric measure, the last of whose
     # restarts stalls at its top-1 ties: restart k must come out the same
-    # whichever restarts share its lockstep batch
+    # whichever restarts share its lockstep batch (uncertified: a certified
+    # batch ends when any of its restarts meets the cut)
     polished = []
     polish = _Engine.product_polish
 
@@ -668,11 +678,16 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
         dict(rho=entangled, measure=geometric, ensemble_size=3, max_iters=200, seed=0),
         dict(rho=tied, measure=geometric, ensemble_size=2, max_iters=200, seed=1),
     ]
+
+    def solve(restarts, rho, measure, **opts):
+        return solve_roof_custom(rho, make_objective(measure, rho.dims), restarts=restarts,
+                                 **opts)
+
     for base in cases:
-        five = solve_roof(RoofProblem(restarts=5, **base))
+        five = solve(5, **base)
         assert len(set(five.restart_iterations)) > 1
         for k in range(5):
-            fewer = solve_roof(RoofProblem(restarts=k + 1, **base))
+            fewer = solve(k + 1, **base)
             assert fewer.restart_values[k] == five.restart_values[k]
             assert fewer.restart_iterations[k] == five.restart_iterations[k]
             assert fewer.restart_rungs[k] == five.restart_rungs[k]
@@ -1082,3 +1097,182 @@ def test_solve_roof_custom_defaults_are_roof_problem_defaults():
         "direction", "ensemble_size", "restarts", "max_iters", "tol", "seed"}
     for f in shared:
         assert params[f.name].default == f.default, f.name
+
+
+# --- two-qubit certificate -------------------------------------------------------
+
+# every spec that declares Measure.convex_in_concurrence, over its parameters
+CERTIFIED_SPECS = [
+    E_SPEC, S_SPEC, MeasureSpec("entropy", log_base=math.e), MeasureSpec("negativity"),
+    MeasureSpec("concurrence", k=1), MeasureSpec("concurrence", k=2),
+    MeasureSpec("p-number", p=1.5), MeasureSpec("p-number", p=2.0),
+]
+SEPARABLE = random_separable_density(DIMS22, np.random.default_rng(107))
+
+
+def _uncut(problem: RoofProblem, max_iters: int) -> list:
+    """The outcomes of the engine run ``solve_roof`` makes for ``problem``,
+    without the cut, at an iteration budget of ``max_iters``."""
+    rho, spec = problem.rho, problem.measure
+    return _Engine(rho, make_objective(spec, rho.dims), problem.direction,
+                   problem.ensemble_size, problem.restarts, max_iters, problem.tol,
+                   problem.seed, stages=MEASURES[spec.kind].smoothing).run()
+
+
+@pytest.mark.parametrize("rho, spec, opts", [
+    (random_density(DIMS22, np.random.default_rng(61), 4), S_SPEC, dict(restarts=6, seed=13)),
+    (random_density(DIMS22, np.random.default_rng(0), 4), E_SPEC, {}),
+    (SEPARABLE, E_SPEC, dict(ensemble_size=rank_of(SEPARABLE), restarts=5, seed=0)),
+], ids=["entropy", "e-default", "e-separable"])
+def test_certified_restart_is_its_uncut_restart_at_the_stop(rho, spec, opts):
+    # a certified solve stops every restart still descending at the end of
+    # the first iteration where one of them is within tol of the bound, and
+    # each restart is its uncut descent at that iteration: the best value
+    # its trace reads there, its iterations and its rungs
+    problem = RoofProblem(rho=rho, measure=spec, **opts)
+    res = solve_roof(problem)
+    assert res.converged
+    assert "certified" in res.restart_stops
+    cut = res.lower_bound + problem.tol
+    stop = max(res.restart_iterations)
+    full, at_stop = _uncut(problem, problem.max_iters), _uncut(problem, stop)
+    assert all(min(o.trace[:stop - 1], default=np.inf) > cut for o in full)
+    assert min(o.trace[min(o.iterations, stop) - 1] for o in full) <= cut
+    for k, (o, cut_o) in enumerate(zip(full, at_stop)):
+        if res.restart_stops[k] == "certified":
+            assert res.restart_iterations[k] == stop <= o.iterations
+            assert res.restart_values[k] == o.trace[stop - 1]
+        else:  # it ended before the stop, on its own
+            assert res.restart_stops[k] == o.stop
+            assert res.restart_values[k] == o.best_f
+            assert res.restart_iterations[k] == o.iterations < stop
+        assert res.restart_values[k] == cut_o.best_f
+        assert res.restart_iterations[k] == cut_o.iterations
+        assert res.restart_rungs[k] == cut_o.rungs
+    best = res.best_restart
+    assert list(res.objective_trace) == full[best].trace[:res.restart_iterations[best]]
+
+
+def test_certified_batch_matches_sequential_restarts():
+    # the sequential mirror of the cut: alone, a restart stops where it
+    # meets the cut; the batch stops at the first of those iterations, and
+    # each of its restarts is its sequential restart stopped there
+    rng = np.random.default_rng(71)
+    mixed, full = random_density(DIMS22, rng, 3), random_density(DIMS22, rng, 4)
+    for rho, spec in ((mixed, S_SPEC), (mixed, E_SPEC), (full, E_SPEC)):
+        cut = roof_lower_bound(rho, spec) + 1e-9
+        engine = _Engine(rho, make_objective(spec, DIMS22), "minimize", None, 4, 2000, 1e-9, 5,
+                         stages=MEASURES[spec.kind].smoothing, cut=cut)
+        outcomes = engine.run()
+        alone = [sequential_restart(engine, k) for k in range(4)]
+        stop = min(o.iterations for o in alone if o.stop == "certified")
+        assert max(o.iterations for o in outcomes) == stop
+        for k, got in enumerate(outcomes):
+            want = sequential_restart(engine, k, stop_at=stop)
+            assert got[0] == want[0]
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2:] == want[2:]
+
+
+def test_sequential_restart_starts_are_the_engines(monkeypatch):
+    # the mirror evaluates a start as the engine does, bit for bit: its
+    # isometry and its first-stage and raw objectives, which at d = 3 come
+    # from the gradient's eigh, not from the objective's eigvalsh
+    rng = np.random.default_rng(83)
+    starts = []
+    totals = _Engine.totals
+
+    def first_totals(self, v, eps=0.0, vals=None):
+        out = totals(self, v, eps, vals)
+        if not starts:  # the descent updates its iterates in place
+            starts.append([x.copy() for x in (v, *out)])
+        return out
+
+    monkeypatch.setattr(_Engine, "totals", first_totals)
+    for dims, spec in (((3, 3), S_SPEC), ((3, 3), E_SPEC), ((2, 2), E_SPEC), ((2, 4), S_SPEC)):
+        rho = random_density(BipartiteDims(*dims), rng)
+        engine = _Engine(rho, make_objective(spec, rho.dims), "minimize", None, 16, 1, 1e-9, 3,
+                         stages=MEASURES[spec.kind].smoothing)
+        starts.clear()
+        engine.run()
+        v, f, raw = starts[0]
+        for k in range(16):
+            want_v, want_f, want_raw = sequential_start(engine, k)
+            np.testing.assert_array_equal(v[k], want_v)
+            assert f[k] == want_f
+            assert raw[k] == want_raw
+
+
+def test_certified_chunk_ends_the_run(monkeypatch):
+    # a certified chunk launches no later chunk: the result holds the
+    # restarts of the first chunk, as a solve of those restarts alone gives
+    # them, and still describes its best restart
+    rho = random_density(DIMS22, np.random.default_rng(23), 3)
+    problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=5, max_iters=300, seed=4)
+    alone = solve_roof(dataclasses.replace(problem, restarts=2))
+    run = _Engine.run
+
+    def chunked(self):
+        self.chunk = 2
+        return run(self)
+
+    monkeypatch.setattr(_Engine, "run", chunked)
+    res = solve_roof(problem)
+    assert len(res.restart_stops) == 2
+    assert "certified" in res.restart_stops
+    assert res.converged
+    for name in ("value", "gap_estimate", "lower_bound", "objective_trace", "restart_values",
+                 "best_restart", "restart_iterations", "restart_stops", "restart_rungs"):
+        assert getattr(res, name) == getattr(alone, name), name
+    best = res.best_restart
+    assert len(res.objective_trace) == res.restart_iterations[best]
+    assert res.objective_trace[-1] == res.restart_values[best]
+
+
+def test_certified_gap_is_the_bracket_width():
+    rho = random_density(DIMS22, np.random.default_rng(8), 3)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, seed=8))
+    assert res.gap_estimate == max(0.0, res.value - res.lower_bound)
+    assert res.gap_estimate <= RoofProblem.tol + 1e-12
+
+
+def _spec_id(spec: MeasureSpec) -> str:
+    return "-".join([spec.kind] + [f"{name}{getattr(spec, name)}" for name in ("p", "k")
+                                   if getattr(spec, name) is not None]
+                    + (["ln"] if spec.log_base != 2.0 else []))
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS, ids=_spec_id)
+def test_lower_bound_certifies_two_qubit_roofs(spec):
+    # the bound is the exact roof f(C(rho)): never above an attained value,
+    # the entanglement of formation for the entropy, the value itself on
+    # pure states; and a certified solve converges
+    for rank in (1, 2, 3, 4):
+        for seed in range(5):
+            rho = random_density(DIMS22, np.random.default_rng([rank, seed]), rank)
+            res = solve_roof(RoofProblem(rho=rho, measure=spec, restarts=8, seed=seed))
+            assert res.converged
+            assert res.lower_bound <= res.value + 1e-12
+            assert res.ensemble.reconstruction_error(rho) <= 1e-8
+            if rank == 1:
+                assert abs(res.value - res.lower_bound) <= 1e-12
+            if spec.kind == "entropy":
+                eof = entanglement_of_formation(rho, spec.log_base)
+                assert abs(res.lower_bound - eof) <= 1e-14
+
+
+def test_no_lower_bound_without_certificate():
+    # beyond two qubits, maximizing, and for measures not convex in the
+    # concurrence, nothing certifies a solve
+    rng = np.random.default_rng(19)
+    opts = dict(restarts=2, max_iters=20)
+    solves = [solve_roof(RoofProblem(rho=random_density(BipartiteDims(*dims), rng, 3),
+                                     measure=E_SPEC, **opts))
+              for dims in ((2, 3), (3, 3), (2, 4))]
+    rho = random_density(DIMS22, rng, 3)
+    solves.append(concave_roof(RoofProblem(rho=rho, measure=E_SPEC, **opts)))
+    for spec in (MeasureSpec("p-number", p=2.5), MeasureSpec("geometric", ranks=(1, 1))):
+        solves.append(solve_roof(RoofProblem(rho=rho, measure=spec, **opts)))
+    for res in solves:
+        assert res.lower_bound is None
+        assert "certified" not in res.restart_stops

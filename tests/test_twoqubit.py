@@ -40,3 +40,27 @@ def test_formation_bases():
     rho = DensityOperator.from_pure(bell())
     assert abs(entanglement_of_formation(rho, 2.0) - 1.0) < 1e-10
     assert abs(entanglement_of_formation(rho, np.e) - np.log(2)) < 1e-10
+
+
+def test_formation_matches_entropy_at_bench_oracle_seed():
+    # the pure states of the generator default_rng([7008, 7]), on which the
+    # eigenvalue route to the concurrence was off by 1.6e-9
+    rng = np.random.default_rng([7008, 7])
+    for _ in range(20):
+        psi = random_pure_state(DIMS22, rng)
+        rho = DensityOperator.from_pure(psi)
+        assert abs(entanglement_of_formation(rho) - entanglement_entropy_pure(psi)) <= 1e-10
+
+
+def test_concurrence_near_product_states():
+    # a pure state's concurrence is 2 |ad - bc|; near product states the
+    # square roots of rounding-level eigenvalues used to add ~1e-6
+    rng = np.random.default_rng(5)
+    for scale in (1e-2, 1e-4, 1e-6, 1e-8, 0.0):
+        for _ in range(10):
+            prod = random_product_state(DIMS22, rng).amplitudes
+            psi = prod + scale * random_pure_state(DIMS22, rng).amplitudes
+            psi = psi / np.linalg.norm(psi)
+            a, b, c, d = psi
+            want = 2 * abs(a * d - b * c)
+            assert abs(concurrence(np.outer(psi, psi.conj())) - want) <= 1e-13

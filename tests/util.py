@@ -3,6 +3,8 @@ sampling oracle for roof values (numpy-only, no optimizer internals)."""
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from entroof import BipartiteDims, DensityOperator, PureState
@@ -285,24 +287,42 @@ def eigh_gradient(spec, dims):
     return gradient
 
 
-def sequential_restart(engine, k: int):
+def _total(engine, v, eps=0.0, vals=None) -> float:
+    """Stage objective of one isometry of a roof ``engine`` at smoothing
+    ``eps``, from its members' values ``vals`` when given."""
+    chi = v @ engine.b.T
+    vals = engine.objective(chi) if vals is None else vals
+    if eps:
+        vals = np.sqrt(vals * vals + eps * eps) - eps
+    return float(np.sum(engine.sign * (np.sum(np.abs(chi) ** 2, axis=-1) * vals)))
+
+
+def sequential_start(engine, k: int):
+    """Restart k's start in a roof ``engine``, alone: the random isometry of
+    the (seed, k) generator, and its first-stage and raw objectives, both
+    from the gradient's member values."""
+    v = random_isometry(engine.m, engine.r,
+                        np.random.default_rng(np.random.SeedSequence([engine.seed, k])))
+    vals = engine.grad(v @ engine.b.T)[0]
+    return v, _total(engine, v, engine.stages[0], vals), _total(engine, v, 0.0, vals)
+
+
+def sequential_restart(engine, k: int, stop_at: int | None = None):
     """Restart k of a roof ``engine`` (``entroof.roof._Engine``), run alone
     with one iterate at a time: the reference for the lockstep batch.
 
-    Returns the ``_Outcome`` the engine's ``run`` gives for restart k.
+    With the engine's ``cut``, the restart stops "certified" at the end of
+    the first iteration where its best raw objective is at or below the
+    cut, or of iteration ``stop_at``, where a restart of its batch met the
+    cut first. Returns the ``_Outcome`` the engine's ``run`` gives for
+    restart k.
     """
     from entroof.linalg import _qr_fix
     from entroof.roof import (FLOOR_ULPS, LBFGS_MEMORY, LINE_SEARCH_RUNGS, NONMONOTONE_ETA,
                               POLISH_EVERY, POLISH_THRESHOLD, STATIONARY, _Outcome)
 
     b = engine.b
-
-    def total(v, eps=0.0, vals=None):
-        chi = v @ b.T
-        vals = engine.objective(chi) if vals is None else vals
-        if eps:
-            vals = np.sqrt(vals * vals + eps * eps) - eps
-        return float(np.sum(engine.sign * (np.sum(np.abs(chi) ** 2, axis=-1) * vals)))
+    total = partial(_total, engine)
 
     def gradient(v, eps):
         chi = v @ b.T
@@ -354,10 +374,9 @@ def sequential_restart(engine, k: int):
             v = v_new
         return v
 
-    v = random_isometry(engine.m, engine.r,
-                        np.random.default_rng(np.random.SeedSequence([engine.seed, k])))
     # the start and each stage advance read the gradient's member values
-    best_f, best_v = total(v, vals=engine.grad(v @ b.T)[0]), v
+    v, _, best_f = sequential_start(engine, k)
+    best_v = v
     trace = []
     it = rungs = 0
     converged = False
@@ -427,6 +446,8 @@ def sequential_restart(engine, k: int):
             trace.append(best_f)
             stage_its += 1
             it += 1
+            if it == stop_at or engine.cut is not None and best_f <= engine.cut:
+                return _Outcome(best_f, best_v, trace, True, it, "certified", rungs)
             # stationarity and a stall (no step taken) end the stage
             if not accepted:
                 converged = True
