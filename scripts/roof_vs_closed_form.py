@@ -4,13 +4,16 @@
 Draws random two-qubit density operators, solves the convex roof with
 default optimizer settings (ensemble size ``--m``, by default the library's
 rule at each state's rank), and reports the deviation from the spin-flip
-closed form together with the solve's cost: the ensemble size m, its time,
-its iterations and line-search rungs summed over restarts, how many
-restarts stopped at stationarity (floor), on a failed line search (stall)
-and at the two-qubit certificate (cert: a restart of the batch came within
+closed form together with the solve's route and cost: the ensemble size
+m, the route (exact: Wootters' decomposition, returned without a descent;
+engine: the descent, which runs where that decomposition has more than m
+members or misses the bound by more than ``tol``), the time, the
+iterations and line-search rungs summed over restarts, how many restarts
+stopped at stationarity (floor), on a failed line search (stall) and at
+the two-qubit certificate (cert: a restart of the batch came within
 ``tol`` of the bound), and the solve's bracket width, its value minus its
-certified lower bound. Running it with and without
-``--m 16`` compares m = r^2 with the default on full-rank states.
+certified lower bound. An exact solve runs no restart, so its iters,
+rungs, floor, stall and cert read 0.
 The closed form is the entanglement of formation for ``--measure
 entropy``, C / sqrt(2) from the Wootters concurrence C for ``--measure e``
 (the entanglement number). Exits 1 when the largest deviation exceeds
@@ -51,7 +54,8 @@ def main() -> int:
     dims = BipartiteDims(2, 2)
     rng = np.random.default_rng(args.seed)
     errs, times = [], []
-    print(f"{'#':>3}  {'m':>3}  {'roof':>14}  {'closed form':>14}  {'diff':>10}  {'secs':>6}"
+    print(f"{'#':>3}  {'m':>3}  {'route':>6}  {'roof':>14}  {'closed form':>14}  {'diff':>10}"
+          f"  {'secs':>6}"
           f"  {'iters':>6}  {'rungs':>6}  {'floor':>5}  {'stall':>5}  {'cert':>5}"
           f"  {'bracket':>10}")
     for i in range(args.states):
@@ -66,7 +70,9 @@ def main() -> int:
         floors, stalls, certs = (res.restart_stops.count(stop)
                                  for stop in ("floor", "stall", "certified"))
         m = _ensemble_size(rank_of(rho), args.m)
-        print(f"{i:>3}  {m:>3}  {res.value:14.10f}  {want:14.10f}  {errs[-1]:10.2e}  {dt:6.2f}"
+        route = "engine" if res.restart_stops else "exact"
+        print(f"{i:>3}  {m:>3}  {route:>6}  {res.value:14.10f}  {want:14.10f}  {errs[-1]:10.2e}"
+              f"  {dt:6.2f}"
               f"  {iters:>6}  {rungs:>6}  {floors:>5}  {stalls:>5}  {certs:>5}"
               f"  {res.value - res.lower_bound:10.2e}")
     print(f"\nmax |diff| {max(errs):.2e}   mean time {np.mean(times):.2f}s")

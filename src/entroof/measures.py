@@ -209,7 +209,16 @@ def _e_deriv(spec: MeasureSpec, lams: np.ndarray, d: int, f: np.ndarray) -> np.n
 
 
 def _p_number(spec: MeasureSpec, lams: np.ndarray, d: int) -> np.ndarray:
-    deficit = np.maximum(1.0 - np.sum(lams ** spec.p, axis=-1), 0.0)
+    # 1 - sum(lams^p) = sum_i lams_i (1 - lams_i^(p-1)), and for the largest
+    # value 1 - lams_1^(p-1) = -expm1((p-1) log1p(-t)) with t = 1 - lams_1
+    # the sum of the others, accumulated from the smallest: no subtraction
+    # cancels near a product state. At t = 0 the term is 0, also at p = inf.
+    q = spec.p - 1.0
+    rest = lams[..., 1:]
+    log_top = np.log1p(-rest[..., ::-1].sum(axis=-1))
+    scaled = np.multiply(q, log_top, out=np.zeros_like(log_top), where=log_top < 0.0)
+    deficit = (lams[..., 0] * -np.expm1(scaled)
+               + (rest * (1.0 - rest ** q)).sum(axis=-1))
     # explicit zero: at p = inf, 0 ** (1/p) would be 0 ** 0 = 1
     return np.where(deficit == 0.0, 0.0, deficit ** (1.0 / spec.p))
 
@@ -307,8 +316,9 @@ class Measure:
     ``convex_in_concurrence(spec)`` declares that on two-qubit pure states
     the measure is a convex, non-decreasing function f of the concurrence
     C; the convex roof of such a measure is f(C(rho)) (Wootters, PRL 80,
-    2245, 1998), which certifies minimizing two-qubit roofs (see
-    :func:`entroof.twoqubit.roof_lower_bound`).
+    2245, 1998), attained by Wootters' decomposition, which makes minimized
+    two-qubit roofs exact (see :func:`entroof.twoqubit.roof_lower_bound`
+    and :func:`entroof.twoqubit.wootters_isometry`).
     """
 
     value: Callable[[MeasureSpec, np.ndarray, int], np.ndarray]

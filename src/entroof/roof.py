@@ -46,13 +46,17 @@ for stationarity).
 
 A minimized two-qubit roof of a measure that is a convex, non-decreasing
 function f of the concurrence (``Measure.convex_in_concurrence``) has the
-exact value L = f(C(rho)) (Wootters, PRL 80, 2245, 1998). :func:`solve_roof`
-passes the cut L + ``tol`` to the engine, which ends the whole lockstep
-batch, every restart still descending "certified", at the first iteration
-where some restart's best raw objective is at or below the cut, and then
-launches no later batch. Up to that iteration every restart takes the steps
-it takes without a cut. The result's ``lower_bound`` is L, and its
-``gap_estimate`` the bracket width max(0, value - L).
+exact value L = f(C(rho)) (Wootters, PRL 80, 2245, 1998), and Wootters'
+decomposition attains it (:func:`entroof.twoqubit.wootters_isometry`).
+:func:`solve_roof` returns that decomposition, converged and without
+building the engine, where it has at most m members and its value is at
+most L + ``tol``. Otherwise it passes the cut L + ``tol`` to the engine,
+which ends the whole lockstep batch, every restart still descending
+"certified", at the first iteration where some restart's best raw
+objective is at or below the cut, and then launches no later batch. Up to
+that iteration every restart takes the steps it takes without a cut. The
+result's ``lower_bound`` is L, and its ``gap_estimate`` the bracket width
+max(0, value - L).
 
 Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
 the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
@@ -82,6 +86,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -100,7 +105,7 @@ from .measures import (
 )
 from .sampling import ginibre
 from .states import BipartiteDims, DensityOperator, InvariantViolation, PureState
-from .twoqubit import roof_lower_bound
+from .twoqubit import roof_lower_bound, wootters_isometry
 
 # Stationarity stop: a row whose L-BFGS direction -p predicts a decrease
 # <xi, p> (the unit step's) of at most max(FLOOR_ULPS ulps of its stage
@@ -214,7 +219,10 @@ class RoofResult:
     iteration. ``lower_bound`` is a certified lower bound on the roof, or
     None where no certificate applies: :func:`solve_roof` gives one for a
     minimized two-qubit roof of a measure convex and non-decreasing in the
-    concurrence, where it is the exact roof f(C(rho)). With a lower bound,
+    concurrence, where it is the exact roof f(C(rho)), and returns
+    Wootters' decomposition where it fits (see the module docstring); that
+    result ran no restart, so ``objective_trace`` and the restart tuples
+    are empty. With a lower bound,
     ``gap_estimate`` is the bracket width max(0, value - lower_bound), a
     rigorous bound on the distance from the optimum; without one it is the
     spread between the two best restarts, a heuristic optimality indicator.
@@ -268,6 +276,22 @@ def _ensemble_size(r: int, m: int | None) -> int:
     states in about half the time; a pure state (r = 1) keeps m = 1.
     """
     return min(r * r, 2 * r) if m is None else int(m)
+
+
+def _checked_ensemble_size(b: np.ndarray, m: int | None) -> int:
+    """The ensemble size m for the eigen factor b (n x r), by
+    :func:`_ensemble_size`; raises ValueError where m < r, or where one
+    restart's line-search stack (LINE_SEARCH_RUNGS * m * n entries) exceeds
+    MAX_WORK_ENTRIES, before any allocation."""
+    n, r = b.shape
+    m = _ensemble_size(r, m)
+    if m < r:
+        raise ValueError(f"ensemble size m = {m} below rank(rho) = {r}")
+    entries = LINE_SEARCH_RUNGS * m * n
+    if entries > MAX_WORK_ENTRIES:
+        raise ValueError(f"ensemble size m = {m} needs arrays of {entries} complex "
+                         f"entries, above the limit {MAX_WORK_ENTRIES}")
+    return m
 
 
 def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
@@ -420,14 +444,7 @@ class _Engine:
         self.bc = self.b.conj()
         self.n, self.r = self.b.shape
         self.da, self.db = rho.dims.as_tuple()
-        m = _ensemble_size(self.r, m)
-        if m < self.r:
-            raise ValueError(f"ensemble size m = {m} below rank(rho) = {self.r}")
-        entries = LINE_SEARCH_RUNGS * m * self.n
-        if entries > MAX_WORK_ENTRIES:
-            raise ValueError(f"ensemble size m = {m} needs arrays of {entries} complex "
-                             f"entries, above the limit {MAX_WORK_ENTRIES}")
-        self.m = m
+        self.m = _checked_ensemble_size(self.b, m)
         self.objective = objective
         self.grad = objective.grad if grad is None else grad
         self.sign = 1.0 if direction == "minimize" else -1.0
@@ -437,7 +454,7 @@ class _Engine:
         self.stages = tuple(stages)
         self.cut = cut
         self.seed = int(seed) & (2**64 - 1)
-        self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * m * self.n))
+        self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * self.m * self.n))
 
     def member_contrib(self, chi: np.ndarray, eps=0.0, vals=None) -> tuple[np.ndarray, np.ndarray]:
         """Weight-times-measure of unnormalized member vectors (..., n), at
@@ -780,8 +797,7 @@ def _solve(rho, objective, grad, member_value, direction, ensemble_size, restart
     top = outcomes[best]
 
     ensemble = ensemble_from_isometry(rho, top.best_v)
-    member_vals = member_value(np.array([s.amplitudes for s in ensemble.states]))
-    value = float(np.dot(ensemble.weights, member_vals))
+    value = _attained(ensemble, member_value)
     if lower_bound is not None:
         gap = max(0.0, value - lower_bound)
     else:
@@ -801,6 +817,28 @@ def _solve(rho, objective, grad, member_value, direction, ensemble_size, restart
     )
 
 
+def _attained(ensemble: Ensemble, member_value) -> float:
+    """The weighted ``member_value`` of the ensemble's normalized members."""
+    member_vals = member_value(np.array([s.amplitudes for s in ensemble.states]))
+    return float(np.dot(ensemble.weights, member_vals))
+
+
+def _exact(problem: RoofProblem, member_value, lower_bound: float) -> RoofResult | None:
+    """Wootters' decomposition of a two-qubit ``problem.rho`` as the result,
+    where it has at most m members and attains ``lower_bound`` + ``tol``;
+    None where it does not, and the engine solves."""
+    b = _eigen_factor(problem.rho)
+    v = wootters_isometry(b)
+    if len(v) > _checked_ensemble_size(b, problem.ensemble_size):
+        return None
+    ensemble = ensemble_from_isometry(problem.rho, v)
+    value = _attained(ensemble, member_value)
+    if not value <= lower_bound + problem.tol:
+        return None
+    return RoofResult(value=value, ensemble=ensemble, objective_trace=(), converged=True,
+                      gap_estimate=max(0.0, value - lower_bound), lower_bound=lower_bound)
+
+
 def solve_roof(problem: RoofProblem) -> RoofResult:
     """Numerical roof extension of ``problem.measure`` at ``problem.rho``.
 
@@ -809,20 +847,26 @@ def solve_roof(problem: RoofProblem) -> RoofResult:
     bound on the supremum when maximizing). It is the weighted
     :func:`entroof.measures.measure_value` of the returned members (one
     stacked SVD), the route that is accurate near product states.
-    A minimized two-qubit roof is certified where the measure declares
-    ``Measure.convex_in_concurrence`` (see the module docstring).
+    A minimized two-qubit roof of a measure that declares
+    ``Measure.convex_in_concurrence`` is exact: Wootters' decomposition,
+    when it fits the ensemble size and attains the bound within ``tol``,
+    is returned without a descent, and otherwise the descent stops at the
+    bound (see the module docstring).
     """
     spec, dims = problem.measure, problem.rho.dims
+    member_value = partial(measure_value, spec, dims=dims)
     lower_bound = None
     if problem.direction == "minimize" and dims.as_tuple() == (2, 2):
         lower_bound = roof_lower_bound(problem.rho, spec)
+    if lower_bound is not None and (exact := _exact(problem, member_value, lower_bound)):
+        return exact
     # the gradient is built here, not read from objective.grad: the layer trace
     # (perfbench/tracing.py) swaps make_objective for a wrapper without one
     return _solve(
         problem.rho,
         make_objective(spec, dims),
         make_gradient(spec, dims),
-        lambda states: measure_value(spec, states, dims),
+        member_value,
         problem.direction,
         problem.ensemble_size,
         problem.restarts,

@@ -397,13 +397,15 @@ def test_sweep_grid_cap_checked_before_allocation(capsys, files):
 
 def test_roof_echoes_the_ensemble_size_it_solves_with(capsys, tmp_path, monkeypatch):
     used = []
+    checked = roof._checked_ensemble_size
 
-    class Spy(roof._Engine):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            used.append(self.m)
+    def spy(b, m):
+        # both routes of a solve, Wootters' decomposition and the engine,
+        # take their ensemble size from here
+        used.append(checked(b, m))
+        return used[-1]
 
-    monkeypatch.setattr(roof, "_Engine", Spy)
+    monkeypatch.setattr(roof, "_checked_ensemble_size", spy)
     # states with an eigenvalue at the RANK_RTOL cutoff that eigvalsh and
     # the solver's eigendecomposition count differently
     rng = np.random.default_rng(0)
@@ -514,13 +516,15 @@ def test_locc_echoes_the_ensemble_size_flag(capsys, files, monkeypatch):
     # output, is at rank 2: the echo is --m, or null when each solve takes
     # the default at its own rank
     used = []
+    checked = roof._checked_ensemble_size
 
-    class Spy(roof._Engine):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            used.append(self.m)
+    def spy(b, m):
+        # both routes of a solve, Wootters' decomposition and the engine,
+        # take their ensemble size from here
+        used.append(checked(b, m))
+        return used[-1]
 
-    monkeypatch.setattr(roof, "_Engine", Spy)
+    monkeypatch.setattr(roof, "_checked_ensemble_size", spy)
     for flag, echo, m in (([], None, roof._ensemble_size(2, None)), (["--m", "3"], 3, 3)):
         code, out, _ = run(capsys, ["locc", files["meas"], files["bell"],
                                     "--measure", "e", "--restarts", "1", *flag])

@@ -2,16 +2,19 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
+import entroof.roof as roof_module
 from entroof import (
     BipartiteDims,
     DensityOperator,
     Ensemble,
     InvariantViolation,
     RoofProblem,
+    RoofResult,
     channel_entropy,
     concave_roof,
     ensemble_from_isometry,
@@ -38,6 +41,7 @@ from entroof.roof import (
     _Engine,
     _ensemble_size,
     _Rows,
+    _solve,
     rank_of,
 )
 from entroof.sampling import (
@@ -50,9 +54,15 @@ from entroof.sampling import (
     random_separable_density,
 )
 from entroof.states import PureState
-from entroof.twoqubit import concurrence, entanglement_of_formation, roof_lower_bound
+from entroof.twoqubit import (
+    concurrence,
+    entanglement_of_formation,
+    roof_lower_bound,
+    wootters_isometry,
+)
 
 from util import (
+    CERTIFIED_SPECS,
     DIMS22,
     bell,
     edge_rank_density,
@@ -61,6 +71,7 @@ from util import (
     sampling_oracle_roof,
     sequential_restart,
     sequential_start,
+    spec_id,
     svd_member_e,
 )
 
@@ -545,9 +556,8 @@ def test_solve_roof_reads_gradient_from_spec(monkeypatch):
     # lambda spec, dims: wrapper(make_objective(spec, dims)), a plain
     # function without the grad attribute; solve_roof must run through it
     # and give the same result, bitwise
-    import entroof.roof as roof_module
-
-    rho = random_density(DIMS22, RNG)
+    # (on 2x3: a minimized two-qubit e roof is exact, without the engine)
+    rho = random_density(BipartiteDims(2, 3), RNG)
     problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=2, max_iters=50, seed=3)
     want = solve_roof(problem)
     original, calls = roof_module.make_objective, []
@@ -561,7 +571,7 @@ def test_solve_roof_reads_gradient_from_spec(monkeypatch):
 
     monkeypatch.setattr(roof_module, "make_objective",
                         lambda spec, dims: traced(original(spec, dims)))
-    assert not hasattr(roof_module.make_objective(E_SPEC, DIMS22), "grad")
+    assert not hasattr(roof_module.make_objective(E_SPEC, rho.dims), "grad")
     got = solve_roof(problem)
     assert calls
     for field in ("value", "restart_values", "restart_iterations", "restart_stops",
@@ -638,11 +648,12 @@ def test_entropy_descends_one_unsmoothed_stage(monkeypatch):
         return contrib(self, chi, eps, vals)
 
     monkeypatch.setattr(_Engine, "member_contrib", spy)
-    rho = random_density(DIMS22, np.random.default_rng(1), 3)
+    # on 2x3: a minimized two-qubit entropy roof is exact, without the engine
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(1), 3)
     solve_roof(RoofProblem(rho=rho, measure=S_SPEC, restarts=2, seed=0))
     assert seen and max(seen) == 0.0
     seen.clear()
-    solve_roof_custom(rho, make_objective(S_SPEC, DIMS22), restarts=2, seed=0)
+    solve_roof_custom(rho, make_objective(S_SPEC, rho.dims), restarts=2, seed=0)
     assert max(seen) == SMOOTHING_STAGES[0]
 
 
@@ -1101,13 +1112,18 @@ def test_solve_roof_custom_defaults_are_roof_problem_defaults():
 
 # --- two-qubit certificate -------------------------------------------------------
 
-# every spec that declares Measure.convex_in_concurrence, over its parameters
-CERTIFIED_SPECS = [
-    E_SPEC, S_SPEC, MeasureSpec("entropy", log_base=math.e), MeasureSpec("negativity"),
-    MeasureSpec("concurrence", k=1), MeasureSpec("concurrence", k=2),
-    MeasureSpec("p-number", p=1.5), MeasureSpec("p-number", p=2.0),
-]
 SEPARABLE = random_separable_density(DIMS22, np.random.default_rng(107))
+
+
+def _cut_solve(problem: RoofProblem) -> RoofResult:
+    """The engine route of ``solve_roof`` for a two-qubit ``problem``: the
+    descent with the cut at its bound, which a solve takes where Wootters'
+    decomposition does not fit the ensemble size."""
+    rho, spec = problem.rho, problem.measure
+    return _solve(rho, make_objective(spec, rho.dims), make_gradient(spec, rho.dims),
+                  partial(measure_value, spec, dims=rho.dims), problem.direction,
+                  problem.ensemble_size, problem.restarts, problem.max_iters, problem.tol,
+                  problem.seed, MEASURES[spec.kind].smoothing, roof_lower_bound(rho, spec))
 
 
 def _uncut(problem: RoofProblem, max_iters: int) -> list:
@@ -1130,7 +1146,7 @@ def test_certified_restart_is_its_uncut_restart_at_the_stop(rho, spec, opts):
     # each restart is its uncut descent at that iteration: the best value
     # its trace reads there, its iterations and its rungs
     problem = RoofProblem(rho=rho, measure=spec, **opts)
-    res = solve_roof(problem)
+    res = _cut_solve(problem)
     assert res.converged
     assert "certified" in res.restart_stops
     cut = res.lower_bound + problem.tol
@@ -1209,7 +1225,7 @@ def test_certified_chunk_ends_the_run(monkeypatch):
     # them, and still describes its best restart
     rho = random_density(DIMS22, np.random.default_rng(23), 3)
     problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=5, max_iters=300, seed=4)
-    alone = solve_roof(dataclasses.replace(problem, restarts=2))
+    alone = _cut_solve(dataclasses.replace(problem, restarts=2))
     run = _Engine.run
 
     def chunked(self):
@@ -1217,7 +1233,7 @@ def test_certified_chunk_ends_the_run(monkeypatch):
         return run(self)
 
     monkeypatch.setattr(_Engine, "run", chunked)
-    res = solve_roof(problem)
+    res = _cut_solve(problem)
     assert len(res.restart_stops) == 2
     assert "certified" in res.restart_stops
     assert res.converged
@@ -1231,22 +1247,16 @@ def test_certified_chunk_ends_the_run(monkeypatch):
 
 def test_certified_gap_is_the_bracket_width():
     rho = random_density(DIMS22, np.random.default_rng(8), 3)
-    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, seed=8))
+    res = _cut_solve(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, seed=8))
     assert res.gap_estimate == max(0.0, res.value - res.lower_bound)
     assert res.gap_estimate <= RoofProblem.tol + 1e-12
 
 
-def _spec_id(spec: MeasureSpec) -> str:
-    return "-".join([spec.kind] + [f"{name}{getattr(spec, name)}" for name in ("p", "k")
-                                   if getattr(spec, name) is not None]
-                    + (["ln"] if spec.log_base != 2.0 else []))
-
-
-@pytest.mark.parametrize("spec", CERTIFIED_SPECS, ids=_spec_id)
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS, ids=spec_id)
 def test_lower_bound_certifies_two_qubit_roofs(spec):
     # the bound is the exact roof f(C(rho)): never above an attained value,
-    # the entanglement of formation for the entropy, the value itself on
-    # pure states; and a certified solve converges
+    # the entanglement of formation for the entropy; a certified solve
+    # converges, and Wootters' decomposition attains the bound
     for rank in (1, 2, 3, 4):
         for seed in range(5):
             rho = random_density(DIMS22, np.random.default_rng([rank, seed]), rank)
@@ -1254,8 +1264,7 @@ def test_lower_bound_certifies_two_qubit_roofs(spec):
             assert res.converged
             assert res.lower_bound <= res.value + 1e-12
             assert res.ensemble.reconstruction_error(rho) <= 1e-8
-            if rank == 1:
-                assert abs(res.value - res.lower_bound) <= 1e-12
+            assert abs(res.value - res.lower_bound) <= 1e-12
             if spec.kind == "entropy":
                 eof = entanglement_of_formation(rho, spec.log_base)
                 assert abs(res.lower_bound - eof) <= 1e-14
@@ -1276,3 +1285,50 @@ def test_no_lower_bound_without_certificate():
     for res in solves:
         assert res.lower_bound is None
         assert "certified" not in res.restart_stops
+        # the engine ran every restart
+        assert len(res.objective_trace) == res.restart_iterations[res.best_restart]
+        for name in ("restart_values", "restart_iterations", "restart_stops", "restart_rungs"):
+            assert len(getattr(res, name)) == opts["restarts"], name
+
+
+def test_exact_two_qubit_roofs_skip_the_engine(monkeypatch):
+    # where Wootters' decomposition fits the ensemble size, a certified
+    # solve returns it without a descent: no restart ran, and the gap is the
+    # bracket width
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran")
+
+    monkeypatch.setattr(roof_module, "_Engine", no_engine)
+    rng = np.random.default_rng(29)
+    for rank in (1, 2, 3, 4):
+        rho = random_density(DIMS22, rng, rank)
+        for spec in CERTIFIED_SPECS:
+            res = solve_roof(RoofProblem(rho=rho, measure=spec))
+            assert res.converged
+            assert res.lower_bound == roof_lower_bound(rho, spec)
+            assert res.gap_estimate == max(0.0, res.value - res.lower_bound) <= 1e-12
+            assert res.objective_trace == ()
+            assert res.restart_values == res.restart_iterations == res.restart_stops == ()
+            assert res.restart_rungs == ()
+            assert len(res.ensemble.states) <= _ensemble_size(rank, None)
+            assert res.ensemble.reconstruction_error(rho) <= 1e-8
+
+
+def test_ensemble_size_below_the_decomposition_runs_the_engine():
+    # a rank-3 separable state has a Wootters decomposition of 4 product
+    # members; at m = 3 the engine solves it and stops at the bound
+    rng = np.random.default_rng(37)
+    products = [random_product_state(DIMS22, rng).amplitudes for _ in range(3)]
+    mix = sum(w * np.outer(psi, psi.conj()) for w, psi in zip((0.5, 0.3, 0.2), products))
+    rho = DensityOperator(mix, DIMS22)
+    assert rank_of(rho) == 3 and concurrence(rho) == 0.0
+    assert len(wootters_isometry(_eigen_factor(rho))) == 4
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, ensemble_size=3, restarts=4, seed=2))
+    assert res.converged
+    assert "certified" in res.restart_stops
+    assert len(res.ensemble.states) <= 3
+    assert res.lower_bound == 0.0
+    # not within tol: near product members the engine's Gram-route
+    # objective, which meets the cut, reads below their SVD-route value
+    assert res.value <= 1e-8
+    assert res.ensemble.reconstruction_error(rho) <= 1e-8

@@ -1,14 +1,24 @@
 import numpy as np
+import pytest
 
 from entroof import (
     DensityOperator,
     concurrence,
+    ensemble_from_isometry,
     entanglement_entropy_pure,
     entanglement_of_formation,
+    measure_value,
 )
-from entroof.sampling import random_product_state, random_pure_state
+from entroof.roof import _eigen_factor
+from entroof.sampling import (
+    random_density,
+    random_product_state,
+    random_pure_state,
+    random_separable_density,
+)
+from entroof.twoqubit import roof_lower_bound, wootters_isometry
 
-from util import DIMS22, bell
+from util import CERTIFIED_SPECS, DIMS22, bell, spec_id
 
 RNG = np.random.default_rng(99)
 
@@ -64,3 +74,50 @@ def test_concurrence_near_product_states():
             a, b, c, d = psi
             want = 2 * abs(a * d - b * c)
             assert abs(concurrence(np.outer(psi, psi.conj())) - want) <= 1e-13
+
+
+def _werner(p: float) -> DensityOperator:
+    return DensityOperator(p * bell().projector() + (1 - p) * np.eye(4) / 4, DIMS22)
+
+
+def _decomposition_cases() -> list[DensityOperator]:
+    """Random states of ranks 1-4 and separable ones, Werner states (whose
+    Takagi values tie) across the separability edge p = 1/3, I/4, a Bell
+    state and a pure product state."""
+    rng = np.random.default_rng(2026)
+    cases = [random_density(DIMS22, rng, rank) for rank in (1, 2, 3, 4) for _ in range(10)]
+    cases += [random_separable_density(DIMS22, rng) for _ in range(10)]
+    cases += [_werner(p) for p in (0.0, 0.2, 1 / 3, 0.5, 0.8, 1.0)]
+    cases += [DensityOperator(np.eye(4) / 4, DIMS22), DensityOperator.from_pure(bell()),
+              DensityOperator.from_pure(random_product_state(DIMS22, rng))]
+    return cases
+
+
+DECOMPOSITION_CASES = _decomposition_cases()
+
+
+def test_wootters_members_share_the_concurrence():
+    # every member of the decomposition has concurrence C(rho); it has r
+    # members when C > 0, and r rounded up to 1, 2 or 4 when C = 0
+    for rho in DECOMPOSITION_CASES:
+        b = _eigen_factor(rho)
+        r, c = b.shape[1], concurrence(rho)
+        v = wootters_isometry(b)
+        assert len(v) == (r if c > 0 else {1: 1, 2: 2}.get(r, 4))
+        ens = ensemble_from_isometry(rho, v)
+        assert len(ens.states) <= 4
+        assert ens.reconstruction_error(rho) <= 1e-12
+        for psi in ens.states:
+            assert abs(concurrence(DensityOperator.from_pure(psi)) - c) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS, ids=spec_id)
+def test_wootters_decomposition_attains_the_roof(spec):
+    # for a measure convex and non-decreasing in the concurrence, the
+    # members' average is the exact roof f(C(rho))
+    for rho in DECOMPOSITION_CASES:
+        ens = ensemble_from_isometry(rho, wootters_isometry(_eigen_factor(rho)))
+        amps = np.array([psi.amplitudes for psi in ens.states])
+        value = float(np.dot(ens.weights, measure_value(spec, amps, DIMS22)))
+        assert abs(value - roof_lower_bound(rho, spec)) <= 1e-12
+

@@ -3,6 +3,7 @@ sampling oracle for roof values (numpy-only, no optimizer internals)."""
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -10,11 +11,24 @@ import numpy as np
 from entroof import BipartiteDims, DensityOperator, PureState
 from entroof.linalg import apply_local
 from entroof.locc import PRUNE_TOL, PURE_RANK_ATOL, LoccNode
-from entroof.measures import measure_value
+from entroof.measures import MeasureSpec, measure_value
 from entroof.roof import RoofProblem, solve_roof
 from entroof.sampling import ginibre, random_instrument, random_isometry, random_unitary
 
 DIMS22 = BipartiteDims(2, 2)
+# every spec that declares Measure.convex_in_concurrence, over its parameters
+CERTIFIED_SPECS = [
+    MeasureSpec("entanglement-number"), MeasureSpec("entropy"),
+    MeasureSpec("entropy", log_base=math.e), MeasureSpec("negativity"),
+    MeasureSpec("concurrence", k=1), MeasureSpec("concurrence", k=2),
+    MeasureSpec("p-number", p=1.5), MeasureSpec("p-number", p=2.0),
+]
+
+
+def spec_id(spec: MeasureSpec) -> str:
+    return "-".join([spec.kind] + [f"{name}{getattr(spec, name)}" for name in ("p", "k")
+                                   if getattr(spec, name) is not None]
+                    + (["ln"] if spec.log_base != 2.0 else []))
 
 
 def bell() -> PureState:
