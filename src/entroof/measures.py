@@ -630,7 +630,9 @@ def measure_value(spec: MeasureSpec, psi: PureState | np.ndarray,
     its one-row case, so every row gets the value its own call would give,
     bitwise. Singular values below RANK_RTOL times the largest are set to
     zero, which the spectral functions read as a dropped value (bitwise up
-    to d = 7; numpy's pairwise sums may round differently from d = 8 on).
+    to d = 7; numpy's pairwise sums may round differently from d = 8 on),
+    and singular values above 1 are capped at 1, so a product state reads
+    exactly 0.
 
     Unequal geometric ranks have no spectral form; they fall back to
     alternating maximization (a certified lower bound), row by row.
@@ -648,4 +650,7 @@ def measure_value(spec: MeasureSpec, psi: PureState | np.ndarray,
     # another LAPACK path and differ in the last bits
     s = np.linalg.svd(states.reshape(-1, da, db), full_matrices=False)[1]
     s[s < RANK_RTOL * s[:, :1]] = 0.0
+    # a product state's one Schmidt weight can round above 1, where
+    # -lambda log lambda reads below zero
+    np.minimum(s, 1.0, out=s)
     return value_from_lambdas(spec, s * s, dims).reshape(psi.shape[:-1])

@@ -2,7 +2,6 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import pytest
@@ -41,7 +40,6 @@ from entroof.roof import (
     _Engine,
     _ensemble_size,
     _Rows,
-    _solve,
     rank_of,
 )
 from entroof.sampling import (
@@ -207,10 +205,12 @@ def test_faithfulness_two_sided():
 # --- optimizer contract --------------------------------------------------------
 
 def test_determinism_bitwise():
+    # through the engine: a minimized two-qubit e roof is exact, without it
     rho = random_density(DIMS22, RNG)
-    prob = RoofProblem(rho=rho, measure=E_SPEC, restarts=6, seed=77)
-    a = solve_roof(prob)
-    b = solve_roof(prob)
+    objective = make_objective(E_SPEC, DIMS22)
+    a = solve_roof_custom(rho, objective, restarts=6, seed=77)
+    b = solve_roof_custom(rho, objective, restarts=6, seed=77)
+    assert len(a.objective_trace) > 0
     assert a.value == b.value
     assert a.objective_trace == b.objective_trace
     assert a.restart_values == b.restart_values
@@ -267,12 +267,16 @@ def test_result_describes_its_best_restart(monkeypatch, chunk):
 
 
 def test_trace_monotone():
+    # the minimizing engine through solve_roof_custom: a minimized two-qubit
+    # e roof is exact, without a trace
     rho = random_density(DIMS22, RNG)
-    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=2, seed=9))
+    res = solve_roof_custom(rho, make_objective(E_SPEC, DIMS22), restarts=2, seed=9)
     tr = np.array(res.objective_trace)
+    assert len(tr) > 1
     assert np.all(np.diff(tr) <= 0)
     res = concave_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=2, seed=9))
     tr = np.array(res.objective_trace)
+    assert len(tr) > 1
     assert np.all(np.diff(tr) >= 0)
 
 
@@ -307,12 +311,13 @@ def test_roof_convexity():
 
 
 def test_ensemble_size_sufficiency():
+    # through the engine: a minimized two-qubit entropy roof is exact
     rho = random_density(DIMS22, RNG)
     r = rank_of(rho)
-    small = solve_roof(RoofProblem(
-        rho=rho, measure=S_SPEC, ensemble_size=r, restarts=8, seed=6))
-    large = solve_roof(RoofProblem(
-        rho=rho, measure=S_SPEC, ensemble_size=r * r, restarts=8, seed=6))
+    objective = make_objective(S_SPEC, DIMS22)
+    small = solve_roof_custom(rho, objective, ensemble_size=r, restarts=8, seed=6)
+    large = solve_roof_custom(rho, objective, ensemble_size=r * r, restarts=8, seed=6)
+    assert len(small.objective_trace) > 0 and len(large.objective_trace) > 0
     assert large.value <= small.value + 1e-6
 
 
@@ -321,10 +326,12 @@ def test_default_ensemble_size_rule():
     # solve at that explicit m, bit for bit
     assert [_ensemble_size(r, None) for r in range(1, 10)] == [
         min(r * r, 2 * r) for r in range(1, 10)]
-    rho = random_density(DIMS22, np.random.default_rng(29), 3)
+    # (on 2x3: a minimized two-qubit entropy roof is exact, without the engine)
+    rho = random_density(BipartiteDims(2, 3), np.random.default_rng(29), 3)
     opts = dict(rho=rho, measure=S_SPEC, restarts=3, max_iters=200, seed=5)
     a = solve_roof(RoofProblem(**opts))
     b = solve_roof(RoofProblem(**opts, ensemble_size=6))
+    assert len(a.objective_trace) > 0
     assert a.value == b.value
     assert a.objective_trace == b.objective_trace
     assert a.restart_values == b.restart_values
@@ -620,9 +627,11 @@ def test_default_2x4_e_solve_reaches_best_known():
 def test_default_2x2_e_solve_keeps_its_unit_steps(rank, seed):
     # curvature pairs outlive the stage advance and the polish, so
     # the step after each of them is the L-BFGS unit step and not 1 / |xi|,
-    # which near convergence backtracks for 16-22 rungs
+    # which near convergence backtracks for 16-22 rungs (through
+    # solve_roof_custom: a minimized two-qubit e roof is exact, without steps)
     rho = random_density(DIMS22, np.random.default_rng(seed), rank)
-    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC))
+    res = solve_roof_custom(rho, make_objective(E_SPEC, DIMS22))
+    assert len(res.objective_trace) > 0
     assert sum(res.restart_rungs) <= 1.1 * sum(res.restart_iterations)
 
 
@@ -1116,14 +1125,12 @@ SEPARABLE = random_separable_density(DIMS22, np.random.default_rng(107))
 
 
 def _cut_solve(problem: RoofProblem) -> RoofResult:
-    """The engine route of ``solve_roof`` for a two-qubit ``problem``: the
+    """``solve_roof`` of a two-qubit ``problem`` on its engine route: the
     descent with the cut at its bound, which a solve takes where Wootters'
     decomposition does not fit the ensemble size."""
-    rho, spec = problem.rho, problem.measure
-    return _solve(rho, make_objective(spec, rho.dims), make_gradient(spec, rho.dims),
-                  partial(measure_value, spec, dims=rho.dims), problem.direction,
-                  problem.ensemble_size, problem.restarts, problem.max_iters, problem.tol,
-                  problem.seed, MEASURES[spec.kind].smoothing, roof_lower_bound(rho, spec))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(roof_module, "_exact", lambda *args: None)
+        return solve_roof(problem)
 
 
 def _uncut(problem: RoofProblem, max_iters: int) -> list:
@@ -1268,6 +1275,18 @@ def test_lower_bound_certifies_two_qubit_roofs(spec):
             if spec.kind == "entropy":
                 eof = entanglement_of_formation(rho, spec.log_base)
                 assert abs(res.lower_bound - eof) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_SPECS, ids=spec_id)
+def test_two_qubit_roofs_of_separable_states_are_non_negative(spec):
+    # Wootters' decomposition of a separable state has exact product
+    # members, whose one Schmidt weight can round above 1
+    rng = np.random.default_rng(53)
+    states = [random_separable_density(DIMS22, rng) for _ in range(10)]
+    states += [DensityOperator.from_pure(random_product_state(DIMS22, rng)) for _ in range(10)]
+    states.append(DensityOperator(np.eye(4) / 4, DIMS22))
+    for rho in states:
+        assert solve_roof(RoofProblem(rho=rho, measure=spec)).value >= 0.0
 
 
 def test_no_lower_bound_without_certificate():
