@@ -9,11 +9,9 @@ m, the route (exact: Wootters' decomposition, returned without a descent;
 engine: the descent, which runs where that decomposition has more than m
 members or misses the bound by more than ``tol``), the time, the
 iterations and line-search rungs summed over restarts, how many restarts
-stopped at stationarity (floor), on a failed line search (stall) and at
-the two-qubit certificate (cert: a restart of the batch came within
-``tol`` of the bound), and the solve's bracket width, its value minus its
-certified lower bound. An exact solve runs no restart, so its iters,
-rungs, floor, stall and cert read 0.
+stopped at stationarity (floor) and on a failed line search (stall), and
+the solve's bracket width, its value minus its certified lower bound. An
+exact solve runs no restart, so its iters, rungs, floor and stall read 0.
 The closed form is the entanglement of formation for ``--measure
 entropy``, C / sqrt(2) from the Wootters concurrence C for ``--measure e``
 (the entanglement number). Exits 1 when the largest deviation exceeds
@@ -56,7 +54,7 @@ def main() -> int:
     errs, times = [], []
     print(f"{'#':>3}  {'m':>3}  {'route':>6}  {'roof':>14}  {'closed form':>14}  {'diff':>10}"
           f"  {'secs':>6}"
-          f"  {'iters':>6}  {'rungs':>6}  {'floor':>5}  {'stall':>5}  {'cert':>5}"
+          f"  {'iters':>6}  {'rungs':>6}  {'floor':>5}  {'stall':>5}"
           f"  {'bracket':>10}")
     for i in range(args.states):
         rho = random_density(dims, rng)
@@ -67,13 +65,12 @@ def main() -> int:
         errs.append(abs(res.value - want))
         times.append(dt)
         iters, rungs = sum(res.restart_iterations), sum(res.restart_rungs)
-        floors, stalls, certs = (res.restart_stops.count(stop)
-                                 for stop in ("floor", "stall", "certified"))
+        floors, stalls = res.restart_stops.count("floor"), res.restart_stops.count("stall")
         m = _ensemble_size(rank_of(rho), args.m)
         route = "engine" if res.restart_stops else "exact"
         print(f"{i:>3}  {m:>3}  {route:>6}  {res.value:14.10f}  {want:14.10f}  {errs[-1]:10.2e}"
               f"  {dt:6.2f}"
-              f"  {iters:>6}  {rungs:>6}  {floors:>5}  {stalls:>5}  {certs:>5}"
+              f"  {iters:>6}  {rungs:>6}  {floors:>5}  {stalls:>5}"
               f"  {res.value - res.lower_bound:10.2e}")
     print(f"\nmax |diff| {max(errs):.2e}   mean time {np.mean(times):.2f}s")
     return 0 if max(errs) <= LIMIT else 1

@@ -50,11 +50,7 @@ exact value L = f(C(rho)) (Wootters, PRL 80, 2245, 1998), and Wootters'
 decomposition attains it (:func:`entroof.twoqubit.wootters_isometry`).
 :func:`solve_roof` returns that decomposition, converged and without
 building the engine, where it has at most m members and its value is at
-most L + ``tol``. Otherwise it passes the cut L + ``tol`` to the engine,
-which ends the whole lockstep batch, every restart still descending
-"certified", at the first iteration where some restart's best raw
-objective is at or below the cut, and then launches no later batch. Up to
-that iteration every restart takes the steps it takes without a cut. The
+most L + ``tol``; otherwise the engine runs as it does without L. The
 result's ``lower_bound`` is L, and its ``gap_estimate`` the bracket width
 max(0, value - L).
 
@@ -232,11 +228,8 @@ class RoofResult:
     the L-BFGS direction predicted a decrease of at most STATIONARY * tau,
     tau = max(``tol``, 1e-3 times the smoothing parameter), or of rounding
     error), "stall" (no rung of its last stage's line search passed, or its
-    tangent gradient was zero or not finite), "budget" (it spent
-    ``max_iters`` without converging) or "certified" (a restart of its
-    lockstep batch came within ``tol`` of ``lower_bound``, which stops the
-    whole batch; restarts of later batches are not run, and these tuples
-    then hold fewer than ``restarts`` entries). ``restart_rungs`` holds each
+    tangent gradient was zero or not finite) or "budget" (it spent
+    ``max_iters`` without converging). ``restart_rungs`` holds each
     restart's line-search rungs summed over its iterations, as a search of
     that restart alone tries them: the accepted rung's index + 1, or
     LINE_SEARCH_RUNGS when no rung passes.
@@ -434,12 +427,10 @@ class _Engine:
     memory rule, keeps the line search's stacked member vectors
     (LINE_SEARCH_RUNGS * chunk * m * n) within MAX_WORK_ENTRIES, and an
     ensemble size that does not fit even at ``chunk`` = 1 is rejected.
-    ``cut``, when given, is a raw objective that certifies a batch: the
-    batch stops once one of its restarts reaches it (see :meth:`_descend`).
     """
 
     def __init__(self, rho, objective, direction, m, restarts, max_iters, tol, seed,
-                 grad=None, stages=SMOOTHING_STAGES, cut=None):
+                 grad=None, stages=SMOOTHING_STAGES):
         self.b = _eigen_factor(rho)
         self.bc = self.b.conj()
         self.n, self.r = self.b.shape
@@ -452,7 +443,6 @@ class _Engine:
         self.max_iters = max_iters
         self.tol = tol
         self.stages = tuple(stages)
-        self.cut = cut
         self.seed = int(seed) & (2**64 - 1)
         self.chunk = min(restarts, MAX_WORK_ENTRIES // (LINE_SEARCH_RUNGS * self.m * self.n))
 
@@ -575,16 +565,9 @@ class _Engine:
         return ok, v_new, f_new, raw_new, tried, (took, vals, g)
 
     def run(self) -> list:
-        """Every restart's :data:`_Outcome`, in restart order, ``chunk`` at a
-        time; a certified chunk ends the run, and the restarts of later
-        chunks are not run and have no outcome."""
-        outcomes = []
-        for lo in range(0, self.restarts, self.chunk):
-            chunk = self._descend(range(lo, min(lo + self.chunk, self.restarts)))
-            outcomes += chunk
-            if any(o.stop == "certified" for o in chunk):
-                break
-        return outcomes
+        """Every restart's :data:`_Outcome`, in restart order, ``chunk`` at a time."""
+        return [o for lo in range(0, self.restarts, self.chunk)
+                for o in self._descend(range(lo, min(lo + self.chunk, self.restarts)))]
 
     def _descend(self, ks: range) -> list:
         """Descend restarts ``ks`` in lockstep, one row of a :class:`_Rows` each.
@@ -614,11 +597,7 @@ class _Engine:
         on a stall, a line search without a passing rung or a tangent
         gradient that is zero or not finite. Such a row skips the polish.
         A row leaves the batch (``_Rows.keep``) when its last stage
-        converges or its iteration budget is spent. With a ``cut``, the
-        whole batch stops, every live row converged and "certified", at the
-        end of the first iteration where some row's best raw objective is
-        at or below it; every row's steps up to there are the ones it takes
-        without a cut.
+        converges or its iteration budget is spent.
         """
         stages = np.array(self.stages)
         # each stage's stationarity threshold STATIONARY * tau, tau = max(tol, 1e-3 eps)
@@ -715,16 +694,13 @@ class _Engine:
             trace[-1][rows.pos] = rows.best_f
             it += 1
             spent = it >= self.max_iters
-            # one row at or below the cut certifies the whole batch
-            certified = self.cut is not None and bool((rows.best_f <= self.cut).any())
-            halt = spent or certified
-            if accepted.all() and not halt:
+            if accepted.all() and not spent:
                 continue
             # a stage ends on the first iteration without a step:
             # stationarity or a stall
             converged = ~accepted
             last = rows.stage == len(stages) - 1
-            advance = (converged & ~last & (not halt)).nonzero()[0]
+            advance = (converged & ~last & (not spent)).nonzero()[0]
             if advance.size:
                 # a row without a step kept its iterate's member values
                 rows.stage[advance] += 1
@@ -732,12 +708,11 @@ class _Engine:
                                          rows.fm[advance])[0]
                 rows.reset(advance)
                 rows.start[advance] = it
-            done = (converged & last) | halt
+            done = (converged & last) | spent
             if done.any():
                 for i in done.nonzero()[0]:
-                    conv = certified or bool(converged[i] and last[i])
-                    stop = ("certified" if certified else "budget" if not conv
-                            else "floor" if floor[i] else "stall")
+                    conv = bool(converged[i] and last[i])
+                    stop = "budget" if not conv else "floor" if floor[i] else "stall"
                     outcomes[rows.pos[i]] = _Outcome(
                         float(rows.best_f[i]), rows.best_v[i].copy(), None, conv, it, stop,
                         int(rows.rungs[i]))
@@ -785,12 +760,10 @@ def solve_roof_custom(
 def _solve(rho, objective, grad, member_value, direction, ensemble_size, restarts, max_iters,
            tol, seed, stages, lower_bound=None) -> RoofResult:
     """Run the engine and build the result; ``value`` is the weighted
-    ``member_value`` of the returned ensemble's normalized members. A
-    minimizing solve with a ``lower_bound`` stops at the cut
-    ``lower_bound`` + ``tol``, and its gap is the bracket width."""
-    cut = None if lower_bound is None else lower_bound + tol
+    ``member_value`` of the returned ensemble's normalized members. With a
+    ``lower_bound``, the gap is the bracket width."""
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
-                  grad, stages, cut)
+                  grad, stages)
     outcomes = eng.run()
     finals = np.array([o.best_f for o in outcomes])
     best = int(np.argmin(finals))
@@ -850,8 +823,7 @@ def solve_roof(problem: RoofProblem) -> RoofResult:
     A minimized two-qubit roof of a measure that declares
     ``Measure.convex_in_concurrence`` is exact: Wootters' decomposition,
     when it fits the ensemble size and attains the bound within ``tol``,
-    is returned without a descent, and otherwise the descent stops at the
-    bound (see the module docstring).
+    is returned without a descent (see the module docstring).
     """
     spec, dims = problem.measure, problem.rho.dims
     member_value = partial(measure_value, spec, dims=dims)

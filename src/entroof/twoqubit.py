@@ -7,8 +7,7 @@ convex-roof optimizer. Wootters' construction (PRL 80, 2245, 1998) also
 writes down an optimal decomposition, one whose every member has the
 concurrence C(rho) (:func:`wootters_isometry`). The roof solver returns it
 where a measure is a convex, non-decreasing function f of the concurrence,
-so that it attains the exact roof f(C(rho)) (:func:`roof_lower_bound`),
-and otherwise stops its descent once a restart meets that bound.
+so that it attains the exact roof f(C(rho)) (:func:`roof_lower_bound`).
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from entroof import (
     Ensemble,
     InvariantViolation,
     RoofProblem,
-    RoofResult,
     channel_entropy,
     concave_roof,
     ensemble_from_isometry,
@@ -220,8 +219,8 @@ def test_determinism_bitwise():
 
 def test_serial_parallel_identical(monkeypatch):
     # restarts descended one per batch come out as in one lockstep batch;
-    # uncertified, since a certified batch ends when any of its restarts
-    # meets the cut (test_certified_restart_is_its_uncut_restart_at_the_stop)
+    # through solve_roof_custom, since solve_roof on a minimized two-qubit
+    # entropy roof returns Wootters' decomposition and never descends
     rho = random_density(DIMS22, RNG)
     objective = make_objective(S_SPEC, DIMS22)
     a = solve_roof_custom(rho, objective, restarts=6, seed=13)
@@ -252,8 +251,9 @@ def test_result_describes_its_best_restart(monkeypatch, chunk):
             return run(self)
 
         monkeypatch.setattr(_Engine, "run", chunked)
-    # the minimizing solve runs uncertified: a certified first chunk ends the
-    # run (test_certified_chunk_ends_the_run)
+    # the minimizing solve runs through solve_roof_custom: solve_roof on a
+    # minimized two-qubit e roof returns Wootters' decomposition and never
+    # descends
     rho = random_density(DIMS22, np.random.default_rng(23), 3)
     opts = dict(restarts=5, max_iters=300, seed=4)
     for res in (solve_roof_custom(rho, make_objective(E_SPEC, DIMS22), **opts),
@@ -344,8 +344,9 @@ def test_default_ensemble_size_rule():
 
 
 def test_gap_estimate_is_restart_spread():
-    # without a certificate (a certified solve's gap is its bracket width:
-    # test_certified_gap_is_the_bracket_width)
+    # without a certificate, through solve_roof_custom: solve_roof on a
+    # minimized two-qubit e roof returns Wootters' decomposition, whose gap
+    # is the bracket width
     rho = random_density(DIMS22, RNG)
     objective = make_objective(E_SPEC, DIMS22)
     res = solve_roof_custom(rho, objective, restarts=5, seed=8)
@@ -636,8 +637,9 @@ def test_default_2x2_e_solve_keeps_its_unit_steps(rank, seed):
 
 
 def test_default_2x2_e_solve_stops_on_stationarity():
-    # uncertified, every restart ends its last stage on the L-BFGS
-    # stationarity test, at C / sqrt(2)
+    # every restart ends its last stage on the L-BFGS stationarity test, at
+    # C / sqrt(2); through solve_roof_custom, since solve_roof on a minimized
+    # two-qubit e roof returns Wootters' decomposition and never descends
     rho = random_density(DIMS22, np.random.default_rng(0), 4)
     res = solve_roof_custom(rho, make_objective(E_SPEC, DIMS22))
     assert res.restart_stops == ("floor",) * RoofProblem.restarts
@@ -667,11 +669,17 @@ def test_entropy_descends_one_unsmoothed_stage(monkeypatch):
 
 
 def test_restart_depends_only_on_seed_and_index():
+    # a 2x3 entropy solve, and a two-qubit e solve below the size of
+    # Wootters' decomposition, which runs the engine
     rho = random_density(BipartiteDims(2, 3), np.random.default_rng(47))
-    base = dict(rho=rho, measure=S_SPEC, max_iters=60, seed=19)
-    four = solve_roof(RoofProblem(restarts=4, **base))
-    two = solve_roof(RoofProblem(restarts=2, **base))
-    assert two.restart_values == four.restart_values[:2]
+    cases = [dict(rho=rho, measure=S_SPEC, max_iters=60, seed=19),
+             dict(rho=_rank3_separable(), measure=E_SPEC, ensemble_size=3, seed=2)]
+    for base in cases:
+        four = solve_roof(RoofProblem(restarts=4, **base))
+        two = solve_roof(RoofProblem(restarts=2, **base))
+        assert two.restart_values == four.restart_values[:2]
+        assert two.restart_iterations == four.restart_iterations[:2]
+        assert two.restart_stops == four.restart_stops[:2]
 
 
 def test_batch_composition_cannot_change_a_restart(monkeypatch):
@@ -679,8 +687,9 @@ def test_batch_composition_cannot_change_a_restart(monkeypatch):
     # finish at different iterations, and two entangled 2x3 inputs with a
     # minimal ensemble under the geometric measure, the last of whose
     # restarts stalls at its top-1 ties: restart k must come out the same
-    # whichever restarts share its lockstep batch (uncertified: a certified
-    # batch ends when any of its restarts meets the cut)
+    # whichever restarts share its lockstep batch (through solve_roof_custom:
+    # solve_roof on the minimized two-qubit e roof of the separable input
+    # returns Wootters' decomposition and never descends)
     polished = []
     polish = _Engine.product_polish
 
@@ -1121,82 +1130,6 @@ def test_solve_roof_custom_defaults_are_roof_problem_defaults():
 
 # --- two-qubit certificate -------------------------------------------------------
 
-SEPARABLE = random_separable_density(DIMS22, np.random.default_rng(107))
-
-
-def _cut_solve(problem: RoofProblem) -> RoofResult:
-    """``solve_roof`` of a two-qubit ``problem`` on its engine route: the
-    descent with the cut at its bound, which a solve takes where Wootters'
-    decomposition does not fit the ensemble size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(roof_module, "_exact", lambda *args: None)
-        return solve_roof(problem)
-
-
-def _uncut(problem: RoofProblem, max_iters: int) -> list:
-    """The outcomes of the engine run ``solve_roof`` makes for ``problem``,
-    without the cut, at an iteration budget of ``max_iters``."""
-    rho, spec = problem.rho, problem.measure
-    return _Engine(rho, make_objective(spec, rho.dims), problem.direction,
-                   problem.ensemble_size, problem.restarts, max_iters, problem.tol,
-                   problem.seed, stages=MEASURES[spec.kind].smoothing).run()
-
-
-@pytest.mark.parametrize("rho, spec, opts", [
-    (random_density(DIMS22, np.random.default_rng(61), 4), S_SPEC, dict(restarts=6, seed=13)),
-    (random_density(DIMS22, np.random.default_rng(0), 4), E_SPEC, {}),
-    (SEPARABLE, E_SPEC, dict(ensemble_size=rank_of(SEPARABLE), restarts=5, seed=0)),
-], ids=["entropy", "e-default", "e-separable"])
-def test_certified_restart_is_its_uncut_restart_at_the_stop(rho, spec, opts):
-    # a certified solve stops every restart still descending at the end of
-    # the first iteration where one of them is within tol of the bound, and
-    # each restart is its uncut descent at that iteration: the best value
-    # its trace reads there, its iterations and its rungs
-    problem = RoofProblem(rho=rho, measure=spec, **opts)
-    res = _cut_solve(problem)
-    assert res.converged
-    assert "certified" in res.restart_stops
-    cut = res.lower_bound + problem.tol
-    stop = max(res.restart_iterations)
-    full, at_stop = _uncut(problem, problem.max_iters), _uncut(problem, stop)
-    assert all(min(o.trace[:stop - 1], default=np.inf) > cut for o in full)
-    assert min(o.trace[min(o.iterations, stop) - 1] for o in full) <= cut
-    for k, (o, cut_o) in enumerate(zip(full, at_stop)):
-        if res.restart_stops[k] == "certified":
-            assert res.restart_iterations[k] == stop <= o.iterations
-            assert res.restart_values[k] == o.trace[stop - 1]
-        else:  # it ended before the stop, on its own
-            assert res.restart_stops[k] == o.stop
-            assert res.restart_values[k] == o.best_f
-            assert res.restart_iterations[k] == o.iterations < stop
-        assert res.restart_values[k] == cut_o.best_f
-        assert res.restart_iterations[k] == cut_o.iterations
-        assert res.restart_rungs[k] == cut_o.rungs
-    best = res.best_restart
-    assert list(res.objective_trace) == full[best].trace[:res.restart_iterations[best]]
-
-
-def test_certified_batch_matches_sequential_restarts():
-    # the sequential mirror of the cut: alone, a restart stops where it
-    # meets the cut; the batch stops at the first of those iterations, and
-    # each of its restarts is its sequential restart stopped there
-    rng = np.random.default_rng(71)
-    mixed, full = random_density(DIMS22, rng, 3), random_density(DIMS22, rng, 4)
-    for rho, spec in ((mixed, S_SPEC), (mixed, E_SPEC), (full, E_SPEC)):
-        cut = roof_lower_bound(rho, spec) + 1e-9
-        engine = _Engine(rho, make_objective(spec, DIMS22), "minimize", None, 4, 2000, 1e-9, 5,
-                         stages=MEASURES[spec.kind].smoothing, cut=cut)
-        outcomes = engine.run()
-        alone = [sequential_restart(engine, k) for k in range(4)]
-        stop = min(o.iterations for o in alone if o.stop == "certified")
-        assert max(o.iterations for o in outcomes) == stop
-        for k, got in enumerate(outcomes):
-            want = sequential_restart(engine, k, stop_at=stop)
-            assert got[0] == want[0]
-            np.testing.assert_array_equal(got[1], want[1])
-            assert got[2:] == want[2:]
-
-
 def test_sequential_restart_starts_are_the_engines(monkeypatch):
     # the mirror evaluates a start as the engine does, bit for bit: its
     # isometry and its first-stage and raw objectives, which at d = 3 come
@@ -1224,39 +1157,6 @@ def test_sequential_restart_starts_are_the_engines(monkeypatch):
             np.testing.assert_array_equal(v[k], want_v)
             assert f[k] == want_f
             assert raw[k] == want_raw
-
-
-def test_certified_chunk_ends_the_run(monkeypatch):
-    # a certified chunk launches no later chunk: the result holds the
-    # restarts of the first chunk, as a solve of those restarts alone gives
-    # them, and still describes its best restart
-    rho = random_density(DIMS22, np.random.default_rng(23), 3)
-    problem = RoofProblem(rho=rho, measure=E_SPEC, restarts=5, max_iters=300, seed=4)
-    alone = _cut_solve(dataclasses.replace(problem, restarts=2))
-    run = _Engine.run
-
-    def chunked(self):
-        self.chunk = 2
-        return run(self)
-
-    monkeypatch.setattr(_Engine, "run", chunked)
-    res = _cut_solve(problem)
-    assert len(res.restart_stops) == 2
-    assert "certified" in res.restart_stops
-    assert res.converged
-    for name in ("value", "gap_estimate", "lower_bound", "objective_trace", "restart_values",
-                 "best_restart", "restart_iterations", "restart_stops", "restart_rungs"):
-        assert getattr(res, name) == getattr(alone, name), name
-    best = res.best_restart
-    assert len(res.objective_trace) == res.restart_iterations[best]
-    assert res.objective_trace[-1] == res.restart_values[best]
-
-
-def test_certified_gap_is_the_bracket_width():
-    rho = random_density(DIMS22, np.random.default_rng(8), 3)
-    res = _cut_solve(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, seed=8))
-    assert res.gap_estimate == max(0.0, res.value - res.lower_bound)
-    assert res.gap_estimate <= RoofProblem.tol + 1e-12
 
 
 @pytest.mark.parametrize("spec", CERTIFIED_SPECS, ids=spec_id)
@@ -1303,7 +1203,6 @@ def test_no_lower_bound_without_certificate():
         solves.append(solve_roof(RoofProblem(rho=rho, measure=spec, **opts)))
     for res in solves:
         assert res.lower_bound is None
-        assert "certified" not in res.restart_stops
         # the engine ran every restart
         assert len(res.objective_trace) == res.restart_iterations[res.best_restart]
         for name in ("restart_values", "restart_iterations", "restart_stops", "restart_rungs"):
@@ -1333,21 +1232,33 @@ def test_exact_two_qubit_roofs_skip_the_engine(monkeypatch):
             assert res.ensemble.reconstruction_error(rho) <= 1e-8
 
 
-def test_ensemble_size_below_the_decomposition_runs_the_engine():
-    # a rank-3 separable state has a Wootters decomposition of 4 product
-    # members; at m = 3 the engine solves it and stops at the bound
+def _rank3_separable() -> DensityOperator:
+    """A rank-3 separable two-qubit state, three product states mixed with
+    weights (0.5, 0.3, 0.2): Wootters' decomposition has 4 members."""
     rng = np.random.default_rng(37)
     products = [random_product_state(DIMS22, rng).amplitudes for _ in range(3)]
     mix = sum(w * np.outer(psi, psi.conj()) for w, psi in zip((0.5, 0.3, 0.2), products))
-    rho = DensityOperator(mix, DIMS22)
+    return DensityOperator(mix, DIMS22)
+
+
+def test_ensemble_size_below_the_decomposition_runs_the_engine():
+    # at m = 3 Wootters' decomposition does not fit: the plain engine runs
+    # every restart, and the bound stays the bracket's lower end
+    rho = _rank3_separable()
     assert rank_of(rho) == 3 and concurrence(rho) == 0.0
     assert len(wootters_isometry(_eigen_factor(rho))) == 4
-    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, ensemble_size=3, restarts=4, seed=2))
+    restarts = 4
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, ensemble_size=3, restarts=restarts,
+                                 seed=2))
+    for name in ("restart_values", "restart_iterations", "restart_stops", "restart_rungs"):
+        assert len(getattr(res, name)) == restarts, name
+    assert "certified" not in res.restart_stops
     assert res.converged
-    assert "certified" in res.restart_stops
     assert len(res.ensemble.states) <= 3
     assert res.lower_bound == 0.0
-    # not within tol: near product members the engine's Gram-route
-    # objective, which meets the cut, reads below their SVD-route value
+    assert res.gap_estimate == max(0.0, res.value - res.lower_bound)
+    # not within tol: measures._gram2's lo cancels at product members, so
+    # every restart_values entry, the engine's Gram-route objective, reads
+    # 0.0, while the returned SVD-route value reads 1.1e-9
     assert res.value <= 1e-8
     assert res.ensemble.reconstruction_error(rho) <= 1e-8

@@ -321,15 +321,11 @@ def sequential_start(engine, k: int):
     return v, _total(engine, v, engine.stages[0], vals), _total(engine, v, 0.0, vals)
 
 
-def sequential_restart(engine, k: int, stop_at: int | None = None):
+def sequential_restart(engine, k: int):
     """Restart k of a roof ``engine`` (``entroof.roof._Engine``), run alone
     with one iterate at a time: the reference for the lockstep batch.
 
-    With the engine's ``cut``, the restart stops "certified" at the end of
-    the first iteration where its best raw objective is at or below the
-    cut, or of iteration ``stop_at``, where a restart of its batch met the
-    cut first. Returns the ``_Outcome`` the engine's ``run`` gives for
-    restart k.
+    Returns the ``_Outcome`` the engine's ``run`` gives for restart k.
     """
     from entroof.linalg import _qr_fix
     from entroof.roof import (FLOOR_ULPS, LBFGS_MEMORY, LINE_SEARCH_RUNGS, NONMONOTONE_ETA,
@@ -460,8 +456,6 @@ def sequential_restart(engine, k: int, stop_at: int | None = None):
             trace.append(best_f)
             stage_its += 1
             it += 1
-            if it == stop_at or engine.cut is not None and best_f <= engine.cut:
-                return _Outcome(best_f, best_v, trace, True, it, "certified", rungs)
             # stationarity and a stall (no step taken) end the stage
             if not accepted:
                 converged = True
