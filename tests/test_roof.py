@@ -1262,3 +1262,14 @@ def test_ensemble_size_below_the_decomposition_runs_the_engine():
     # 0.0, while the returned SVD-route value reads 1.1e-9
     assert res.value <= 1e-8
     assert res.ensemble.reconstruction_error(rho) <= 1e-8
+
+
+def test_certified_gap_is_the_bracket_width(monkeypatch):
+    # on the engine route of an entangled two-qubit state the descent
+    # reaches the exact roof, and the gap is the bracket width
+    monkeypatch.setattr(roof_module, "_exact", lambda *args: None)
+    rho = random_density(DIMS22, np.random.default_rng(8), 3)
+    res = solve_roof(RoofProblem(rho=rho, measure=E_SPEC, restarts=5, seed=8))
+    assert "certified" not in res.restart_stops
+    assert res.gap_estimate == max(0.0, res.value - res.lower_bound)
+    assert res.gap_estimate <= RoofProblem.tol + 1e-12
