@@ -2,8 +2,9 @@
 """Sweep the p-number order on a pure state and on a mixed state.
 
 Prints one table per state showing the strict increase of the value with
-p; the mixed-state column is the convex-roof upper bound with its restart
-gap estimate.
+p; the mixed-state rows give the convex-roof upper bound, its certified
+lower bound ("-" where none applies: the p-number at p > 2) and whether
+the solve converged.
 """
 
 import argparse
@@ -35,12 +36,13 @@ def main():
         print(f"{p:6.2f}  {p_number_pure(bell, p):18.12f}")
 
     print("\nrandom NPT two-qubit state (roof upper bounds)")
-    print(f"{'p':>6}  {'roof mu_p':>18}  {'gap':>10}")
+    print(f"{'p':>6}  {'roof mu_p':>18}  {'lower bound':>18}  converged")
     for p in grid:
         res = solve_roof(RoofProblem(
             rho=mixed, measure=MeasureSpec("p-number", p=p),
             restarts=args.restarts, seed=args.seed))
-        print(f"{p:6.2f}  {res.value:18.12f}  {res.gap_estimate:10.2e}")
+        low = "-" if res.lower_bound is None else f"{res.lower_bound:.12f}"
+        print(f"{p:6.2f}  {res.value:18.12f}  {low:>18}  {res.converged}")
 
 
 if __name__ == "__main__":

@@ -27,9 +27,11 @@ increase on average down the tree. It too works a level at a time: per
 level and dimensions, one stacked Hermitian eigendecomposition tests every
 branch for rank one, and one stacked ``measure_value`` evaluates all
 rank-one branches exactly through the pure-state formulas. Each mixed
-branch gets its own numerical convex roof, whose gap estimate accompanies
-each inequality so that near-zero violations can be attributed to the
-optimizer. Stacking does not change a single bit of the values: every
+branch gets its own numerical convex roof, an upper bound on its roof,
+and carries the solve's certified lower bound (0 where none applies). An
+inequality is flagged only where the parent's upper bound lies below the
+children's averaged lower bounds: a certified violation, never an
+optimizer miss. Stacking does not change a single bit of the values: every
 branch takes the matrix operations its own evaluation would take. The
 root branch is the input itself, so the end-to-end comparison reads the
 input's value from it and evaluates only the channel output.
@@ -50,7 +52,7 @@ Path = tuple[int, ...]
 
 PRUNE_TOL = 1e-12        # branches below this probability are skipped in audits
 PURE_RANK_ATOL = 1e-10   # second eigenvalue below this means rank one
-VIOLATION_MARGIN = 1e-6  # violations are flagged only beyond gap budget + this
+VIOLATION_MARGIN = 1e-6  # violations are flagged only beyond the lower bounds + this
 
 
 def _party(p: str) -> str:
@@ -254,7 +256,7 @@ class NodeValue:
     probability: float
     value: float
     method: str          # "pure" (exact) or "roof" (optimizer upper bound)
-    gap: float
+    lower_bound: float   # certified: a pure branch's value, else the solve's or 0.0
     is_leaf: bool
 
 
@@ -263,25 +265,24 @@ class NodeInequality:
     """Average monotonicity at one non-final node.
 
     slack = value(parent) - sum_children (p_child/p_parent) * value(child).
-    ``flagged`` is set only when the slack is negative beyond the combined
-    optimizer gap budget plus a safety margin; apparent violations within
-    the budget indict the numerical roof, not the inequality.
+    ``flagged`` is set only when the parent's value, an upper bound on its
+    roof, lies below the children's averaged lower bounds by more than
+    VIOLATION_MARGIN: a certified violation. A negative slack that is not
+    flagged may be the numerical roof's miss.
     """
 
     path: Path
     parent_value: float
     children_average: float
     slack: float
-    gap_budget: float
     flagged: bool
 
 
 @dataclass(frozen=True)
 class EndToEnd:
     input_value: float
-    input_gap: float
     output_value: float
-    output_gap: float
+    output_lower_bound: float
     slack: float
     flagged: bool
 
@@ -305,15 +306,16 @@ def _evaluate(
     One stacked eigendecomposition tests every row for rank one; the
     rank-one rows are evaluated exactly by one stacked
     :func:`measure_value` on their top eigenvectors, and every other row
-    by its own numerical roof. Returns (values, pure, gaps): ``pure``
-    marks the exact rows, whose gap is zero.
+    by its own numerical roof. Returns (values, pure, lower): ``pure``
+    marks the exact rows, whose lower bound is their value; a roof row's is
+    its solve's ``lower_bound``, or 0.0 where there is none.
     """
     bdims = BipartiteDims(*dims)
     mats = (mats + mats.conj().swapaxes(-1, -2)) / 2
     w, vecs = np.linalg.eigh(mats)
     pure = w[:, -2] <= PURE_RANK_ATOL if w.shape[1] > 1 else np.ones(len(w), dtype=bool)
     values = np.empty(len(mats))
-    gaps = np.zeros(len(mats))
+    lower = np.zeros(len(mats))
     if pure.any():
         psi = vecs[pure, :, -1]
         # each row's two dots are the ones np.linalg.norm takes of a complex
@@ -322,12 +324,12 @@ def _evaluate(
         re, im = psi.real, psi.imag
         sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
         psi = psi / np.sqrt(sq[:, :, 0])
-        values[pure] = measure_value(spec, psi, bdims)
+        values[pure] = lower[pure] = measure_value(spec, psi, bdims)
     for i in np.flatnonzero(~pure):
         rho = DensityOperator(mats[i] / np.trace(mats[i]).real, bdims)
         result = solve_roof(RoofProblem(rho=rho, measure=spec, **roof_opts))
-        values[i], gaps[i] = result.value, result.gap_estimate
-    return values, pure, gaps
+        values[i], lower[i] = result.value, result.lower_bound or 0.0
+    return values, pure, lower
 
 
 def audit_monotonicity(
@@ -345,7 +347,8 @@ def audit_monotonicity(
     ensemble_size, restarts, max_iters, tol, seed). Branches with
     probability below PRUNE_TOL are skipped and listed in ``pruned`` (the
     measure of a zero-probability branch is undefined). The end-to-end
-    input value and gap are the root node's. ``end_to_end=False`` skips
+    input value is the root node's, and is flagged as a node is, against
+    the output's lower bound. ``end_to_end=False`` skips
     the channel-output comparison, which needs a roof solve whenever the
     output is mixed. Raises :class:`InvalidTree` if the tree fails
     validation.
@@ -368,11 +371,11 @@ def audit_monotonicity(
         for dims, branches in groups.items():
             probs = np.array([bs.probability for bs in branches])
             mats = np.stack([bs.unnormalized for bs in branches]) / probs[:, None, None]
-            vals, pure, gaps = _evaluate(mats, dims, spec, roof_opts)
-            for bs, val, is_pure, gap in zip(branches, vals.tolist(), pure, gaps.tolist()):
+            vals, pure, lower = _evaluate(mats, dims, spec, roof_opts)
+            for bs, val, is_pure, low in zip(branches, vals.tolist(), pure, lower.tolist()):
                 node = node_of[bs.path]
                 values[bs.path] = NodeValue(bs.path, node.party, bs.probability, val,
-                                            "pure" if is_pure else "roof", gap, node.is_leaf)
+                                            "pure" if is_pure else "roof", low, node.is_leaf)
         nodes = [c for node in nodes for c in node.children]
 
     inequalities = []
@@ -382,21 +385,19 @@ def audit_monotonicity(
         if not kids:
             continue
         avg = sum(k.probability * k.value for k in kids) / nv.probability
-        slack = nv.value - avg
-        budget = nv.gap + sum(k.gap for k in kids)
+        low = sum(k.probability * k.lower_bound for k in kids) / nv.probability
         inequalities.append(NodeInequality(
-            path, nv.value, avg, slack, budget,
-            flagged=slack < -(budget + VIOLATION_MARGIN)))
+            path, nv.value, avg, nv.value - avg,
+            flagged=nv.value < low - VIOLATION_MARGIN))
 
     end = None
     if end_to_end:
         root = values[()]  # the root branch is the input itself
         out = _evaluate(output.matrix[None], output.dims.as_tuple(), spec, roof_opts)
-        out_val, out_gap = out[0].item(), out[2].item()
-        slack = root.value - out_val
+        out_val, out_low = out[0].item(), out[2].item()
         end = EndToEnd(
-            root.value, root.gap, out_val, out_gap, slack,
-            flagged=slack < -(root.gap + out_gap + VIOLATION_MARGIN))
+            root.value, out_val, out_low, root.value - out_val,
+            flagged=root.value < out_low - VIOLATION_MARGIN)
     return MonotonicityAudit(
         nodes=tuple(values[p] for p in sorted(values)),
         inequalities=tuple(inequalities),

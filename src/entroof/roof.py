@@ -42,7 +42,8 @@ pure-state ensembles exist, so the restart stops the stage where no step
 descends rather than being pushed off that point. A restart that spends
 ``max_iters`` before its last stage ends stops on its budget;
 ``RoofResult.restart_stops`` records which rule ended each one ("floor"
-for stationarity).
+for stationarity), and a result is ``converged`` only where its best
+restart stopped on stationarity.
 
 A minimized two-qubit roof of a measure that is a convex, non-decreasing
 function f of the concurrence (``Measure.convex_in_concurrence``) has the
@@ -51,8 +52,8 @@ decomposition attains it (:func:`entroof.twoqubit.wootters_isometry`).
 :func:`solve_roof` returns that decomposition, converged and without
 building the engine, where it has at most m members and its value is at
 most L + ``tol``; otherwise the engine runs as it does without L. The
-result's ``lower_bound`` is L, and its ``gap_estimate`` the bracket width
-max(0, value - L).
+result's ``lower_bound`` is L, so value - L is the width of a certified
+bracket around the roof.
 
 Member i contributes |chi_i|^2 f(chi_i) and depends on row i of V only, so
 the gradient is 2 (d/dchi_i^*) B^* row by row. The objective supplies
@@ -212,16 +213,15 @@ class RoofResult:
     supremum when maximizing): their :func:`entroof.measures.measure_value`
     from :func:`solve_roof`, their objective from :func:`solve_roof_custom`.
     ``objective_trace`` is the best restart's best-so-far objective per
-    iteration. ``lower_bound`` is a certified lower bound on the roof, or
-    None where no certificate applies: :func:`solve_roof` gives one for a
-    minimized two-qubit roof of a measure convex and non-decreasing in the
-    concurrence, where it is the exact roof f(C(rho)), and returns
-    Wootters' decomposition where it fits (see the module docstring); that
-    result ran no restart, so ``objective_trace`` and the restart tuples
-    are empty. With a lower bound,
-    ``gap_estimate`` is the bracket width max(0, value - lower_bound), a
-    rigorous bound on the distance from the optimum; without one it is the
-    spread between the two best restarts, a heuristic optimality indicator.
+    iteration. ``converged`` is True where the best restart stopped on
+    stationarity ("floor"), and on Wootters' exact route. ``lower_bound``
+    is a certified lower bound on the roof, or None where no certificate
+    applies: :func:`solve_roof` gives one for a minimized two-qubit roof of
+    a measure convex and non-decreasing in the concurrence, where it is the
+    exact roof f(C(rho)), and returns Wootters' decomposition where it fits
+    (see the module docstring); that result ran no restart, so
+    ``objective_trace`` and the restart tuples are empty. With a lower
+    bound, value - lower_bound bounds the distance from the optimum.
     ``restart_values``, ``restart_iterations`` and ``restart_stops`` hold
     each restart's best objective, its number of iterations and why it
     stopped, in restart order: "floor" (its last stage reached stationarity:
@@ -239,7 +239,6 @@ class RoofResult:
     ensemble: Ensemble
     objective_trace: tuple[float, ...]
     converged: bool
-    gap_estimate: float
     lower_bound: float | None = None
     restart_values: tuple[float, ...] = field(default=(), compare=False)
     best_restart: int = field(default=0, compare=False)
@@ -315,9 +314,9 @@ def ensemble_from_isometry(rho: DensityOperator, v: np.ndarray) -> Ensemble:
 
 
 # One restart's result: its best raw objective and isometry, then its entries
-# of the RoofResult fields objective_trace, converged, restart_iterations,
-# restart_stops and restart_rungs.
-_Outcome = namedtuple("_Outcome", "best_f best_v trace converged iterations stop rungs")
+# of the RoofResult fields objective_trace, restart_iterations, restart_stops
+# and restart_rungs.
+_Outcome = namedtuple("_Outcome", "best_f best_v trace iterations stop rungs")
 
 
 def _tangent(v: np.ndarray, vh: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -711,10 +710,10 @@ class _Engine:
             done = (converged & last) | spent
             if done.any():
                 for i in done.nonzero()[0]:
-                    conv = bool(converged[i] and last[i])
+                    conv = converged[i] and last[i]
                     stop = "budget" if not conv else "floor" if floor[i] else "stall"
                     outcomes[rows.pos[i]] = _Outcome(
-                        float(rows.best_f[i]), rows.best_v[i].copy(), None, conv, it, stop,
+                        float(rows.best_f[i]), rows.best_v[i].copy(), None, it, stop,
                         int(rows.rungs[i]))
                 rows.keep(~done)
         table = np.array(trace)
@@ -760,8 +759,7 @@ def solve_roof_custom(
 def _solve(rho, objective, grad, member_value, direction, ensemble_size, restarts, max_iters,
            tol, seed, stages, lower_bound=None) -> RoofResult:
     """Run the engine and build the result; ``value`` is the weighted
-    ``member_value`` of the returned ensemble's normalized members. With a
-    ``lower_bound``, the gap is the bracket width."""
+    ``member_value`` of the returned ensemble's normalized members."""
     eng = _Engine(rho, objective, direction, ensemble_size, restarts, max_iters, tol, seed,
                   grad, stages)
     outcomes = eng.run()
@@ -770,17 +768,11 @@ def _solve(rho, objective, grad, member_value, direction, ensemble_size, restart
     top = outcomes[best]
 
     ensemble = ensemble_from_isometry(rho, top.best_v)
-    value = _attained(ensemble, member_value)
-    if lower_bound is not None:
-        gap = max(0.0, value - lower_bound)
-    else:
-        gap = abs(float(np.min(np.delete(finals, best))) - top.best_f) if restarts > 1 else 0.0
     return RoofResult(
-        value=value,
+        value=_attained(ensemble, member_value),
         ensemble=ensemble,
         objective_trace=tuple(eng.sign * f for f in top.trace),
-        converged=top.converged,
-        gap_estimate=gap,
+        converged=top.stop == "floor",
         lower_bound=lower_bound,
         restart_values=tuple(eng.sign * f for f in finals),
         best_restart=best,
@@ -809,7 +801,7 @@ def _exact(problem: RoofProblem, member_value, lower_bound: float) -> RoofResult
     if not value <= lower_bound + problem.tol:
         return None
     return RoofResult(value=value, ensemble=ensemble, objective_trace=(), converged=True,
-                      gap_estimate=max(0.0, value - lower_bound), lower_bound=lower_bound)
+                      lower_bound=lower_bound)
 
 
 def solve_roof(problem: RoofProblem) -> RoofResult:

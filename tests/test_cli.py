@@ -199,8 +199,8 @@ def test_roof_bell_projector(capsys, files):
 
 
 def test_roof_and_sweep_report_lower_bound(capsys, files, tmp_path):
-    # a certified two-qubit solve reports its bound and its bracket width as
-    # the gap; a 2x3 solve and the p-number at p > 2 report null; a pure
+    # a certified two-qubit solve reports its bound, which closes the
+    # bracket; a 2x3 solve and the p-number at p > 2 report null; a pure
     # state's sweep rows are exact
     from entroof.twoqubit import roof_lower_bound
 
@@ -209,7 +209,8 @@ def test_roof_and_sweep_report_lower_bound(capsys, files, tmp_path):
     res = report_of(out)["deterministic"]["results"]
     assert code == 0 and res["converged"] is True
     assert res["lower_bound"] == roof_lower_bound(rho, MeasureSpec("entanglement-number"))
-    assert res["gap_estimate"] == max(0.0, res["value"] - res["lower_bound"])
+    assert "gap_estimate" not in res
+    assert abs(res["value"] - res["lower_bound"]) <= 1e-12
     fileio.save_state(tmp_path / "q23.json",
                       random_density(BipartiteDims(2, 3), np.random.default_rng(3), 2))
     code, out, _ = run(capsys, ["roof", str(tmp_path / "q23.json"), "--measure", "e",
@@ -352,8 +353,7 @@ def test_sweep_density_nondecreasing(capsys, files):
     assert code == 0
     rows = report_of(out)["deterministic"]["results"]["rows"]
     for a, b in zip(rows, rows[1:]):
-        budget = 2 * max(a["gap_estimate"], b["gap_estimate"]) + 1e-6
-        assert b["value"] >= a["value"] - budget
+        assert b["value"] >= a["value"] - 1e-6
 
 
 def test_sweep_at_large_p_stays_finite(capsys, tmp_path):

@@ -292,12 +292,19 @@ def test_audit_matches_per_branch_reference(spec):
     values, pruned, end = per_branch_audit(tree, rho, spec, opts, end_to_end=mixed)
 
     assert list(audit.pruned) == pruned == [(3,), (3, 0)]
-    assert {n.path: (n.probability, n.value, n.method, n.gap) for n in audit.nodes} == values
+    assert {n.path: (n.probability, n.value, n.method, n.lower_bound)
+            for n in audit.nodes} == values
     methods = {n.method for n in audit.nodes}
     assert methods == ({"pure", "roof"} if mixed else {"pure"})
+    # a node is flagged only against its children's averaged lower bounds
+    for q in audit.inequalities:
+        prob, value = values[q.path][:2]
+        kids = [values[path] for path in values if path[:-1] == q.path and path != q.path]
+        low = sum(p * lower for p, _, _, lower in kids) / prob
+        assert q.flagged == (value < low - locc.VIOLATION_MARGIN)
     if mixed:
         e = audit.end_to_end
-        assert (e.input_value, e.input_gap, e.output_value, e.output_gap) == end
+        assert (e.input_value, e.output_value, e.output_lower_bound) == end
 
 
 def test_audit_input_value_is_the_root_node(monkeypatch):
@@ -322,7 +329,6 @@ def test_audit_input_value_is_the_root_node(monkeypatch):
     assert len(calls) == sum(n.method == "roof" for n in audit.nodes) + 1
     end = audit.end_to_end
     assert np.float64(end.input_value).tobytes() == np.float64(root.value).tobytes()
-    assert np.float64(end.input_gap).tobytes() == np.float64(root.gap).tobytes()
 
 
 def test_audit_bell_computational_measurement():
@@ -336,6 +342,25 @@ def test_audit_bell_computational_measurement():
     assert abs(root.slack - 0.7071067811865475) < 1e-9
     assert not root.flagged
     assert audit.end_to_end.slack > 0.7
+
+
+def test_audit_flags_a_certified_violation():
+    # the geometric measure with ranks (1, 1) is the top Schmidt weight, which
+    # rises from 1/2 on a Bell state to 1 on the product branches of a
+    # computational-basis measurement: every branch is pure, so the slack
+    # -1/2 is certified
+    rho = DensityOperator.from_pure(bell())
+    audit = audit_monotonicity(computational_measurement(), rho,
+                               MeasureSpec("geometric", ranks=(1, 1)),
+                               roof_opts={"restarts": 2, "seed": 1})
+    assert all(n.method == "pure" and n.lower_bound == n.value for n in audit.nodes)
+    (root,) = audit.inequalities
+    assert abs(root.slack + 0.5) < 1e-12
+    assert root.flagged
+    # the mixed channel output has no certified bound, so the end-to-end
+    # comparison cannot flag
+    assert audit.end_to_end.output_lower_bound == 0.0
+    assert not audit.end_to_end.flagged
 
 
 def test_audit_pure_input_uses_exact_path():

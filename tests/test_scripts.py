@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 RUNS = [
     ["roof_vs_closed_form.py", "--states", "2"],
-    ["sweep_orders.py", "--grid", "1.5:2:0.5", "--restarts", "2"],
+    ["sweep_orders.py", "--grid", "1.5:2.5:1.0", "--restarts", "2"],
     ["audit_random_protocol.py"],
 ]
 

@@ -163,26 +163,28 @@ def per_node_walk(tree: LoccNode, rho: DensityOperator):
 
 def evaluate_density(mat: np.ndarray, dims: tuple[int, int], spec, roof_opts: dict):
     """Reference for the audit's stacked evaluation: one branch at a time,
-    (value, method, gap) of a normalized state matrix, exact if rank one."""
+    (value, method, lower bound) of a normalized state matrix, exact if
+    rank one; a roof's lower bound is its solve's, or 0.0 without one."""
     mat = (mat + mat.conj().T) / 2
     bdims = BipartiteDims(*dims)
     w, vecs = np.linalg.eigh(mat)
     if len(w) == 1 or w[-2] <= PURE_RANK_ATOL:
         psi = vecs[:, -1]
         psi = psi / np.linalg.norm(psi)
-        return measure_value(spec, PureState(psi, bdims)), "pure", 0.0
+        value = measure_value(spec, PureState(psi, bdims))
+        return value, "pure", value
     rho = DensityOperator(mat / np.trace(mat).real, bdims)
     result = solve_roof(RoofProblem(rho=rho, measure=spec, **roof_opts))
-    return result.value, "roof", result.gap_estimate
+    return result.value, "roof", result.lower_bound or 0.0
 
 
 def per_branch_audit(tree: LoccNode, rho: DensityOperator, spec, roof_opts: dict,
                      end_to_end: bool):
     """Reference for ``entroof.locc.audit_monotonicity``: every branch of
     :func:`per_node_walk` through :func:`evaluate_density` on its own.
-    Returns ({path: (probability, value, method, gap)}, pruned paths in
-    level order, (input value, input gap, output value, output gap) or
-    None)."""
+    Returns ({path: (probability, value, method, lower bound)}, pruned
+    paths in level order, (input value, output value, output lower bound)
+    or None)."""
     levels, output, out_dims = per_node_walk(tree, rho)
     values, pruned = {}, []
     for level in levels:
@@ -193,9 +195,9 @@ def per_branch_audit(tree: LoccNode, rho: DensityOperator, spec, roof_opts: dict
             values[path] = (prob, *evaluate_density(mat / prob, dims, spec, roof_opts))
     end = None
     if end_to_end:
-        in_val, _, in_gap = evaluate_density(rho.matrix, rho.dims.as_tuple(), spec, roof_opts)
-        out_val, _, out_gap = evaluate_density(output, out_dims, spec, roof_opts)
-        end = (in_val, in_gap, out_val, out_gap)
+        in_val = evaluate_density(rho.matrix, rho.dims.as_tuple(), spec, roof_opts)[0]
+        out_val, _, out_low = evaluate_density(output, out_dims, spec, roof_opts)
+        end = (in_val, out_val, out_low)
     return values, pruned, end
 
 
@@ -463,4 +465,4 @@ def sequential_restart(engine, k: int):
         if not converged:
             break
     stop = "budget" if not converged else "floor" if floor else "stall"
-    return _Outcome(best_f, best_v, trace, converged, it, stop, rungs)
+    return _Outcome(best_f, best_v, trace, it, stop, rungs)
